@@ -166,7 +166,8 @@ class UnivariateLaw:
         elif self.family == GEOMETRIC:
             out[valid] = stats.geom.pmf(nn[valid], 1.0 - self.beta)
         elif self.family == ZETA:
-            out[valid] = stats.zipf.pmf(nn[valid], self.exponent)
+            pos = nn >= 1
+            out[pos] = nn[pos].astype(float) ** -self.exponent / self._zeta_norm
         elif self.family == DEGENERATE:
             out[valid & (nn == self.value)] = 1.0
         elif self.family == FINITE:

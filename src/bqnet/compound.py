@@ -18,7 +18,6 @@ dispatches on the batch representation:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy import special
 
 from . import batch as batchmod
 from .errors import DomainError, ResourceBudgetError, ValidationError
-from .tables import LatticePMF, SimplexIndex
+from .tables import LatticePMF, simplex_index
 
 ROW_TOL = 1e-12
 NEGATIVE_CLAMP = 1e-10
@@ -106,7 +105,7 @@ def compound_lattice(snap: CompoundSnapshot, cap):
     if cached is not None:
         return cached
     b = snap.batch
-    idx = SimplexIndex(snap.J, cap)
+    idx = simplex_index(snap.J, cap)
     tail = 0.0
     if b.variant == batchmod.CONSTANT:
         values = _constant_lattice(snap, idx)
@@ -138,6 +137,15 @@ def poisson_multinomial_pmf(rows, budget=POISSON_MULTINOMIAL_BUDGET):
     is evaluated on the (m+1)^J frequency lattice and inverted with a
     multidimensional DFT; negative roundoff above -1e-10 is clamped.
     """
+    box, clamped = _poisson_multinomial_box(rows, budget)
+    J, m = box.ndim, box.shape[0] - 1
+    idx = simplex_index(J, m)
+    return LatticePMF(J, m, box[tuple(idx.array.T)], tail_mass=0.0,
+                      meta={"_index": idx, "clamped_entries": clamped})
+
+
+def _poisson_multinomial_box(rows, budget):
+    """P(C = i) for every i in {0..m}^J, and the number of clamped entries."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
         raise ValidationError("need an (m, J+1) array of probability rows")
@@ -165,25 +173,28 @@ def poisson_multinomial_pmf(rows, budget=POISSON_MULTINOMIAL_BUDGET):
             f"DFT produced a negative mass {box.min()} beyond the clamp threshold")
     clamped = int(np.sum(box < 0))
     box = np.maximum(box, 0.0)
-    idx = SimplexIndex(J, m)
-    values = box[tuple(idx.array.T)]
-    total = float(values.sum())
+    # the law lives on the box positions whose total is at most m
+    total_of = sum(np.arange(m + 1).reshape((-1,) + (1,) * (J - 1 - k))
+                   for k in range(J))
+    total = float(box[total_of <= m].sum())
     if abs(total - 1.0) > MASS_TOL:
         raise DomainError(f"DFT masses sum to {total}, not 1")
-    return LatticePMF(J, m, values, tail_mass=0.0,
-                      meta={"_index": idx, "clamped_entries": clamped})
+    return box, clamped
 
 
 def _constant_lattice(snap, idx):
     s = snap.batch.vector
     m = int(s.sum())
+    values = np.zeros(len(idx))
     if m == 0:
-        values = np.zeros(len(idx))
-        values[idx.position[(0,) * snap.J]] = 1.0
+        values[0] = 1.0
         return values
     rows = np.repeat(snap.rows, s, axis=0)
-    pm = poisson_multinomial_pmf(rows)
-    return np.array([pm.prob(v) for v in idx.vectors])
+    box, _ = _poisson_multinomial_box(rows, POISSON_MULTINOMIAL_BUDGET)
+    # positions of total <= min(m, cap): a prefix, and all inside the box
+    shared = idx.degree_start[min(m, idx.cap) + 1]
+    values[:shared] = box[tuple(idx.array[:shared].T)]
+    return values
 
 
 # -- iid assignment ----------------------------------------------------------------
@@ -327,26 +338,13 @@ def _multinomial_lattice_values(count, row, idx):
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
-def _convolve_simplex(a, b, idx):
-    """Convolution of two simplex-aligned value arrays, truncated at the cap."""
-    out = np.zeros(len(idx))
-    for pos, n in enumerate(idx.vectors):
-        acc = 0.0
-        for part in itertools.product(*(range(v + 1) for v in n)):
-            pa = idx.position[part]
-            pb = idx.position[tuple(x - y for x, y in zip(n, part))]
-            acc += a[pa] * b[pb]
-        out[pos] = acc
-    return out
-
-
 def _finite_table_lattice(snap, idx):
     values = np.zeros(len(idx))
     for vec, p in zip(snap.batch.vectors, snap.batch.probs):
         part = None
         for j, count in enumerate(vec):
             contrib = _multinomial_lattice_values(int(count), snap.rows[j], idx)
-            part = contrib if part is None else _convolve_simplex(part, contrib, idx)
+            part = contrib if part is None else idx.convolve(part, contrib)
         values += p * part
     return values
 
@@ -355,11 +353,17 @@ def _independent_lattice(snap, idx):
     values = None
     tail = 0.0
     for j, law in enumerate(snap.batch.laws):
+        if law.support_max() == 0:
+            # no customer ever enters queue j: its factor is the unit
+            continue
         qvec = snap.rows[j, : snap.J]
         if law.family in _CLOSED_FORM_FAMILIES:
             contrib = _iid_closed_values(law, qvec, idx.array)
         else:
             contrib, t = _iid_series_values(law, qvec, idx.array)
             tail += t
-        values = contrib if values is None else _convolve_simplex(values, contrib, idx)
+        values = contrib if values is None else idx.convolve(values, contrib)
+    if values is None:
+        values = np.zeros(len(idx))
+        values[0] = 1.0
     return values, tail

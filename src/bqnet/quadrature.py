@@ -2,7 +2,9 @@
 
 All time integrals in the analytic modules run through this helper so
 that refinement behaviour (and therefore determinism) is uniform: a rule
-with M nodes is refined to 2M-1 nodes, which reuses every previous node.
+with M nodes is refined to 2M-1 nodes. The finer rule contains every node
+of the coarser one, but each doubling evaluates the integrand at all of
+its nodes again; nothing from the coarser rule is reused.
 """
 
 from __future__ import annotations

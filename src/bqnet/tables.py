@@ -5,51 +5,172 @@ with sum(n) <= cap, in graded lexicographic order, together with the
 unassigned tail mass. Both the analytic recursion and the simulator emit
 the same CSV schema (``n_1,...,n_J,prob[,stderr,replications]``) so the
 compare tooling can treat them uniformly.
+
+The simplex itself is a :class:`SimplexIndex`; its :class:`PairTable`
+lists every split n = a + b on it, which makes truncated convolution and
+the occupancy recursion of :mod:`bqnet.transient` gathers plus one
+``np.bincount`` each.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import weakref
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceBudgetError, ValidationError
 
 ENTRY_CLAMP = -1e-12
 MASS_TOL = 1e-9
+PAIR_TABLE_BUDGET = 1 << 23
 
 
-def simplex_vectors(J, cap):
-    """All nonnegative integer J-vectors with total <= cap, graded lex order."""
-    out = []
-    for total in range(cap + 1):
-        out.extend(_compositions(total, J))
-    return out
+class PairTable:
+    """Every split ``n = a + b`` of every vector on a simplex.
 
+    Row ``r`` holds the simplex positions ``part[r]`` of a, ``rest[r]`` of
+    b and ``total[r]`` of n. Rows are sorted by ``total``, and within one
+    total by a in lexicographic order, so a sum over the rows of one total
+    adds its terms in a fixed order. Because positions are graded, the
+    rows whose total has degree d are the slice
+    ``degree_start[d]:degree_start[d + 1]``. ``pivot_weight[r]`` is
+    a_p as a float, where p is the last nonzero coordinate of n (0 for
+    n = 0).
+    """
 
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    def __init__(self, part, rest, total, degree_start, pivot_weight):
+        self.part, self.rest, self.total = part, rest, total
+        self.degree_start = degree_start
+        self.pivot_weight = pivot_weight
+
+    def __len__(self):
+        return len(self.total)
 
 
 class SimplexIndex:
-    """Shared index over the simplex {n : sum(n) <= cap}."""
+    """Shared index over the simplex {n : sum(n) <= cap}.
+
+    Vectors are in graded lexicographic order: by total, then in
+    decreasing lexicographic order, so ``(cap, 0, ..., 0)`` comes first
+    among those of total ``cap``. The index at a smaller cap is therefore
+    a prefix of this one, and the vectors of total d are the positions
+    ``degree_start[d]:degree_start[d + 1]``. :meth:`rank` maps vectors to
+    positions without a lookup table (the combinatorial number system).
+
+    :attr:`pairs` is the :class:`PairTable` of the simplex. It turns the
+    truncated convolution of two value arrays into one ``np.bincount``
+    (:meth:`convolve`) and drives the degree-by-degree recursion of
+    :mod:`bqnet.transient`. It holds C(cap + 2J, 2J) rows, is built on
+    first use and raises :class:`ResourceBudgetError` above
+    ``PAIR_TABLE_BUDGET`` rows.
+
+    Build indexes through :func:`simplex_index`, which shares one per
+    ``(J, cap)`` among its live users; their arrays are read-only.
+    """
 
     def __init__(self, J, cap):
         self.J, self.cap = J, cap
-        self.vectors = simplex_vectors(J, cap)
+        # _binom[n, k] = C(n, k) for n <= cap + J and k <= J
+        self._binom = np.array([[math.comb(n, k) for k in range(J + 1)]
+                                for n in range(cap + J + 1)], dtype=np.int64)
+        self.degree_start = self._binom[np.arange(cap + 2) + J - 1, J]
+        self.degree_start.flags.writeable = False
+        # every vector with total <= cap, one coordinate at a time
+        vecs = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(J):
+            room = cap - vecs.sum(axis=1)
+            vecs = np.repeat(vecs, room + 1, axis=0)
+            first = np.repeat(np.cumsum(room + 1) - (room + 1), room + 1)
+            vecs = np.column_stack([vecs, np.arange(len(vecs)) - first])
+        self.array = np.empty_like(vecs)
+        self.array[self.rank(vecs)] = vecs
+        self.array.flags.writeable = False
+        self.vectors = tuple(map(tuple, self.array.tolist()))
         self.position = {v: i for i, v in enumerate(self.vectors)}
-        self.array = np.array(self.vectors, dtype=np.int64)
+        # last nonzero coordinate of each vector (the recursion's pivot)
+        # and its value
+        self._pivot = J - 1 - np.argmax(self.array[:, ::-1] > 0, axis=1)
+        self.pivot_count = self.array[np.arange(len(self.array)), self._pivot]
+        self.pivot_count.flags.writeable = False
 
     def __len__(self):
         return len(self.vectors)
+
+    def rank(self, vecs):
+        """Positions of the rows of ``vecs`` (an (m, J) array on the simplex)."""
+        J, binom = self.J, self._binom
+        remaining = vecs.sum(axis=1)
+        # vectors of smaller total come first
+        pos = binom[remaining + J - 1, J]
+        for k in range(J - 1):
+            # vectors of this total that agree before coordinate k and are
+            # larger at it: compositions of less than ``remaining`` into
+            # the J - k - 1 later coordinates
+            remaining = remaining - vecs[:, k]
+            pos = pos + binom[remaining + J - k - 2, J - k - 1]
+        return pos
+
+    @functools.cached_property
+    def pairs(self):
+        """The :class:`PairTable` of this simplex, built on first use."""
+        J, cap = self.J, self.cap
+        size = math.comb(cap + 2 * J, 2 * J)
+        if size > PAIR_TABLE_BUDGET:
+            raise ResourceBudgetError(
+                f"the simplex pair table for J={J}, cap={cap} has {size} rows "
+                f"> budget {PAIR_TABLE_BUDGET}; lower the cap")
+        start = self.degree_start
+        parts, rests, totals, keys = [], [], [], []
+        for d in range(cap + 1):
+            # a of total d, b of total <= cap - d
+            a = np.arange(start[d], start[d + 1])
+            b = np.arange(start[cap - d + 1])
+            a, b = np.repeat(a, b.size), np.tile(b, a.size)
+            avec = self.array[a]
+            nvec = avec + self.array[b]
+            # position of a in the product order of the box [0, n]; at most
+            # the number of splits of n, so it fits the budget
+            key = np.zeros(a.size, dtype=np.int64)
+            for k in range(J):
+                key = key * (nvec[:, k] + 1) + avec[:, k]
+            parts.append(a)
+            rests.append(b)
+            totals.append(self.rank(nvec))
+            keys.append(key)
+        total = np.concatenate(totals)
+        order = np.lexsort((np.concatenate(keys), total))
+        part = np.concatenate(parts)[order]
+        rest = np.concatenate(rests)[order]
+        total = total[order]
+        weight = self.array[part, self._pivot[total]].astype(float)
+        for arr in (part, rest, total, weight):
+            arr.flags.writeable = False
+        return PairTable(part, rest, total, np.searchsorted(total, start), weight)
+
+    def convolve(self, x, y):
+        """(x * y)[n] = sum over a + b = n of x[a] y[b], for every n on the simplex."""
+        pairs = self.pairs
+        return np.bincount(pairs.total, x[pairs.part] * y[pairs.rest],
+                           minlength=len(self))
+
+
+# Indexes are immutable, so sharing one is safe; holding them weakly ties
+# each one's lifetime to its users (for example, one transient_pmf call
+# and the LatticePMF it returns) instead of to the process.
+_live_indexes = weakref.WeakValueDictionary()
+
+
+def simplex_index(J, cap):
+    """The :class:`SimplexIndex` for ``(J, cap)``, shared while any caller holds it."""
+    key = (int(J), int(cap))
+    idx = _live_indexes.get(key)
+    if idx is None:
+        idx = _live_indexes[key] = SimplexIndex(*key)
+    return idx
 
 
 class LatticePMF:
@@ -59,13 +180,13 @@ class LatticePMF:
         self.J, self.cap = int(J), int(cap)
         self.index = values if isinstance(values, SimplexIndex) else None
         if isinstance(values, dict):
-            idx = SimplexIndex(J, cap)
+            idx = simplex_index(J, cap)
             arr = np.zeros(len(idx))
             for vec, p in values.items():
                 arr[idx.position[tuple(int(v) for v in vec)]] = p
             self.index, self.values = idx, arr
         else:
-            self.index = meta.pop("_index") if meta and "_index" in meta else SimplexIndex(J, cap)
+            self.index = meta.pop("_index") if meta and "_index" in meta else simplex_index(J, cap)
             self.values = np.asarray(values, dtype=float)
             if self.values.shape != (len(self.index),):
                 raise ValidationError("lattice values do not match the simplex size")

@@ -2,21 +2,31 @@
 
 The occupancy vector N(t) is a Poisson-random sum of independent batch
 displacements, so its PGF is the exponential of a time integral of the
-single-batch displacement PGF. The PMF follows from a Panjer-style
-recursion over the occupancy lattice: each entry is assembled from
-lower-total entries and the displacement integrals
+single-batch displacement PGF. The PMF follows from a multivariate
+Panjer recursion over the occupancy simplex (Sundt 1999). With the
+displacement integrals
 
     A(i) = int_0^t lambda(tau) P[C(t - tau) = i] dtau,
 
-which are computed once per displacement vector i on quadrature nodes
-shared with the empty-network base case, then reused by every lattice
-target. All quadrature runs on composite Simpson rules refined by node
-doubling, so results are bit-deterministic for a fixed node count.
+computed once per displacement vector i on quadrature nodes shared with
+the empty-network base case,
+P(N = 0) = exp(-int_0^t lambda(tau) P[C(t - tau) != 0] dtau) and, for
+n != 0 and any coordinate p with n_p >= 1,
+
+    n_p P(N = n) = sum_{0 < i <= n} i_p A(i) P(N = n - i).
+
+Every term on the right has a smaller total than n, so the recursion runs
+one total degree at a time: all entries of degree d come from one gather
+over the simplex pair table (:class:`bqnet.tables.PairTable`) and one
+``np.bincount``. The stored entries use p = the last nonzero coordinate
+of n; :func:`recompute_with_pivot` re-derives an entry with another p.
+Terms are added in a fixed order, and all quadrature runs on composite
+Simpson rules refined by node doubling, so results are bit-deterministic
+for a fixed node count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +36,7 @@ import numpy as np
 from .compound import CompoundSnapshot, compound_lattice
 from .errors import ConvergenceError, ValidationError
 from .quadrature import QuadratureSpec, simpson_nodes
-from .tables import LatticePMF, SimplexIndex
+from .tables import LatticePMF, simplex_index
 
 DEFAULT_QUAD = QuadratureSpec()
 TAIL_WARNING = 0.01
@@ -111,37 +121,18 @@ def _pmf_values(model, kernel, t, index, m):
 
 
 def _run_recursion(index, A, p0):
-    """Panjer-style lattice recursion with pivot = last nonzero coordinate."""
+    """Panjer recursion, one total degree at a time, pivot = last nonzero coordinate."""
+    pairs = index.pairs
     values = np.zeros(len(index))
     values[0] = p0
-    pos_of = index.position
-    for pos, n in enumerate(index.vectors):
-        if pos == 0:
-            continue
-        values[pos] = _entry_from(values, A, pos_of, n, _last_nonzero(n))
+    for d in range(1, index.cap + 1):
+        lo, hi = index.degree_start[d], index.degree_start[d + 1]
+        rows = slice(pairs.degree_start[d], pairs.degree_start[d + 1])
+        terms = (pairs.pivot_weight[rows] * values[pairs.rest[rows]]
+                 * A[pairs.part[rows]])
+        values[lo:hi] = (np.bincount(pairs.total[rows] - lo, terms, minlength=hi - lo)
+                         / index.pivot_count[lo:hi])
     return values
-
-
-def _last_nonzero(n):
-    for k in range(len(n) - 1, -1, -1):
-        if n[k] > 0:
-            return k
-    raise ValueError("zero vector has no pivot")
-
-
-def _entry_from(values, A, pos_of, n, pivot):
-    nv = n[pivot]
-    acc = 0.0
-    for i in itertools.product(*(range(c + 1) for c in n)):
-        iv = i[pivot]
-        if iv == 0:
-            continue
-        a = A[pos_of[i]]
-        if a == 0.0:
-            continue
-        rest = tuple(x - y for x, y in zip(n, i))
-        acc += iv * values[pos_of[rest]] * a
-    return acc / nv
 
 
 def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
@@ -154,7 +145,7 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
     t = _check_time(t)
     if cap < 0:
         raise ValidationError("cap must be >= 0")
-    index = SimplexIndex(model.J, cap)
+    index = simplex_index(model.J, cap)
     if t == 0.0:
         values = np.zeros(len(index))
         values[0] = 1.0
@@ -196,15 +187,21 @@ def recompute_with_pivot(pmf: LatticePMF, n, pivot):
     integrals = pmf.meta.get("displacement_integrals")
     if not integrals:
         raise ValidationError("this lattice carries no displacement integrals")
+    index = pmf.index
     n = tuple(int(v) for v in n)
-    if n not in pmf.index.position:
+    pos = index.position.get(n)
+    if pos is None:
         raise ValidationError(f"{n} is outside the lattice")
     if n[pivot] < 1:
         raise ValidationError(f"pivot {pivot} needs n[pivot] >= 1")
-    A = np.zeros(len(pmf.index))
+    A = np.zeros(len(index))
     for vec, a in integrals.items():
-        A[pmf.index.position[vec]] = a
-    return _entry_from(pmf.values, A, pmf.index.position, n, pivot)
+        A[index.position[vec]] = a
+    pairs = index.pairs
+    lo, hi = np.searchsorted(pairs.total, [pos, pos + 1])
+    part, rest = pairs.part[lo:hi], pairs.rest[lo:hi]
+    terms = index.array[part, pivot] * pmf.values[rest] * A[part]
+    return float(terms.sum()) / n[pivot]
 
 
 @dataclass

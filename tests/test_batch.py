@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from bqnet import BatchLaw, UnivariateLaw, ValidationError
 from bqnet.batch import (batch_factorial_moments, batch_pgf, batch_pmf)
@@ -50,6 +51,15 @@ class TestUnivariate:
         # tail bound at the analytic quantile stays below the tolerance
         tail = top ** (1.0 - 1.5) / ((1.5 - 1.0) * 2.6123753486854883)
         assert tail <= 1.1e-12
+
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.5, 4.0])
+    def test_zeta_pmf_matches_scipy_zipf(self, s):
+        n = np.unique(np.concatenate([np.arange(1, 1001),
+                                      np.geomspace(1e3, 1e6, 400).astype(np.int64)]))
+        law = UnivariateLaw.zeta(s)
+        np.testing.assert_allclose(law.pmf(n), stats.zipf.pmf(n, s),
+                                   rtol=1e-14, atol=0.0)
+        assert law.pmf(0) == 0.0 and law.pmf(-3) == 0.0
 
     def test_zeta_pgf_matches_polylog(self):
         law = UnivariateLaw.zeta(1.5)

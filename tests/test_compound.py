@@ -122,6 +122,13 @@ class TestCompoundPMF:
             want += p1 * q2_contrib(v)
         assert compound_pmf(snap, [1, 1]) == pytest.approx(want, rel=1e-9)
 
+    def test_independent_all_zero_marginals(self):
+        batch = BatchLaw.independent([UnivariateLaw.degenerate(0),
+                                      UnivariateLaw.poisson(0.0)])
+        snap = snap_for(batch, [[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]])
+        (values, idx), tail = compound_lattice(snap, 3)
+        assert values[0] == 1.0 and not values[1:].any() and tail == 0.0
+
     def test_finite_table_batch(self):
         rows = [[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]]
         batch = BatchLaw.finite_table({(1, 0): 0.4, (0, 2): 0.6}, 2)
