@@ -3,8 +3,7 @@ Poisson arrivals: exact transient occupancy laws, stability verdicts,
 and an embedded Monte Carlo cross-check."""
 
 from .arrivals import ArrivalProcess
-from .batch import (BatchLaw, UnivariateLaw, batch_factorial_moments,
-                    batch_pgf, batch_pmf)
+from .batch import BatchLaw, UnivariateLaw
 from .compound import (CompoundSnapshot, compound_lattice, compound_pgf,
                        compound_pmf, poisson_multinomial_pmf)
 from .config import bundled_config_path, load_config, parse_config
@@ -17,14 +16,12 @@ from .errors import (BqnetError, ConvergenceError, DomainError,
                      UnsupportedRepresentationError, ValidationError)
 from .kernels import (MarkovKernel, OccupancyKernel, RenewalKernel,
                       TabulatedKernel, TimeGrid, build_markov_kernel,
-                      build_renewal_kernel, kernel_survival,
-                      load_tabulated_kernel_csv)
+                      build_renewal_kernel, load_tabulated_kernel_csv)
 from .model import AnalysisDefaults, NetworkModel
 from .quadrature import QuadratureSpec
 from .service import ServiceLaw, ServiceNode
 from .simulate import (SimulationEstimate, SimulationPlan,
-                       run_simulation, sample_arrival_times, sample_batch,
-                       sample_trajectory)
+                       run_simulation, sample_arrival_times, sample_trajectory)
 from .tables import LatticePMF, SimplexIndex, read_occupancy_csv
 from .transient import (TransientMoments, recompute_with_pivot,
                         transient_moments, transient_pgf, transient_pmf,

@@ -117,11 +117,6 @@ class ArrivalProcess:
             return self._rates.size == 1 or bool(np.all(self._rates == self._rates[0]))
         return self._b == 0.0
 
-    def homogeneous_rate(self):
-        if not self.is_homogeneous():
-            raise DomainError("arrival process is not homogeneous")
-        return float(self.rate(0.0))
-
     def segments(self, horizon):
         """(start, end, rate) segments covering [0, horizon] for exact sampling.
 
@@ -138,11 +133,6 @@ class ArrivalProcess:
             end = self._breaks[i + 1] if i + 1 < self._breaks.size else horizon
             out.append((float(start), float(min(end, horizon)), float(self._rates[i])))
         return out
-
-    def to_config(self):
-        cfg = {"kind": self.kind}
-        cfg.update(self.params)
-        return cfg
 
     def __repr__(self):
         return f"ArrivalProcess({self.kind}, {self.params})"

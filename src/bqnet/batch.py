@@ -181,42 +181,6 @@ class UnivariateLaw:
             out[mask] = self._lwt_c / (nn[mask] * ln * ln)
         return float(out[0]) if scalar else out
 
-    def sundt_jewell_ab(self):
-        """(a, b, first support point, its probability) for the recursion
-        P(n) = P(n-1) (a + b/n), or None if the family is outside the class."""
-        if self.family == BINOMIAL:
-            alpha = self.prob
-            if alpha in (0.0, 1.0):
-                return None
-            return (-alpha / (1 - alpha), (self.count + 1) * alpha / (1 - alpha),
-                    0, (1 - alpha) ** self.count)
-        if self.family == POISSON:
-            return 0.0, self.mu, 0, math.exp(-self.mu)
-        if self.family == NEG_BINOMIAL:
-            a = self.scale / (1.0 + self.scale)
-            return a, (self.shape - 1.0) * a, 0, (1.0 + self.scale) ** (-self.shape)
-        if self.family == LOGARITHMIC:
-            return (self.rho, -self.rho, 1,
-                    -self.rho / math.log1p(-self.rho))
-        if self.family == GEOMETRIC:
-            return self.beta, 0.0, 1, 1.0 - self.beta
-        return None
-
-    def pmf_prefix(self, n_max):
-        """P(S = n) for n = 0..n_max, via the (a, b) recursion when available."""
-        ab = self.sundt_jewell_ab()
-        if ab is None:
-            return self.pmf(np.arange(n_max + 1))
-        a, b, n0, p0 = ab
-        out = np.zeros(n_max + 1)
-        if n0 <= n_max:
-            out[n0] = p0
-            for n in range(n0 + 1, n_max + 1):
-                out[n] = out[n - 1] * (a + b / n)
-                if self.family == BINOMIAL and n > self.count:
-                    out[n] = 0.0
-        return out
-
     # -- PGF ---------------------------------------------------------------
 
     def pgf(self, z):
@@ -720,20 +684,7 @@ class BatchLaw:
             return all(law.fractional_moment_finite(alpha) for law in self.laws)
         return True
 
-    # -- support and sampling ----------------------------------------------------
-
-    def bounded_total(self):
-        """Largest possible batch total, or None if unbounded."""
-        if self.variant == CONSTANT:
-            return int(self.vector.sum())
-        if self.variant == FINITE_TABLE:
-            return int(self.vectors.sum(axis=1).max())
-        if self.variant == IID_ASSIGNMENT:
-            return self.law.support_max()
-        tops = [law.support_max() for law in self.laws]
-        if any(t is None for t in tops):
-            return None
-        return int(sum(tops))
+    # -- sampling ----------------------------------------------------------------
 
     def sample_many(self, rng, count):
         """Draw ``count`` batch vectors as an int64 array (count, J)."""
@@ -779,22 +730,3 @@ def _safe_outer(a, b):
         for j, y in enumerate(b):
             out[i, j] = 0.0 if (x == 0.0 or y == 0.0) else x * y
     return out
-
-
-# -- module-level operation surface ---------------------------------------------
-
-
-def batch_pgf(law: BatchLaw, z):
-    """E[prod z_k^{S_k}] for z in [0, 1]^J."""
-    return law.pgf(z)
-
-
-def batch_pmf(law: BatchLaw, n):
-    """Exact P(S = n) for a nonnegative integer vector n."""
-    return law.pmf(n)
-
-
-def batch_factorial_moments(law: BatchLaw, order):
-    """First or second joint factorial moments; inf entries signal divergence."""
-    return law.factorial_moments(order)
-

@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import bundled_config_path, load_config
 from .errors import (BqnetError, ConvergenceError, MISSING_FILE_EXIT,
                      ValidationError)
@@ -291,16 +293,13 @@ def main(argv=None):
             print(f"  - {failure}", file=sys.stderr)
         return exc.exit_code
     except ConvergenceError as exc:
-        print(f"convergence failure: {exc} "
-              f"(last estimates: {exc.last_estimates})", file=sys.stderr)
+        with np.printoptions(threshold=6):      # vector estimates print abridged
+            print(f"convergence failure: {exc} "
+                  f"(last estimates: {exc.last_estimates})", file=sys.stderr)
         return exc.exit_code
     except BqnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-#: The dispatch surface under its operational name.
-run_command = main
 
 
 if __name__ == "__main__":

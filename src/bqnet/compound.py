@@ -62,9 +62,6 @@ class CompoundSnapshot:
         self.enumeration_tail_bound = 0.0
         self._lattices = {}
 
-    def placement_row(self, j):
-        return self.rows[j]
-
 
 def compound_pgf(snap: CompoundSnapshot, z):
     """E[prod z_k^{C_k(t)}] = G_S(1 + sum_k (z_k - 1) q^j_k(t), ...)."""

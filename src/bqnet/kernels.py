@@ -25,7 +25,7 @@ from scipy import linalg, stats
 
 from .errors import (KernelDomainError, RefinementRequiredError,
                      UnsupportedRepresentationError, ValidationError)
-from .service import ABSORBING, EXPONENTIAL, ServiceNode, validate_nodes
+from .service import EXPONENTIAL, routing_matrix, validate_nodes
 
 POISSON_TAIL = 1e-12
 # Beyond this uniformization rate * t, the Poisson series is longer than a
@@ -91,18 +91,9 @@ class OccupancyKernel:
             raise IndexError(f"node index out of range for J={self.J}")
         return float(np.clip(self.placement_rows(t)[j, : self.J].sum(), 0.0, 1.0))
 
-    def survival_vector(self, t):
-        rows = self.placement_rows(t)
-        return np.clip(rows[:, : self.J].sum(axis=1), 0.0, 1.0)
-
     def survival_vectors(self, ts):
         rows = self.placement_rows_many(ts)
         return np.clip(rows[:, :, : self.J].sum(axis=2), 0.0, 1.0)
-
-
-def kernel_survival(kernel, j, t):
-    """Module-level survival accessor matching the kernel contract."""
-    return kernel.survival(j, t)
 
 
 class MarkovKernel(OccupancyKernel):
@@ -216,7 +207,37 @@ class MarkovKernel(OccupancyKernel):
         return out
 
 
-class RenewalKernel(OccupancyKernel):
+class GridKernel(OccupancyKernel):
+    """Kernel held as q(t) on a time grid, linearly interpolated between nodes.
+
+    Subclasses set ``_times`` (M,) and ``_table`` (M, J, J) and decide, in
+    ``_cover``, what happens to times beyond the grid end.
+    """
+
+    def _cover(self, t):
+        """Make the grid reach ``t`` or raise :class:`KernelDomainError`."""
+        raise NotImplementedError
+
+    def placement_rows(self, t):
+        return self.placement_rows_many([t])[0]
+
+    def placement_rows_many(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        if ts.size:
+            if float(np.min(ts)) < 0:
+                raise KernelDomainError("kernel evaluated at negative time")
+            self._cover(float(np.max(ts)))
+        times, table = self._times, self._table
+        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+        frac = (ts - times[idx]) / (times[idx + 1] - times[idx])
+        q = table[idx] * (1.0 - frac)[:, None, None] + table[idx + 1] * frac[:, None, None]
+        rows = np.empty((ts.size, self.J, self.J + 1))
+        rows[:, :, : self.J] = q
+        rows[:, :, self.J] = np.clip(1.0 - q.sum(axis=2), 0.0, 1.0)
+        return rows
+
+
+class RenewalKernel(GridKernel):
     """Grid solution of the Markov-renewal equations for general service.
 
     Forward time-stepping with trapezoidal Stieltjes convolution against
@@ -250,10 +271,7 @@ class RenewalKernel(OccupancyKernel):
         dF = np.diff(cdf, axis=1)                      # (J, m-1)
         atom0 = cdf[:, 0]                              # mass exactly at 0
         surv = 1.0 - cdf                               # delta_jk factor
-        R = np.zeros((J, J))
-        for j, node in enumerate(self.nodes):
-            if node.routing is not None:
-                R[j, :] = node.routing[:J]
+        R = routing_matrix(self.nodes, J)
 
         def implicit_solver(coeff):
             M = np.eye(J) - coeff[:, None] * R
@@ -284,7 +302,7 @@ class RenewalKernel(OccupancyKernel):
         np.clip(Q, 0.0, 1.0, out=Q)
         return times, Q
 
-    def _ensure_horizon(self, t):
+    def _cover(self, t):
         if t <= self._times[-1]:
             return
         end, m = self._times[-1], self._times.size
@@ -299,28 +317,8 @@ class RenewalKernel(OccupancyKernel):
         times, table = self._solve(end, m)
         self._times, self._table = times, table
 
-    def placement_rows(self, t):
-        if t < 0:
-            raise KernelDomainError("kernel evaluated at negative time")
-        return self.placement_rows_many([t])[0]
 
-    def placement_rows_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and float(np.min(ts)) < 0:
-            raise KernelDomainError("kernel evaluated at negative time")
-        if ts.size:
-            self._ensure_horizon(float(np.max(ts)))
-        times, table = self._times, self._table
-        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
-        frac = (ts - times[idx]) / (times[idx + 1] - times[idx])
-        q = table[idx] * (1.0 - frac)[:, None, None] + table[idx + 1] * frac[:, None, None]
-        rows = np.empty((ts.size, self.J, self.J + 1))
-        rows[:, :, : self.J] = q
-        rows[:, :, self.J] = np.clip(1.0 - q.sum(axis=2), 0.0, 1.0)
-        return rows
-
-
-class TabulatedKernel(OccupancyKernel):
+class TabulatedKernel(GridKernel):
     """Kernel given by explicit values on a time grid."""
 
     representation = "tabulated"
@@ -346,26 +344,10 @@ class TabulatedKernel(OccupancyKernel):
         table[0] = np.eye(J)
         self._times, self._table = times, table
 
-    def placement_rows(self, t):
-        return self.placement_rows_many([t])[0]
-
-    def placement_rows_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if ts.size:
-            lo, hi = float(np.min(ts)), float(np.max(ts))
-            if lo < 0:
-                raise KernelDomainError("kernel evaluated at negative time")
-            if hi > self._times[-1]:
-                raise KernelDomainError(
-                    f"tabulated kernel covers [0, {self._times[-1]}]; asked for {hi}")
-        times, table = self._times, self._table
-        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
-        frac = (ts - times[idx]) / (times[idx + 1] - times[idx])
-        q = table[idx] * (1.0 - frac)[:, None, None] + table[idx + 1] * frac[:, None, None]
-        rows = np.empty((ts.size, self.J, self.J + 1))
-        rows[:, :, : self.J] = q
-        rows[:, :, self.J] = np.clip(1.0 - q.sum(axis=2), 0.0, 1.0)
-        return rows
+    def _cover(self, t):
+        if t > self._times[-1]:
+            raise KernelDomainError(
+                f"tabulated kernel covers [0, {self._times[-1]}]; asked for {t}")
 
 
 def build_markov_kernel(nodes, J):

@@ -1,10 +1,11 @@
-"""Composite Simpson quadrature with doubling refinement.
+"""Composite Simpson quadrature with nested doubling refinement.
 
-All time integrals in the analytic modules run through this helper so
-that refinement behaviour (and therefore determinism) is uniform: a rule
-with M nodes is refined to 2M-1 nodes. The finer rule contains every node
-of the coarser one, but each doubling evaluates the integrand at all of
-its nodes again; nothing from the coarser rule is reused.
+Every time integral in the analytic modules runs through
+:func:`simpson_refine`, so refinement behaviour (and therefore
+determinism) is uniform: a rule with M nodes is refined to 2M-1 nodes.
+The finer rule's even nodes are the coarser rule's nodes bit for bit, so
+each doubling evaluates the integrand only at the M-1 new midpoints and
+reuses the values it already has.
 """
 
 from __future__ import annotations
@@ -49,11 +50,30 @@ def simpson_nodes(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * (h / 3.0)
 
 
-def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
-                   description: str = "integral") -> tuple[float, int]:
-    """Integrate ``f`` (vectorised over a node array) on [a, b].
+def converged_elementwise(previous, current, spec):
+    """Elementwise |current - previous| <= rtol * |current| + atol."""
+    return bool(np.all(np.abs(current - previous)
+                       <= spec.rtol * np.abs(current) + spec.atol))
 
-    Returns ``(value, nodes_used)``. Raises :class:`ConvergenceError`
+
+def _estimate(w, values):
+    out = np.tensordot(w, values, axes=1)
+    return float(out) if out.ndim == 0 else out
+
+
+def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
+                   description: str = "integral", converged=converged_elementwise):
+    """Integrate ``f`` on [a, b], refining until two estimates agree.
+
+    ``f`` maps a node array to its values with the node axis first, so
+    the integrand may be scalar (shape (m,)) or vector-valued (shape
+    (m, ...)); the estimate is the weighted sum over the node axis.
+    Refinement stops at the first doubling where ``converged(previous,
+    current, spec)`` holds, by default the elementwise
+    |current - previous| <= rtol * |current| + atol.
+
+    Returns ``(value, nodes_used)``, the value a float for a scalar
+    integrand and an array otherwise. Raises :class:`ConvergenceError`
     carrying the last two estimates if doubling never settles.
     """
     if b < a:
@@ -62,14 +82,19 @@ def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
         return 0.0, spec.initial_nodes
     m = spec.initial_nodes
     x, w = simpson_nodes(a, b, m)
-    previous = float(w @ np.asarray(f(x), dtype=float))
+    values = np.asarray(f(x), dtype=float)
+    previous = current = _estimate(w, values)
     for _ in range(spec.max_doublings):
+        previous = current
         m = 2 * m - 1
         x, w = simpson_nodes(a, b, m)
-        current = float(w @ np.asarray(f(x), dtype=float))
-        if abs(current - previous) <= spec.rtol * abs(current) + spec.atol:
+        finer = np.empty((m,) + values.shape[1:])
+        finer[::2] = values
+        finer[1::2] = f(x[1::2])
+        values = finer
+        current = _estimate(w, values)
+        if converged(previous, current, spec):
             return current, m
-        previous = current
     raise ConvergenceError(
         f"{description} did not converge after {spec.max_doublings} doublings",
         last_estimates=(previous, current),

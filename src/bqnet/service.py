@@ -131,12 +131,6 @@ class ServiceLaw:
             return out
         return np.full(size, np.inf)
 
-    def to_config(self):
-        cfg = {"kind": self.kind}
-        for key, val in self.params.items():
-            cfg[key] = list(val) if isinstance(val, (list, tuple, np.ndarray)) else val
-        return cfg
-
     def __repr__(self):
         return f"ServiceLaw({self.kind}, {self.params})"
 

@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SimulationBudgetError, ValidationError
+from .service import routing_matrix
 from .tables import dump_json, write_occupancy_csv
 
 BLOCK_SIZE = 4096
 EXITED = -1
 MAX_CUSTOMER_EVENTS = 1_000_000
+ZERO_TIME_LOOP_MARGIN = 1e-12
 
 
 def _block_rng(seed, block):
@@ -31,37 +33,35 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_arrival_times(process, horizon, rng):
-    """Strictly increasing arrival epochs on [0, horizon).
+def sample_arrival_times(process, horizon, rng, count=1):
+    """Arrival epochs on [0, horizon) for ``count`` independent replications.
 
-    Piecewise-constant (and constant) rates are sampled exactly per
-    segment; other shapes are thinned against the exact majorant.
+    Returns ``(times, reps)``: every epoch with the replication it belongs
+    to, in draw order (not sorted). Piecewise-constant (and constant)
+    rates are sampled exactly per segment; other shapes are thinned
+    against the exact majorant.
     """
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    if horizon == 0:
-        return np.empty(0)
-    if process.kind in ("constant", "piecewise-constant"):
-        chunks = []
+    chunks = [(np.empty(0), np.empty(0, dtype=np.int64))]
+    if horizon > 0 and process.kind in ("constant", "piecewise-constant"):
         for start, end, rate in process.segments(horizon):
             if rate <= 0 or end <= start:
                 continue
-            n = rng.poisson(rate * (end - start))
-            chunks.append(rng.uniform(start, end, n))
-        times = np.concatenate(chunks) if chunks else np.empty(0)
-        return np.sort(times)
-    lam_max = process.max_rate(horizon)
-    if lam_max <= 0:
-        return np.empty(0)
-    n = rng.poisson(lam_max * horizon)
-    t = rng.uniform(0.0, horizon, n)
-    keep = rng.uniform(size=n) * lam_max < process.rate(t)
-    return np.sort(t[keep])
-
-
-def sample_batch(law, rng):
-    """One batch vector drawn from the exact law."""
-    return law.sample(rng)
+            per_rep = rng.poisson(rate * (end - start), count)
+            chunks.append((rng.uniform(start, end, int(per_rep.sum())),
+                           np.repeat(np.arange(count), per_rep)))
+    elif horizon > 0:
+        lam_max = process.max_rate(horizon)
+        if lam_max > 0:
+            per_rep = rng.poisson(lam_max * horizon, count)
+            total = int(per_rep.sum())
+            t = rng.uniform(0.0, horizon, total)
+            rep = np.repeat(np.arange(count), per_rep)
+            keep = rng.uniform(size=total) * lam_max < process.rate(t)
+            chunks.append((t[keep], rep[keep]))
+    times, reps = zip(*chunks)
+    return np.concatenate(times), np.concatenate(reps)
 
 
 def _draw_services(nodes, node_ids, rng):
@@ -90,6 +90,23 @@ def _route(nodes, J, node_ids, rng):
     return np.minimum(nxt, J)
 
 
+def _zero_time_loop(nodes, J, entry_nodes):
+    """True when customers from ``entry_nodes`` can reach a set of nodes that
+    they would never leave, each service there taking zero time.
+
+    That is the spectral radius of diag(F_j(0)) R, restricted to the nodes
+    reachable through R, reaching 1 (to within roundoff).
+    """
+    R = routing_matrix(nodes, J)
+    reach = np.zeros(J, dtype=bool)
+    reach[entry_nodes] = True
+    for _ in range(J):
+        reach |= (R[reach] > 0).any(axis=0)
+    zero_time = np.array([node.service.cdf(0.0) for node in nodes])
+    loop = (zero_time[:, None] * R)[np.ix_(reach, reach)]
+    return bool(np.max(np.abs(np.linalg.eigvals(loop))) >= 1.0 - ZERO_TIME_LOOP_MARGIN)
+
+
 def _trajectory_locations(nodes, J, entry_nodes, arrival_times, snapshot_times, rng):
     """Node index per customer per snapshot (EXITED when gone or not arrived).
 
@@ -102,6 +119,9 @@ def _trajectory_locations(nodes, J, entry_nodes, arrival_times, snapshot_times, 
     out = np.full((n, snaps.size), EXITED, dtype=np.int64)
     if n == 0:
         return out
+    if _zero_time_loop(nodes, J, entry_nodes):
+        raise SimulationBudgetError(
+            "customers can reach nodes they would circle forever in zero time")
     horizon = float(snaps.max()) if snaps.size else 0.0
     node = entry_nodes.astype(np.int64).copy()
     epoch = arrival_times.astype(float).copy()
@@ -221,33 +241,8 @@ def _simulate_block(model, times, seed, block, count):
     rng = _block_rng(seed, block)
     J = model.J
     snaps = np.asarray(times, dtype=float)
-    horizon = float(snaps.max())
-    arr_chunks, rep_chunks = [], []
-    if horizon > 0:
-        if model.arrival.kind in ("constant", "piecewise-constant"):
-            for start, end, rate in model.arrival.segments(horizon):
-                if rate <= 0 or end <= start:
-                    continue
-                per_rep = rng.poisson(rate * (end - start), count)
-                total = int(per_rep.sum())
-                arr_chunks.append(rng.uniform(start, end, total))
-                rep_chunks.append(np.repeat(np.arange(count), per_rep))
-        else:
-            lam_max = model.arrival.max_rate(horizon)
-            if lam_max > 0:
-                per_rep = rng.poisson(lam_max * horizon, count)
-                total = int(per_rep.sum())
-                t = rng.uniform(0.0, horizon, total)
-                rep = np.repeat(np.arange(count), per_rep)
-                keep = rng.uniform(size=total) * lam_max < model.arrival.rate(t)
-                arr_chunks.append(t[keep])
-                rep_chunks.append(rep[keep])
-    if arr_chunks:
-        arr_times = np.concatenate(arr_chunks)
-        arr_reps = np.concatenate(rep_chunks)
-    else:
-        arr_times = np.empty(0)
-        arr_reps = np.empty(0, dtype=np.int64)
+    arr_times, arr_reps = sample_arrival_times(model.arrival, float(snaps.max()),
+                                               rng, count)
 
     batches = model.batch.sample_many(rng, arr_times.size)
     totals = batches.sum(axis=1)

@@ -20,9 +20,10 @@ one total degree at a time: all entries of degree d come from one gather
 over the simplex pair table (:class:`bqnet.tables.PairTable`) and one
 ``np.bincount``. The stored entries use p = the last nonzero coordinate
 of n; :func:`recompute_with_pivot` re-derives an entry with another p.
-Terms are added in a fixed order, and all quadrature runs on composite
-Simpson rules refined by node doubling, so results are bit-deterministic
-for a fixed node count.
+Terms are added in a fixed order, and every time integral (the PGF
+exponent, the displacement integrals and the moments) runs through
+:func:`bqnet.quadrature.simpson_refine`, whose nested doubling evaluates
+each node once, so results are bit-deterministic for a fixed node count.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compound import CompoundSnapshot, compound_lattice
-from .errors import ConvergenceError, ValidationError
-from .quadrature import QuadratureSpec, simpson_nodes
+from .errors import ValidationError
+from .quadrature import QuadratureSpec, converged_elementwise, simpson_refine
 from .tables import LatticePMF, simplex_index
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -57,30 +58,14 @@ def _check_z(model, z):
     return z
 
 
-def _gap_exponent(model, kernel, t, one_minus_z, m):
-    """int_0^t lambda(tau) [1 - G_C(t-tau)(z)] dtau on an m-node Simpson rule."""
-    tau, w = simpson_nodes(0.0, t, m)
-    u = t - tau
-    rows = kernel.placement_rows_many(u)
-    eps = rows[:, :, : model.J] @ one_minus_z
-    gaps = np.array([model.batch.pgf_gap(e) for e in eps])
-    lam = np.asarray(model.arrival.rate(tau), dtype=float)
-    return float(w @ (lam * gaps))
-
-
-def _refine_exponent(model, kernel, t, one_minus_z, quad, description):
-    m = quad.initial_nodes
-    previous = _gap_exponent(model, kernel, t, one_minus_z, m)
-    for _ in range(quad.max_doublings):
-        m = 2 * m - 1
-        current = _gap_exponent(model, kernel, t, one_minus_z, m)
-        if abs(current - previous) <= quad.rtol * abs(current) + quad.atol:
-            return current, m
-        previous = current
-    raise ConvergenceError(
-        f"{description} quadrature did not converge after "
-        f"{quad.max_doublings} doublings",
-        last_estimates=(previous, current))
+def _gap_integrand(model, kernel, t, one_minus_z):
+    """tau -> lambda(tau) [1 - G_C(t-tau)(z)], the PGF exponent's integrand."""
+    def integrand(tau):
+        rows = kernel.placement_rows_many(t - tau)
+        eps = rows[:, :, : model.J] @ one_minus_z
+        gaps = np.array([model.batch.pgf_gap(e) for e in eps])
+        return np.asarray(model.arrival.rate(tau), dtype=float) * gaps
+    return integrand
 
 
 def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -89,7 +74,8 @@ def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
     z = _check_z(model, z)
     if t == 0.0:
         return 1.0
-    exponent, _ = _refine_exponent(model, kernel, t, 1.0 - z, quad, "transient PGF")
+    exponent, _ = simpson_refine(_gap_integrand(model, kernel, t, 1.0 - z),
+                                 0.0, t, quad, "transient PGF quadrature")
     return math.exp(-exponent)
 
 
@@ -98,26 +84,10 @@ def transient_zero_prob(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
     t = _check_time(t)
     if t == 0.0:
         return 1.0
-    exponent, _ = _refine_exponent(model, kernel, t, np.ones(model.J), quad,
-                                   "empty-network probability")
+    exponent, _ = simpson_refine(_gap_integrand(model, kernel, t, np.ones(model.J)),
+                                 0.0, t, quad,
+                                 "empty-network probability quadrature")
     return math.exp(-exponent)
-
-
-def _pmf_values(model, kernel, t, index, m):
-    """Base probability and displacement integrals on an m-node rule."""
-    tau, w = simpson_nodes(0.0, t, m)
-    u = t - tau
-    lam = np.asarray(model.arrival.rate(tau), dtype=float)
-    A = np.zeros(len(index))
-    base_exponent = 0.0
-    for node in range(m):
-        snap = CompoundSnapshot(model.batch, kernel, float(u[node]))
-        (vals, _), _tail = compound_lattice(snap, index.cap)
-        coeff = w[node] * lam[node]
-        A += coeff * vals
-        base_exponent += coeff * (1.0 - vals[0])
-    values = _run_recursion(index, A, math.exp(-base_exponent))
-    return values, A
 
 
 def _run_recursion(index, A, p0):
@@ -152,19 +122,25 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
         return LatticePMF(model.J, cap, values,
                           meta={"_index": index, "t": 0.0, "quadrature_nodes": 0,
                                 "displacement_integrals": {}})
-    m = quad.initial_nodes
-    previous, _ = _pmf_values(model, kernel, t, index, m)
-    for _ in range(quad.max_doublings):
-        m = 2 * m - 1
-        current, A = _pmf_values(model, kernel, t, index, m)
-        if np.all(np.abs(current - previous)
-                  <= quad.rtol * np.abs(current) + quad.atol):
-            break
-        previous = current
-    else:
-        raise ConvergenceError(
-            f"PMF quadrature did not converge after {quad.max_doublings} doublings",
-            last_estimates=(float(previous.sum()), float(current.sum())))
+
+    def integrand(tau):
+        # per node: lambda * lattice, then lambda * P[C(t - tau) != 0]
+        out = np.empty((tau.size, len(index) + 1))
+        for row, (u, lam) in enumerate(zip(t - tau, model.arrival.rate(tau))):
+            snap = CompoundSnapshot(model.batch, kernel, float(u))
+            (vals, _), _tail = compound_lattice(snap, index.cap)
+            out[row, :-1] = lam * vals
+            out[row, -1] = lam * (1.0 - vals[0])
+        return out
+
+    def recursion(estimate):
+        return _run_recursion(index, estimate[:-1], math.exp(-estimate[-1]))
+
+    def settled(previous, current, spec):
+        return converged_elementwise(recursion(previous), recursion(current), spec)
+
+    estimate, m = simpson_refine(integrand, 0.0, t, quad, "PMF quadrature", settled)
+    A, current = estimate[:-1], recursion(estimate)
     integrals = {vec: float(a) for vec, a in zip(index.vectors, A)}
     pmf = LatticePMF(model.J, cap, current,
                      meta={"_index": index, "t": t, "quadrature_nodes": m,
@@ -230,36 +206,25 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
                                 None if cov_defined else
                                 "batch second moment is infinite")
 
-    def assemble(m):
-        tau, w = simpson_nodes(0.0, t, m)
-        u = t - tau
-        rows = kernel.placement_rows_many(u)
-        lam = np.asarray(model.arrival.rate(tau), dtype=float)
+    def integrand(tau):
+        rows = kernel.placement_rows_many(t - tau)
         q = rows[:, :, :J]                      # (m, J, J): q[node, j, k]
         mean_term = np.einsum("j,mjk->mk", f1, q)
-        mean = np.einsum("m,mk->k", w * lam, mean_term)
-        cov = None
+        terms = [mean_term]
         if cov_defined:
             second = (np.einsum("mjk,jl,mln->mkn", q, f2, q)
                       + np.einsum("mk,kn->mkn", mean_term, np.eye(J)))
-            cov = np.einsum("m,mkn->kn", w * lam, second)
-        return mean, cov
+            terms.append(second.reshape(tau.size, J * J))
+        lam = np.asarray(model.arrival.rate(tau), dtype=float)
+        return lam[:, None] * np.concatenate(terms, axis=1)
 
-    m = quad.initial_nodes
-    prev_mean, prev_cov = assemble(m)
-    for _ in range(quad.max_doublings):
-        m = 2 * m - 1
-        mean, cov = assemble(m)
-        delta = np.max(np.abs(mean - prev_mean))
-        if cov_defined:
-            delta = max(delta, float(np.max(np.abs(cov - prev_cov))))
-        scale = max(float(np.max(np.abs(mean))), 1.0)
-        if delta <= quad.rtol * scale + quad.atol:
-            return TransientMoments(mean, cov,
-                                    None if cov_defined else
-                                    "batch second moment is infinite",
-                                    quadrature_nodes=m)
-        prev_mean, prev_cov = mean, cov
-    raise ConvergenceError(
-        f"moment quadrature did not converge after {quad.max_doublings} doublings",
-        last_estimates=(float(np.max(prev_mean)), float(np.max(mean))))
+    def settled(previous, current, spec):
+        scale = max(float(np.max(np.abs(current[:J]))), 1.0)
+        return np.max(np.abs(current - previous)) <= spec.rtol * scale + spec.atol
+
+    estimate, m = simpson_refine(integrand, 0.0, t, quad, "moment quadrature",
+                                 settled)
+    return TransientMoments(estimate[:J],
+                            estimate[J:].reshape(J, J) if cov_defined else None,
+                            None if cov_defined else "batch second moment is infinite",
+                            quadrature_nodes=m)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bqnet import BatchLaw, UnivariateLaw, ValidationError
-from bqnet.batch import (batch_factorial_moments, batch_pgf, batch_pmf)
 
 AB_FAMILIES = [
     UnivariateLaw.binomial(10, 0.3),
@@ -17,6 +16,32 @@ AB_FAMILIES = [
     UnivariateLaw.logarithmic(0.5),
     UnivariateLaw.geometric(0.5),
 ]
+
+
+def _ab_recursion_pmf(law, n_max):
+    """P(S = n), n = 0..n_max, from the (a, b) recursion P(n) = P(n-1) (a + b/n)
+    started at the first support point n0 with probability p0."""
+    if law.family == "binomial":
+        alpha = law.prob
+        a, b = -alpha / (1 - alpha), (law.count + 1) * alpha / (1 - alpha)
+        n0, p0 = 0, (1 - alpha) ** law.count
+    elif law.family == "poisson":
+        a, b, n0, p0 = 0.0, law.mu, 0, math.exp(-law.mu)
+    elif law.family == "negative-binomial":
+        a = law.scale / (1.0 + law.scale)
+        b, n0, p0 = (law.shape - 1.0) * a, 0, (1.0 + law.scale) ** (-law.shape)
+    elif law.family == "logarithmic":
+        a, b, n0, p0 = law.rho, -law.rho, 1, -law.rho / math.log1p(-law.rho)
+    else:
+        assert law.family == "geometric"
+        a, b, n0, p0 = law.beta, 0.0, 1, 1.0 - law.beta
+    out = np.zeros(n_max + 1)
+    out[n0] = p0
+    for n in range(n0 + 1, n_max + 1):
+        out[n] = out[n - 1] * (a + b / n)
+        if law.family == "binomial" and n > law.count:
+            out[n] = 0.0
+    return out
 
 
 class TestUnivariate:
@@ -34,7 +59,7 @@ class TestUnivariate:
 
     @pytest.mark.parametrize("law", AB_FAMILIES, ids=lambda l: l.family)
     def test_ab_recursion_matches_closed_form(self, law):
-        via_ab = law.pmf_prefix(100)
+        via_ab = _ab_recursion_pmf(law, 100)
         direct = law.pmf(np.arange(101))
         assert np.max(np.abs(via_ab - direct)) <= 1e-12
 
@@ -117,51 +142,51 @@ class TestBatchLaw:
             BatchLaw.finite_table({(1, 0): 0.25, (0, 2): 0.75}, 2),
         ]
         for law in laws:
-            assert batch_pgf(law, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+            assert law.pgf([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_monomial(self):
         law = BatchLaw.constant([2, 1])
-        assert batch_pgf(law, [0.5, 0.4]) == pytest.approx(0.1, abs=1e-12)
+        assert law.pgf([0.5, 0.4]) == pytest.approx(0.1, abs=1e-12)
 
     def test_iid_poisson_at_zero(self):
         law = BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [0.6, 0.4])
-        assert batch_pgf(law, [0.0, 0.0]) == pytest.approx(math.exp(-2), abs=1e-9)
+        assert law.pgf([0.0, 0.0]) == pytest.approx(math.exp(-2), abs=1e-9)
 
     def test_constant_pmf(self):
         law = BatchLaw.constant([2, 0])
-        assert batch_pmf(law, [2, 0]) == 1.0
-        assert batch_pmf(law, [1, 1]) == 0.0
+        assert law.pmf([2, 0]) == 1.0
+        assert law.pmf([1, 1]) == 0.0
 
     def test_iid_binomial_pmf(self):
         law = BatchLaw.iid_assignment(UnivariateLaw.binomial(2, 0.5), [1.0])
-        assert batch_pmf(law, [1]) == pytest.approx(0.5, abs=1e-12)
+        assert law.pmf([1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_iid_multinomial_split(self):
         law = BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [0.6, 0.4])
         # P(S=(1,1)) = P(total=2) * 2 * 0.6 * 0.4
         want = math.exp(-2) * 2.0 * 2 * 0.6 * 0.4
-        assert batch_pmf(law, [1, 1]) == pytest.approx(want, rel=1e-12)
+        assert law.pmf([1, 1]) == pytest.approx(want, rel=1e-12)
 
     def test_factorial_moments_iid(self):
         law = BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [0.6, 0.4])
-        np.testing.assert_allclose(batch_factorial_moments(law, 1), [1.2, 0.8])
+        np.testing.assert_allclose(law.factorial_moments(1), [1.2, 0.8])
 
     def test_factorial_moments_constant(self):
         law = BatchLaw.constant([2, 1])
-        np.testing.assert_allclose(batch_factorial_moments(law, 2),
+        np.testing.assert_allclose(law.factorial_moments(2),
                                    [[2.0, 2.0], [2.0, 0.0]])
 
     def test_infinite_moment_signal(self):
         law = BatchLaw.iid_assignment(UnivariateLaw.zeta(1.5), [1.0])
-        assert batch_factorial_moments(law, 1)[0] == math.inf
+        assert law.factorial_moments(1)[0] == math.inf
         assert not law.mean_is_finite()
 
     def test_dimension_mismatch(self):
         law = BatchLaw.constant([1, 2])
         with pytest.raises(ValidationError):
-            batch_pgf(law, [0.5])
+            law.pgf([0.5])
         with pytest.raises(ValidationError):
-            batch_pmf(law, [1])
+            law.pmf([1])
 
     def test_finite_table_requires_unit_mass(self):
         with pytest.raises(ValidationError):
@@ -175,8 +200,8 @@ class TestBatchLaw:
         partial = 0.0
         for a in range(20):
             for b in range(20 - a):
-                partial += batch_pmf(law, [a, b]) * z1 ** a * z2 ** b
-        full = batch_pgf(law, z)
+                partial += law.pmf([a, b]) * z1 ** a * z2 ** b
+        full = law.pgf(z)
         tail = 1.0 - float(UnivariateLaw.poisson(1.5).pmf(np.arange(20)).sum())
         assert partial <= full + 1e-9
         assert full - partial <= tail + 1e-9
@@ -187,6 +212,6 @@ class TestBatchLaw:
     def test_pgf_monotone_in_each_coordinate(self, z1, z2, bump):
         law = BatchLaw.independent([UnivariateLaw.geometric(0.4),
                                     UnivariateLaw.poisson(0.7)])
-        base = batch_pgf(law, [z1, z2])
-        assert batch_pgf(law, [min(z1 + bump, 1.0), z2]) >= base - 1e-12
-        assert batch_pgf(law, [z1, min(z2 + bump, 1.0)]) >= base - 1e-12
+        base = law.pgf([z1, z2])
+        assert law.pgf([min(z1 + bump, 1.0), z2]) >= base - 1e-12
+        assert law.pgf([z1, min(z2 + bump, 1.0)]) >= base - 1e-12

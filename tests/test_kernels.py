@@ -6,7 +6,7 @@ import pytest
 from bqnet import (ArrivalProcess, KernelDomainError,
                    RefinementRequiredError, ServiceLaw, ServiceNode, TimeGrid,
                    UnsupportedRepresentationError, ValidationError,
-                   build_markov_kernel, build_renewal_kernel, kernel_survival,
+                   build_markov_kernel, build_renewal_kernel,
                    load_tabulated_kernel_csv)
 
 LN2 = math.log(2.0)
@@ -58,17 +58,17 @@ class TestMarkovKernel:
         assert mm_kernel.eval(0, 0, 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_survival_examples(self, tandem_kernel, mm_kernel):
-        assert kernel_survival(tandem_kernel, 0, 0.0) == 1.0
-        assert kernel_survival(tandem_kernel, 0, LN2) == pytest.approx(0.75, abs=1e-10)
+        assert tandem_kernel.survival(0, 0.0) == 1.0
+        assert tandem_kernel.survival(0, LN2) == pytest.approx(0.75, abs=1e-10)
         absorbing = build_markov_kernel([ServiceNode(ServiceLaw.absorbing())], 1)
         for t in [0.0, 1.0, 50.0]:
-            assert kernel_survival(absorbing, 0, t) == 1.0
+            assert absorbing.survival(0, t) == 1.0
 
     def test_index_errors(self, mm_kernel):
         with pytest.raises(IndexError):
             mm_kernel.eval(1, 0, 1.0)
         with pytest.raises(IndexError):
-            kernel_survival(mm_kernel, -1, 1.0)
+            mm_kernel.survival(-1, 1.0)
 
     def test_rejects_non_exponential(self):
         node = ServiceNode(ServiceLaw.deterministic(1.0), [0.0, 1.0])

@@ -6,7 +6,7 @@ import pytest
 from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, ServiceLaw,
                    ServiceNode, SimulationBudgetError, SimulationPlan,
                    UnivariateLaw, ValidationError, run_simulation,
-                   sample_arrival_times, sample_batch, sample_trajectory)
+                   sample_arrival_times, sample_trajectory)
 from bqnet.batch import _LWT_BODY_MAX
 from bqnet.simulate import EXITED, _block_rng
 
@@ -18,7 +18,7 @@ class TestArrivalSampling:
         rng = np.random.default_rng(1)
         reps = 200_000
         counts = np.array([sample_arrival_times(ArrivalProcess.constant(1.0),
-                                                1.0, rng).size
+                                                1.0, rng)[0].size
                            for _ in range(reps)])
         se = counts.std(ddof=1) / math.sqrt(reps)
         assert abs(counts.mean() - 1.0) <= 3.0 * se
@@ -27,7 +27,7 @@ class TestArrivalSampling:
 
     def test_zero_rate_empty(self):
         rng = np.random.default_rng(2)
-        got = sample_arrival_times(ArrivalProcess.constant(0.0), 5.0, rng)
+        got, _ = sample_arrival_times(ArrivalProcess.constant(0.0), 5.0, rng)
         assert got.size == 0
 
     def test_sinusoidal_cumulative_envelope(self):
@@ -37,7 +37,7 @@ class TestArrivalSampling:
         horizon = 3.0
         counts = {1.0: [], 2.0: [], 3.0: []}
         for _ in range(reps):
-            times = sample_arrival_times(process, horizon, rng)
+            times = np.sort(sample_arrival_times(process, horizon, rng)[0])
             for t in counts:
                 counts[t].append(int(np.searchsorted(times, t)))
         for t, obs in counts.items():
@@ -48,8 +48,8 @@ class TestArrivalSampling:
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(4)
-        times = sample_arrival_times(ArrivalProcess.sinusoidal(5.0, 2.0, 3.0),
-                                     50.0, rng)
+        times = np.sort(sample_arrival_times(ArrivalProcess.sinusoidal(5.0, 2.0, 3.0),
+                                             50.0, rng)[0])
         assert np.all(np.diff(times) > 0)
 
 
@@ -58,7 +58,7 @@ class TestBatchSampling:
         rng = np.random.default_rng(5)
         law = BatchLaw.constant([2, 1])
         for _ in range(5):
-            np.testing.assert_array_equal(sample_batch(law, rng), [2, 1])
+            np.testing.assert_array_equal(law.sample(rng), [2, 1])
 
     def test_poisson_split_means(self):
         rng = np.random.default_rng(6)
@@ -153,6 +153,16 @@ class TestTrajectories:
         with pytest.raises(SimulationBudgetError):
             sample_trajectory(nodes, 0, rng, [1.0])
 
+    def test_zero_service_loop_only_when_reachable(self):
+        loop = ServiceNode(ServiceLaw.deterministic(0.0), [0.0, 1.0, 0.0])
+        rng = np.random.default_rng(16)
+        exits = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0])
+        locs = sample_trajectory([exits, loop], 0, rng, [0.5, 200.0])
+        assert locs[1] == EXITED
+        feeds = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0, 0.0])
+        with pytest.raises(SimulationBudgetError):
+            sample_trajectory([feeds, loop], 0, rng, [1.0])
+
     def test_exit_marker(self, single_exp_node):
         rng = np.random.default_rng(14)
         locs = sample_trajectory([single_exp_node], 0, rng, [200.0])
@@ -190,7 +200,7 @@ class TestRunSimulation:
         reps = 100_000
         first, second = np.empty(reps), np.empty(reps)
         for r in range(reps):
-            times = sample_arrival_times(process, 2.0, rng)
+            times = np.sort(sample_arrival_times(process, 2.0, rng)[0])
             split = np.searchsorted(times, 1.0)
             first[r], second[r] = split, times.size - split
         cov = float(np.cov(first, second)[0, 1])

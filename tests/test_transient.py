@@ -9,8 +9,6 @@ from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, QuadratureSpec,
                    ValidationError, build_markov_kernel, recompute_with_pivot,
                    run_simulation, transient_moments, transient_pgf,
                    transient_pmf, transient_zero_prob)
-from bqnet.tables import SimplexIndex
-from bqnet.transient import _pmf_values
 
 MM_MEAN = 1.0 - math.exp(-1.0)
 
@@ -77,9 +75,9 @@ class TestTransientPMF:
         spec = QuadratureSpec()
         pmf = transient_pmf(batch_tandem_model, tandem_kernel, 2.0, 15, spec)
         m = pmf.meta["quadrature_nodes"]
-        index = SimplexIndex(2, 15)
-        finer, _ = _pmf_values(batch_tandem_model, tandem_kernel, 2.0, index,
-                               2 * m - 1)
+        # rtol = atol = 1 accepts the first doubling: the rule with 2m - 1 nodes
+        finer = transient_pmf(batch_tandem_model, tandem_kernel, 2.0, 15,
+                              QuadratureSpec(initial_nodes=m, rtol=1.0, atol=1.0)).values
         delta = np.abs(finer - pmf.values)
         assert np.all(delta <= spec.rtol * np.abs(finer) + 10 * spec.atol)
 
