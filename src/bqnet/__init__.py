@@ -27,4 +27,24 @@ from .transient import (TransientMoments, recompute_with_pivot,
                         transient_moments, transient_pgf, transient_pmf,
                         transient_zero_prob)
 
+__all__ = [
+    'AnalysisDefaults', 'ArrivalProcess', 'BatchLaw',
+    'BatchOccupancyIntegral', 'BqnetError', 'build_markov_kernel',
+    'build_renewal_kernel', 'bundled_config_path', 'classify_ergodicity',
+    'compound_lattice', 'compound_pgf', 'compound_pmf',
+    'CompoundSnapshot', 'ConvergenceError', 'DomainError',
+    'expected_batch_occupancy', 'HorizonPolicy', 'KernelDomainError',
+    'LatticePMF', 'load_config', 'load_tabulated_kernel_csv',
+    'MarkovKernel', 'NetworkModel', 'OccupancyKernel', 'parse_config',
+    'poisson_multinomial_pmf', 'QuadratureSpec', 'read_occupancy_csv',
+    'recompute_with_pivot', 'RefinementRequiredError', 'RenewalKernel',
+    'ResourceBudgetError', 'run_simulation', 'sample_arrival_times',
+    'sample_trajectory', 'ServiceLaw', 'ServiceNode', 'SimplexIndex',
+    'SimulationBudgetError', 'SimulationEstimate', 'SimulationPlan',
+    'StabilityVerdict', 'TabulatedKernel', 'TimeGrid',
+    'transient_moments', 'transient_pgf', 'transient_pmf',
+    'transient_zero_prob', 'TransientMoments', 'UnivariateLaw',
+    'UnsupportedRepresentationError', 'ValidationError',
+]
+
 __version__ = "0.1.0"

@@ -686,6 +686,16 @@ class BatchLaw:
 
     # -- sampling ----------------------------------------------------------------
 
+    def entry_mask(self):
+        """Boolean J-vector: whether P(S_j > 0) > 0 for each queue j."""
+        if self.variant == CONSTANT:
+            return self.vector > 0
+        if self.variant == FINITE_TABLE:
+            return (self.vectors[self.probs > 0] > 0).any(axis=0)
+        if self.variant == INDEPENDENT:
+            return np.array([law.pmf(0) < 1.0 for law in self.laws])
+        return (self.entry_probs > 0) & (self.law.pmf(0) < 1.0)
+
     def sample_many(self, rng, count):
         """Draw ``count`` batch vectors as an int64 array (count, J)."""
         if count == 0:

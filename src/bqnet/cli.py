@@ -23,7 +23,7 @@ from .errors import (BqnetError, ConvergenceError, MISSING_FILE_EXIT,
 from .ergodicity import classify_ergodicity
 from .quadrature import QuadratureSpec
 from .simulate import SimulationPlan, run_simulation
-from .tables import canonical_json, dump_json, read_occupancy_csv
+from .tables import canonical_json, read_occupancy_csv
 from .transient import (transient_moments, transient_pgf, transient_pmf,
                         transient_zero_prob)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, KernelDomainError
 from .quadrature import QuadratureSpec, simpson_refine
-from .service import ABSORBING, DETERMINISTIC, ERLANG, EXPONENTIAL, routing_matrix
+from .service import (ABSORBING, DETERMINISTIC, ERLANG, EXPONENTIAL, generator,
+                      routing_matrix)
 
 ERGODIC = "ergodic"
 NON_ERGODIC = "non-ergodic"
@@ -192,11 +193,7 @@ def _service_certificates(nodes, J):
                      and all(k == EXPONENTIAL for k in kinds))
     delta = None
     if exp_two_sided:
-        A = np.zeros((J, J))
-        for j, node in enumerate(nodes):
-            mu = node.service.rate
-            A[j] = mu * R[j]
-            A[j, j] = -mu * (1.0 - R[j, j])
+        A = generator(nodes, J)[:J, :J]
         delta = float(-np.max(np.linalg.eigvals(A).real))
     return {
         "finite_network_time": no_absorbing and substochastic and finite_means,

@@ -25,7 +25,7 @@ from scipy import linalg, stats
 
 from .errors import (KernelDomainError, RefinementRequiredError,
                      UnsupportedRepresentationError, ValidationError)
-from .service import EXPONENTIAL, routing_matrix, validate_nodes
+from .service import EXPONENTIAL, generator, routing_matrix, validate_nodes
 
 POISSON_TAIL = 1e-12
 # Beyond this uniformization rate * t, the Poisson series is longer than a
@@ -117,18 +117,7 @@ class MarkovKernel(OccupancyKernel):
                     f"nodes[{idx}] is {node.service.kind}; uniformization requires "
                     "exponential service at every non-absorbing node")
         self.nodes = list(nodes)
-        A = np.zeros((J + 1, J + 1))
-        for j, node in enumerate(nodes):
-            if node.is_absorbing:
-                continue
-            mu = node.service.rate
-            row = node.routing
-            for k in range(J):
-                if k != j:
-                    A[j, k] = mu * row[k]
-            A[j, J] = mu * row[J]
-            A[j, j] = -mu * (1.0 - row[j])
-        self.generator = A
+        self.generator = A = generator(nodes, J)
         self.uniformization_rate = float(np.max(-np.diag(A))) if J else 0.0
         if self.uniformization_rate > 0:
             self._jump_matrix = np.eye(J + 1) + A / self.uniformization_rate

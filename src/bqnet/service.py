@@ -186,3 +186,20 @@ def routing_matrix(nodes, J):
         if node.routing is not None:
             R[j, :] = node.routing[:J]
     return R
+
+
+def generator(nodes, J):
+    """Generator mu_j (P - I) of one customer's path, (J+1) x (J+1).
+
+    P is the routing matrix with an exit column J; exit and absorbing
+    nodes have zero rows. Every non-absorbing node must be exponential
+    (rate mu_j). ``[:J, :J]`` is the sub-generator mu_j (R - I).
+    """
+    A = np.zeros((J + 1, J + 1))
+    for j, node in enumerate(nodes):
+        if node.is_absorbing:
+            continue
+        mu = node.service.rate
+        A[j] = mu * node.routing
+        A[j, j] = -mu * (1.0 - node.routing[j])
+    return A

@@ -8,24 +8,41 @@ with the analytic modules it cross-checks.
 Replications are processed in fixed-size blocks; block b draws from a
 Philox stream keyed by (seed, b), so tallies are identical for a given
 seed and replication count no matter how many workers run the blocks.
+
+Each block tallies itself. Per snapshot it counts customers per
+(replication, node) with one ``np.bincount``, sets aside the
+replications whose total exceeds the cap as overflow, and keys every
+other occupancy vector by its graded-lex position on the simplex
+(:func:`bqnet.tables.simplex_rank`, one int64 per vector). A block
+returns its distinct keys, their counts and one vector per key;
+:func:`run_simulation` merges the blocks' keys with one ``np.unique``
+and one weighted ``np.bincount`` per snapshot and builds the
+``{vector: count}`` table once.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimulationBudgetError, ValidationError
 from .service import routing_matrix
-from .tables import dump_json, write_occupancy_csv
+from .tables import dump_json, simplex_rank, write_occupancy_csv
 
 BLOCK_SIZE = 4096
 EXITED = -1
 MAX_CUSTOMER_EVENTS = 1_000_000
 ZERO_TIME_LOOP_MARGIN = 1e-12
+# Customers one block may hold. Each costs about 100 bytes while its block
+# runs: entry node, arrival time and replication (8 bytes each), a
+# location per snapshot (8 bytes each) and the trajectory loop's per
+# customer node, epoch, departure and index arrays. 10M customers keep one
+# block's per-customer arrays near 1 GiB; typical blocks hold tens of
+# thousands.
+MAX_BLOCK_CUSTOMERS = 10_000_000
 
 
 def _block_rng(seed, block):
@@ -90,9 +107,9 @@ def _route(nodes, J, node_ids, rng):
     return np.minimum(nxt, J)
 
 
-def _zero_time_loop(nodes, J, entry_nodes):
-    """True when customers from ``entry_nodes`` can reach a set of nodes that
-    they would never leave, each service there taking zero time.
+def _check_zero_time_loop(nodes, J, entry_nodes):
+    """Raise when customers from ``entry_nodes`` can reach a set of nodes
+    that they would never leave, each service there taking zero time.
 
     That is the spectral radius of diag(F_j(0)) R, restricted to the nodes
     reachable through R, reaching 1 (to within roundoff).
@@ -104,7 +121,9 @@ def _zero_time_loop(nodes, J, entry_nodes):
         reach |= (R[reach] > 0).any(axis=0)
     zero_time = np.array([node.service.cdf(0.0) for node in nodes])
     loop = (zero_time[:, None] * R)[np.ix_(reach, reach)]
-    return bool(np.max(np.abs(np.linalg.eigvals(loop))) >= 1.0 - ZERO_TIME_LOOP_MARGIN)
+    if loop.size and np.max(np.abs(np.linalg.eigvals(loop))) >= 1.0 - ZERO_TIME_LOOP_MARGIN:
+        raise SimulationBudgetError(
+            "customers can reach nodes they would circle forever in zero time")
 
 
 def _trajectory_locations(nodes, J, entry_nodes, arrival_times, snapshot_times, rng):
@@ -112,16 +131,14 @@ def _trajectory_locations(nodes, J, entry_nodes, arrival_times, snapshot_times, 
 
     Vectorised across customers: each loop pass services every active
     customer once, so draws happen in a deterministic (iteration, node)
-    order for a given stream.
+    order for a given stream. Callers check for zero-time loops first
+    (:func:`_check_zero_time_loop`); ``MAX_CUSTOMER_EVENTS`` is the backstop.
     """
     n = entry_nodes.shape[0]
     snaps = np.asarray(snapshot_times, dtype=float)
     out = np.full((n, snaps.size), EXITED, dtype=np.int64)
     if n == 0:
         return out
-    if _zero_time_loop(nodes, J, entry_nodes):
-        raise SimulationBudgetError(
-            "customers can reach nodes they would circle forever in zero time")
     horizon = float(snaps.max()) if snaps.size else 0.0
     node = entry_nodes.astype(np.int64).copy()
     epoch = arrival_times.astype(float).copy()
@@ -157,6 +174,7 @@ def sample_trajectory(nodes, entry, rng, offsets):
     offsets = np.asarray(offsets, dtype=float)
     if np.any(offsets < 0):
         raise ValidationError("snapshot offsets must be >= 0")
+    _check_zero_time_loop(nodes, J, [entry])
     locs = _trajectory_locations(nodes, J, np.array([entry]), np.zeros(1),
                                  offsets, rng)
     return locs[0]
@@ -236,8 +254,14 @@ class SimulationEstimate:
         dump_json(path, self.to_json_dict())
 
 
-def _simulate_block(model, times, seed, block, count):
-    """Tallies for one block of replications, on its own Philox stream."""
+def _simulate_block(model, times, seed, block, count, cap):
+    """Tallies of one block of replications, on its own Philox stream.
+
+    Per snapshot: ``(keys, vectors, counts, overflow)``, where ``keys`` are
+    the distinct simplex positions of the in-cap occupancy vectors in
+    increasing order, ``vectors`` one (J,) row per key, ``counts`` how many
+    replications hold it, and ``overflow`` how many exceed the cap.
+    """
     rng = _block_rng(seed, block)
     J = model.J
     snaps = np.asarray(times, dtype=float)
@@ -245,17 +269,29 @@ def _simulate_block(model, times, seed, block, count):
                                                rng, count)
 
     batches = model.batch.sample_many(rng, arr_times.size)
+    # summed in floating point so that huge draws cannot wrap around
+    customers = batches.sum(dtype=float)
+    if customers > MAX_BLOCK_CUSTOMERS:
+        raise SimulationBudgetError(
+            f"a block of {count} replications holds {customers:.3g} customers "
+            f"> budget {MAX_BLOCK_CUSTOMERS}")
     totals = batches.sum(axis=1)
     cust_entry = np.repeat(np.tile(np.arange(J), arr_times.size), batches.ravel())
     cust_time = np.repeat(arr_times, totals)
     cust_rep = np.repeat(arr_reps, totals)
     locations = _trajectory_locations(model.nodes, J, cust_entry, cust_time,
                                       snaps, rng)
-    occupancy = np.zeros((count, snaps.size, J), dtype=np.int64)
+    tallies = []
     for s in range(snaps.size):
         present = locations[:, s] >= 0
-        np.add.at(occupancy, (cust_rep[present], s, locations[present, s]), 1)
-    return occupancy
+        cells = cust_rep[present] * J + locations[present, s]
+        occupancy = np.bincount(cells, minlength=count * J).reshape(count, J)
+        inside = occupancy.sum(axis=1) <= cap
+        vectors = occupancy[inside]
+        keys, first, reps = np.unique(simplex_rank(vectors), return_index=True,
+                                      return_counts=True)
+        tallies.append((keys, vectors[first], reps, count - int(inside.sum())))
+    return tallies
 
 
 def run_simulation(plan: SimulationPlan, workers=1):
@@ -265,6 +301,9 @@ def run_simulation(plan: SimulationPlan, workers=1):
     ``workers``; overflowing vectors (total beyond the cap) are counted,
     never dropped silently.
     """
+    model = plan.model
+    _check_zero_time_loop(model.nodes, model.J,
+                          np.flatnonzero(model.batch.entry_mask()))
     blocks = []
     remaining = plan.replications
     while remaining > 0:
@@ -273,7 +312,8 @@ def run_simulation(plan: SimulationPlan, workers=1):
 
     def job(args):
         block, count = args
-        return _simulate_block(plan.model, plan.times, plan.seed, block, count)
+        return _simulate_block(model, plan.times, plan.seed, block, count,
+                               plan.cap)
 
     jobs = list(enumerate(blocks))
     if workers > 1:
@@ -282,17 +322,14 @@ def run_simulation(plan: SimulationPlan, workers=1):
     else:
         results = [job(a) for a in jobs]
 
-    S = len(plan.times)
-    counts = [dict() for _ in range(S)]
-    overflow = [0] * S
-    for occupancy in results:
-        for s in range(S):
-            vecs, reps = np.unique(occupancy[:, s, :], axis=0, return_counts=True)
-            for vec, c in zip(vecs, reps):
-                if int(vec.sum()) > plan.cap:
-                    overflow[s] += int(c)
-                else:
-                    key = tuple(int(v) for v in vec)
-                    counts[s][key] = counts[s].get(key, 0) + int(c)
+    counts, overflow = [], []
+    for s in range(len(plan.times)):
+        keys, vectors, reps, over = zip(*(tallies[s] for tallies in results))
+        _, first, inverse = np.unique(np.concatenate(keys), return_index=True,
+                                      return_inverse=True)
+        merged = np.bincount(inverse, weights=np.concatenate(reps))
+        rows = np.concatenate(vectors)[first].tolist()
+        counts.append(dict(zip(map(tuple, rows), merged.astype(np.int64).tolist())))
+        overflow.append(sum(over))
     return SimulationEstimate(plan.times, plan.replications, plan.seed,
                               plan.cap, counts, overflow)

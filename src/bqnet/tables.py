@@ -27,6 +27,53 @@ from .errors import ResourceBudgetError, ValidationError
 ENTRY_CLAMP = -1e-12
 MASS_TOL = 1e-9
 PAIR_TABLE_BUDGET = 1 << 23
+RANK_LIMIT = 1 << 63
+
+
+@functools.lru_cache(maxsize=64)
+def _multisets(J, top):
+    """Read-only table M[r, m] = C(r + m - 1, m) for r <= top and 1 <= m <= J.
+
+    M[r, m] counts the vectors of total below r on an m-part simplex, so
+    every entry is at most M[top, J] and fits int64 whenever
+    C(top + J, J) does. Column 0 is (0, 1, 1, ...), which makes each column
+    the running sum of the one before it.
+    """
+    table = np.zeros((top + 1, J + 1), dtype=np.int64)
+    table[1:, 0] = 1
+    for m in range(1, J + 1):
+        table[:, m] = np.cumsum(table[:, m - 1])
+    table.flags.writeable = False
+    return table
+
+
+def simplex_rank(vecs):
+    """Graded-lex positions of the rows of ``vecs``, an (m, J) array of
+    nonnegative integers (the combinatorial number system).
+
+    A row's position depends only on the row, not on any cap: the index at
+    a smaller cap is a prefix of the larger one, so this equals
+    ``SimplexIndex(J, cap).rank`` for every cap at or above the row's
+    total. Raises :class:`ResourceBudgetError` when a row's total d makes
+    C(d + J, J), the number of vectors of total <= d, reach 2**63.
+    """
+    vecs = np.asarray(vecs, dtype=np.int64)
+    J = vecs.shape[1]
+    remaining = vecs.sum(axis=1)
+    top = int(remaining.max()) if remaining.size else 0
+    if math.comb(top + J, J) >= RANK_LIMIT:
+        raise ResourceBudgetError(
+            f"simplex positions for J={J} at total {top} exceed int64")
+    counts = _multisets(J, top)
+    # vectors of smaller total come first
+    pos = counts[remaining, J]
+    for k in range(J - 1):
+        # vectors of this total that agree before coordinate k and are
+        # larger at it: compositions of less than ``remaining`` into the
+        # J - k - 1 later coordinates
+        remaining = remaining - vecs[:, k]
+        pos = pos + counts[remaining, J - k - 1]
+    return pos
 
 
 class PairTable:
@@ -74,10 +121,8 @@ class SimplexIndex:
 
     def __init__(self, J, cap):
         self.J, self.cap = J, cap
-        # _binom[n, k] = C(n, k) for n <= cap + J and k <= J
-        self._binom = np.array([[math.comb(n, k) for k in range(J + 1)]
-                                for n in range(cap + J + 1)], dtype=np.int64)
-        self.degree_start = self._binom[np.arange(cap + 2) + J - 1, J]
+        # vectors of total < d number C(d - 1 + J, J) = _multisets(J, cap + 1)[d, J]
+        self.degree_start = _multisets(J, cap + 1)[:, J]
         self.degree_start.flags.writeable = False
         # every vector with total <= cap, one coordinate at a time
         vecs = np.zeros((1, 0), dtype=np.int64)
@@ -102,17 +147,7 @@ class SimplexIndex:
 
     def rank(self, vecs):
         """Positions of the rows of ``vecs`` (an (m, J) array on the simplex)."""
-        J, binom = self.J, self._binom
-        remaining = vecs.sum(axis=1)
-        # vectors of smaller total come first
-        pos = binom[remaining + J - 1, J]
-        for k in range(J - 1):
-            # vectors of this total that agree before coordinate k and are
-            # larger at it: compositions of less than ``remaining`` into
-            # the J - k - 1 later coordinates
-            remaining = remaining - vecs[:, k]
-            pos = pos + binom[remaining + J - k - 2, J - k - 1]
-        return pos
+        return simplex_rank(vecs)
 
     @functools.cached_property
     def pairs(self):

@@ -144,6 +144,23 @@ class TestBatchLaw:
         for law in laws:
             assert law.pgf([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_entry_mask_all_variants(self):
+        cases = [
+            (BatchLaw.constant([2, 0, 1]), [True, False, True]),
+            (BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [0.6, 0.0, 0.4]),
+             [True, False, True]),
+            (BatchLaw.iid_assignment(UnivariateLaw.poisson(0.0), [0.6, 0.0, 0.4]),
+             [False, False, False]),
+            (BatchLaw.independent([UnivariateLaw.degenerate(0),
+                                   UnivariateLaw.zeta(1.5),
+                                   UnivariateLaw.binomial(3, 0.0)]),
+             [False, True, False]),
+            (BatchLaw.finite_table({(1, 0, 0): 0.25, (0, 2, 0): 0.75,
+                                    (0, 0, 4): 0.0}, 3), [True, True, False]),
+        ]
+        for law, want in cases:
+            assert law.entry_mask().tolist() == want
+
     def test_constant_monomial(self):
         law = BatchLaw.constant([2, 1])
         assert law.pgf([0.5, 0.4]) == pytest.approx(0.1, abs=1e-12)

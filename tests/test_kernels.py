@@ -101,6 +101,28 @@ class TestMarkovKernel:
             want = expm(tandem_kernel.generator * t)
             assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_generator_matches_entrywise_formula(self):
+        from bqnet.ergodicity import _service_certificates
+        from bqnet.service import generator
+        nodes = [ServiceNode(ServiceLaw.exponential(1.3), [0.1, 0.5, 0.0, 0.4]),
+                 ServiceNode(ServiceLaw.exponential(0.7), [0.3, 0.2, 0.25, 0.25]),
+                 ServiceNode(ServiceLaw.exponential(2.9), [0.0, 0.6, 0.0, 0.4])]
+        J = 3
+        want = np.zeros((J + 1, J + 1))
+        for j, node in enumerate(nodes):
+            mu, row = node.service.rate, node.routing
+            for k in range(J + 1):
+                want[j, k] = mu * row[k]
+            want[j, j] = -mu * (1.0 - row[j])
+        assert np.array_equal(generator(nodes, J), want)
+        assert np.array_equal(build_markov_kernel(nodes, J).generator, want)
+        delta = float(-np.max(np.linalg.eigvals(want[:J, :J]).real))
+        assert _service_certificates(nodes, J)["delta"] == delta
+        absorbing = [ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.5, 0.5]),
+                     ServiceNode(ServiceLaw.absorbing())]
+        assert generator(absorbing, 2).tolist() == [[-1.0, 0.5, 0.5], [0.0] * 3,
+                                                    [0.0] * 3]
+
     def test_vectorised_path_matches_scalar(self, tandem_kernel):
         ts = np.linspace(0.0, 3.0, 17)
         fresh = build_markov_kernel(tandem_kernel.nodes, 2)

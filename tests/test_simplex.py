@@ -22,7 +22,7 @@ from bqnet import (ArrivalProcess, BatchLaw, CompoundSnapshot, LatticePMF,
                    recompute_with_pivot, transient_pmf)
 from bqnet.compound import (_CLOSED_FORM_FAMILIES, _iid_closed_values,
                             _iid_series_values)
-from bqnet.tables import SimplexIndex, simplex_index
+from bqnet.tables import SimplexIndex, simplex_index, simplex_rank
 from bqnet.transient import _run_recursion
 
 
@@ -156,6 +156,31 @@ def test_every_pivot_matches_oracle_entry(shape, data):
             want = oracle_entry(pmf.values, A, idx.vectors, n, pivot)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
             assert abs(got - pmf.prob(n)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_simplex_rank_is_the_position_at_every_cap(J, data):
+    rows = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(0, 12)), J),
+                                elements=st.integers(0, 3)))
+    top = int(rows.sum(axis=1).max()) if len(rows) else 0
+    ranks = simplex_rank(rows).tolist()
+    for cap in (top, top + data.draw(st.integers(1, 3))):
+        position = SimplexIndex(J, cap).position
+        assert ranks == [position[tuple(r)] for r in rows.tolist()]
+
+
+def test_simplex_rank_budget_at_int64():
+    J = 8
+    # the largest total whose positions all fit in int64
+    top = next(d for d in range(2000) if math.comb(d + 1 + J, J) >= 1 << 63)
+    last = np.zeros((1, J), dtype=np.int64)
+    last[0, -1] = top
+    assert simplex_rank(last).tolist() == [math.comb(top + J, J) - 1]
+    over = np.zeros((2, J), dtype=np.int64)
+    over[1, 0] = top + 1
+    with pytest.raises(ResourceBudgetError):
+        simplex_rank(over)
 
 
 def test_pair_table_budget():

@@ -1,16 +1,60 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import bqnet.simulate
 from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, ServiceLaw,
                    ServiceNode, SimulationBudgetError, SimulationPlan,
-                   UnivariateLaw, ValidationError, run_simulation,
-                   sample_arrival_times, sample_trajectory)
+                   UnivariateLaw, ValidationError, bundled_config_path,
+                   load_config, run_simulation, sample_arrival_times,
+                   sample_trajectory)
 from bqnet.batch import _LWT_BODY_MAX
-from bqnet.simulate import EXITED, _block_rng
+from bqnet.simulate import BLOCK_SIZE, EXITED, _block_rng, _trajectory_locations
 
 LN2 = math.log(2.0)
+
+
+def oracle_occupancy(model, times, seed, block, count):
+    """One block's customers per (replication, snapshot, node), drawn in
+    the simulator's order and tallied with ``np.add.at``."""
+    rng = _block_rng(seed, block)
+    J = model.J
+    snaps = np.asarray(times, dtype=float)
+    arr_times, arr_reps = sample_arrival_times(model.arrival, float(snaps.max()),
+                                               rng, count)
+    batches = model.batch.sample_many(rng, arr_times.size)
+    totals = batches.sum(axis=1)
+    entry = np.repeat(np.tile(np.arange(J), arr_times.size), batches.ravel())
+    locations = _trajectory_locations(model.nodes, J, entry,
+                                      np.repeat(arr_times, totals), snaps, rng)
+    rep = np.repeat(arr_reps, totals)
+    occupancy = np.zeros((count, snaps.size, J), dtype=np.int64)
+    for s in range(snaps.size):
+        present = locations[:, s] >= 0
+        np.add.at(occupancy, (rep[present], s, locations[present, s]), 1)
+    return occupancy
+
+
+def oracle_tally(plan):
+    """Counts and overflow by a row-wise ``np.unique`` per block and snapshot
+    and a dict merge per distinct vector."""
+    S = len(plan.times)
+    counts = [dict() for _ in range(S)]
+    overflow = [0] * S
+    for block, start in enumerate(range(0, plan.replications, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, plan.replications - start)
+        occupancy = oracle_occupancy(plan.model, plan.times, plan.seed, block, count)
+        for s in range(S):
+            vecs, reps = np.unique(occupancy[:, s, :], axis=0, return_counts=True)
+            for vec, c in zip(vecs, reps):
+                if int(vec.sum()) > plan.cap:
+                    overflow[s] += int(c)
+                else:
+                    key = tuple(int(v) for v in vec)
+                    counts[s][key] = counts[s].get(key, 0) + int(c)
+    return counts, overflow
 
 
 class TestArrivalSampling:
@@ -221,3 +265,53 @@ class TestRunSimulation:
         with pytest.raises(ValidationError):
             SimulationPlan(model=mm_model, times=(2.0, 1.0), replications=10,
                            seed=1)
+
+
+class TestTally:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config, times, cap", [
+        ("tandem_batch", (1.0, 3.0), 25),
+        ("vivax", (10.0,), 6),
+        ("mm_infty", (3.0,), 20),
+        ("tandem_batch", (3.0,), 0),
+    ])
+    def test_matches_row_unique_oracle(self, config, times, cap, workers):
+        model = load_config(bundled_config_path(config))
+        # two full blocks and a partial one
+        plan = SimulationPlan(model=model, times=times,
+                              replications=2 * BLOCK_SIZE + 123, seed=29, cap=cap)
+        est = run_simulation(plan, workers=workers)
+        counts, overflow = oracle_tally(plan)
+        assert est.counts == counts
+        assert est.overflow == overflow
+        if config == "vivax" or cap == 0:
+            assert min(overflow) > 0
+
+    def test_zero_time_loop_checked_once_for_entry_queues(self, monkeypatch):
+        exits = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0])
+        loop = ServiceNode(ServiceLaw.deterministic(0.0), [0.0, 1.0, 0.0])
+        never = NetworkModel(J=2, arrival=ArrivalProcess.constant(1.0),
+                             batch=BatchLaw.constant([2, 0]), nodes=[exits, loop])
+        est = run_simulation(SimulationPlan(model=never, times=(1.0,),
+                                            replications=500, seed=5, cap=10))
+        assert sum(est.counts[0].values()) == 500
+        can = NetworkModel(J=2, arrival=ArrivalProcess.constant(1.0),
+                           batch=BatchLaw.iid_assignment(UnivariateLaw.poisson(1.0),
+                                                         [0.99, 0.01]),
+                           nodes=[exits, loop])
+        blocks = []
+        monkeypatch.setattr(bqnet.simulate, "_simulate_block",
+                            lambda *args: blocks.append(args))
+        with pytest.raises(SimulationBudgetError):
+            run_simulation(SimulationPlan(model=can, times=(1.0,),
+                                          replications=500, seed=5, cap=10))
+        assert blocks == []
+
+    def test_block_budget_on_zeta_batch(self):
+        model = load_config(bundled_config_path("zeta_batch"))
+        plan = SimulationPlan(model=model, times=(3.0,), replications=20_000,
+                              seed=model.analysis.seed, cap=15)
+        start = time.perf_counter()
+        with pytest.raises(SimulationBudgetError, match="budget"):
+            run_simulation(plan)
+        assert time.perf_counter() - start < 1.0
