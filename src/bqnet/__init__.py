@@ -15,8 +15,7 @@ from .errors import (BqnetError, ConvergenceError, DomainError,
                      ResourceBudgetError, SimulationBudgetError,
                      UnsupportedRepresentationError, ValidationError)
 from .kernels import (MarkovKernel, OccupancyKernel, RenewalKernel,
-                      TabulatedKernel, TimeGrid, build_markov_kernel,
-                      build_renewal_kernel, load_tabulated_kernel_csv)
+                      TabulatedKernel, TimeGrid, load_tabulated_kernel_csv)
 from .model import AnalysisDefaults, NetworkModel
 from .quadrature import QuadratureSpec
 from .service import ServiceLaw, ServiceNode
@@ -29,8 +28,8 @@ from .transient import (TransientMoments, recompute_with_pivot,
 
 __all__ = [
     'AnalysisDefaults', 'ArrivalProcess', 'BatchLaw',
-    'BatchOccupancyIntegral', 'BqnetError', 'build_markov_kernel',
-    'build_renewal_kernel', 'bundled_config_path', 'classify_ergodicity',
+    'BatchOccupancyIntegral', 'BqnetError', 'bundled_config_path',
+    'classify_ergodicity',
     'compound_lattice', 'compound_pgf', 'compound_pmf',
     'CompoundSnapshot', 'ConvergenceError', 'DomainError',
     'expected_batch_occupancy', 'HorizonPolicy', 'KernelDomainError',

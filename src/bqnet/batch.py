@@ -571,35 +571,34 @@ class BatchLaw:
         return 1.0 - self.pgf_gap(1.0 - self._check_z(z))
 
     def pgf_gap(self, eps):
-        """1 - pgf(1 - eps), stable for tiny eps (no unit-box check)."""
+        """1 - pgf(1 - eps), stable for tiny eps (no unit-box check).
+
+        ``eps`` is one J-vector (returns a float) or an (m, J) stack of them
+        (returns an (m,) array).
+        """
         eps = np.asarray(eps, dtype=float)
-        if eps.shape != (self.J,):
+        if eps.shape[-1:] != (self.J,) or eps.ndim > 2:
             raise ValidationError(f"PGF argument must have length {self.J}")
+        out = self._stacked_gap(np.atleast_2d(eps))
+        return float(out[0]) if eps.ndim == 1 else out
+
+    def _stacked_gap(self, eps):
         if self.variant == IID_ASSIGNMENT:
-            return float(self.law.pgf_gap(float(self.entry_probs @ eps)))
-        if self.variant == CONSTANT:
-            if np.any((eps >= 1.0) & (self.vector > 0)):
-                return 1.0
-            with np.errstate(divide="ignore"):
-                logz = np.log1p(-np.minimum(eps, 1.0))
-            return float(-np.expm1(np.sum(self.vector * np.where(
-                self.vector > 0, logz, 0.0))))
+            return self.law.pgf_gap(eps @ self.entry_probs)
         if self.variant == INDEPENDENT:
-            gaps = np.array([law.pgf_gap(float(e))
-                             for law, e in zip(self.laws, eps)])
-            if np.any(gaps >= 1.0):
-                return 1.0
-            return float(-np.expm1(np.sum(np.log1p(-gaps))))
-        # finite table
+            gaps = np.stack([law.pgf_gap(e) for law, e in zip(self.laws, eps.T)], axis=1)
+            with np.errstate(divide="ignore"):
+                log_keep = np.log1p(-np.minimum(gaps, 1.0)).sum(axis=1)
+            return -np.expm1(log_keep)
         with np.errstate(divide="ignore"):
             logz = np.log1p(-np.minimum(eps, 1.0))
-        safe = np.where(np.isfinite(logz), logz, 0.0)
-        pw = self.vectors @ safe
+        vectors = self.vector[None, :] if self.variant == CONSTANT else self.vectors
+        probs = np.ones(1) if self.variant == CONSTANT else self.probs
+        # sum_k s_k log z_k per table vector s, with 0 * log 0 = 0
         bad = ~np.isfinite(logz)
-        if np.any(bad):
-            hits = (self.vectors[:, bad] > 0).any(axis=1)
-            pw = np.where(hits, -np.inf, self.vectors @ np.where(bad, 0.0, safe))
-        return float(-np.expm1(pw) @ self.probs)
+        pw = np.where(bad, 0.0, logz) @ vectors.T
+        hits = (bad[:, None, :] & (vectors[None, :, :] > 0)).any(axis=2)
+        return -np.expm1(np.where(hits, -np.inf, pw)) @ probs
 
     # -- PMF -----------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 A homogeneous-arrival network has a proper limiting occupancy law exactly
 when the expected time E[W] that at least one batch member remains in the
 network is finite. E[W] is an integral of 1 - G_S(1 - Q_1, ..., 1 - Q_J)
-over all time; the classifier prefers symbolic moment conditions (which
-can certify divergence) and falls back to quadrature, which can certify
+over all time; the classifier prefers symbolic certificates (moment
+conditions, and absorbing nodes that arriving customers can reach), which
+can certify divergence, and falls back to quadrature, which can certify
 convergence but reports slow decay as an infinity signal and anything
 murkier as inconclusive -- never a silent number.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, KernelDomainError
 from .quadrature import QuadratureSpec, simpson_refine
 from .service import (ABSORBING, DETERMINISTIC, ERLANG, EXPONENTIAL, generator,
-                      routing_matrix)
+                      reachable, routing_matrix)
 
 ERGODIC = "ergodic"
 NON_ERGODIC = "non-ergodic"
@@ -30,6 +31,7 @@ LOG_MOMENT = "log-moment"
 DIVERGENT_LOG_MOMENT = "divergent-log-moment"
 FRACTIONAL_MOMENT = "fractional-moment"
 FINITE_EW_QUADRATURE = "finite-E[W]-quadrature"
+ABSORBING_REACHABLE = "absorbing-reachable"
 
 # The 1e-9 absolute panel floor keeps mildly non-smooth integrands (linear
 # interpolation corners of tabulated kernels) convergent while holding the
@@ -84,8 +86,7 @@ def expected_batch_occupancy(model, kernel, policy: HorizonPolicy = HorizonPolic
     batch = model.batch
 
     def integrand(taus):
-        surv = kernel.survival_vectors(np.asarray(taus, dtype=float))
-        return np.array([batch.pgf_gap(eps) for eps in surv])
+        return batch.pgf_gap(kernel.survival_vectors(np.asarray(taus, dtype=float)))
 
     def point(tau):
         return float(integrand(np.array([tau]))[0])
@@ -208,8 +209,10 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None,
                         policy: HorizonPolicy = HorizonPolicy()):
     """Stability verdict for a homogeneous-arrival network.
 
-    Decision ladder: finite mean batch with finite network occupancy
-    times; logarithmic batch moment under certified exponential tails
+    Decision ladder: an absorbing node that arriving customers can reach
+    (some customers then never leave, so E[W] is infinite); finite mean
+    batch with finite network occupancy times; logarithmic batch moment
+    under certified exponential tails
     (an if-and-only-if for all-exponential networks); fractional moment
     under a caller-asserted polynomial tail bound Q_j(t) <= t^-alpha;
     and finally the E[W] quadrature. Numerical divergence alone never
@@ -220,9 +223,16 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None,
     batch = model.batch
     certs = {"finite_network_time": False, "exponential_upper_tail": False,
              "exponential_two_sided_tail": False}
+    absorbing_reached = False
     if model.nodes is not None and kernel.representation != "tabulated":
         certs = _service_certificates(model.nodes, model.J)
+        absorbing = np.array([node.is_absorbing for node in model.nodes])
+        absorbing_reached = bool(np.any(
+            absorbing & reachable(model.nodes, model.J, batch.entry_mask())))
     diagnostics = {k: v for k, v in certs.items() if v is not None}
+    if absorbing_reached and float(model.arrival.rate(0.0)) > 0.0:
+        return StabilityVerdict(NON_ERGODIC, ABSORBING_REACHABLE, math.inf,
+                                diagnostics)
 
     def with_ew(verdict):
         ew = expected_batch_occupancy(model, kernel, policy)

@@ -100,10 +100,15 @@ class MarkovKernel(OccupancyKernel):
     """Customer-path CTMC kernel computed by uniformization.
 
     The path chain lives on {queues} + {exit}; node j leaves at rate mu_j
-    and routes by its routing row, exit being absorbing. The Poisson
-    series is truncated so the neglected tail is below ``POISSON_TAIL``;
-    for very large rate*t products a scaling-and-squaring matrix
-    exponential takes over (the two agree to roundoff where they meet).
+    and routes by its routing row, exit being absorbing. With uniformization
+    rate r and jump matrix P, the transition matrix at time t is
+    sum_n Pois(n; r t) P^n, the Poisson series truncated so the neglected
+    tail is below ``POISSON_TAIL`` and renormalised. All the times of one
+    call share one series, truncated for the largest of them, so a single
+    time gives the same matrix whether it is asked for alone or in a
+    stack of one. Beyond r t = ``UNIFORMIZATION_MAX_A`` a
+    scaling-and-squaring matrix exponential takes over (the two agree to
+    roundoff where they meet). Matrices are cached per time.
     """
 
     representation = "markov-uniformization"
@@ -127,73 +132,41 @@ class MarkovKernel(OccupancyKernel):
 
     def augmented_matrix(self, t):
         """Full (J+1, J+1) transition matrix including the exit state."""
-        if t < 0:
-            raise KernelDomainError("kernel evaluated at negative time")
-        t = float(t)
-        cached = self._cache.get(t)
-        if cached is not None:
-            return cached
-        a = self.uniformization_rate * t
-        if a == 0.0:
-            out = np.eye(self.J + 1)
-        elif a > UNIFORMIZATION_MAX_A:
-            out = linalg.expm(self.generator * t)
-        else:
-            n_max = int(stats.poisson.isf(POISSON_TAIL, a)) + 1
-            weights = stats.poisson.pmf(np.arange(n_max + 1), a)
-            weights /= weights.sum()        # fold the 1e-12 tail back in
-            power = np.eye(self.J + 1)
-            out = weights[0] * power
-            for n in range(1, n_max + 1):
-                power = power @ self._jump_matrix
-                out = out + weights[n] * power
-        out = np.clip(out, 0.0, 1.0)
-        out.setflags(write=False)
-        self._cache[t] = out
-        return out
+        return self._transition_matrices([t])[0]
 
     def placement_rows(self, t):
         return self.augmented_matrix(t)[: self.J, :]
 
     def placement_rows_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((ts.size, self.J, self.J + 1))
-        pending = []
-        for pos, t in enumerate(ts):
-            cached = self._cache.get(float(t))
-            if cached is not None:
-                out[pos] = cached[: self.J, :]
-            else:
-                pending.append(pos)
-        if not pending:
-            return out
-        a_vals = self.uniformization_rate * ts[np.array(pending)]
-        small = [p for p, a in zip(pending, a_vals) if a <= UNIFORMIZATION_MAX_A]
-        large = [p for p, a in zip(pending, a_vals) if a > UNIFORMIZATION_MAX_A]
+        mats = self._transition_matrices(ts)
+        return np.array(mats).reshape(len(mats), self.J + 1, self.J + 1)[:, : self.J, :]
+
+    def _transition_matrices(self, ts):
+        """Read-only (J+1, J+1) transition matrices, one per time in ``ts``."""
+        ts = np.asarray(ts, dtype=float).ravel().tolist()
+        if any(t < 0 for t in ts):
+            raise KernelDomainError("kernel evaluated at negative time")
+        pending = [t for t in dict.fromkeys(ts) if t not in self._cache]
+        small = [t for t in pending if self.uniformization_rate * t <= UNIFORMIZATION_MAX_A]
+        fresh = {t: linalg.expm(self.generator * t) for t in pending
+                 if self.uniformization_rate * t > UNIFORMIZATION_MAX_A}
         if small:
-            a_max = float(self.uniformization_rate * np.max(ts[np.array(small)]))
-            if a_max == 0.0:
-                n_max = 0
-            else:
-                n_max = int(stats.poisson.isf(POISSON_TAIL, a_max)) + 1
-            weights = stats.poisson.pmf(
-                np.arange(n_max + 1)[:, None],
-                self.uniformization_rate * ts[np.array(small)][None, :])
-            weights /= weights.sum(axis=0, keepdims=True)
+            a = self.uniformization_rate * np.array(small)
+            a_max = float(np.max(a))
+            n_max = 0 if a_max == 0.0 else int(stats.poisson.isf(POISSON_TAIL, a_max)) + 1
+            weights = stats.poisson.pmf(np.arange(n_max + 1)[:, None], a[None, :])
+            weights /= weights.sum(axis=0, keepdims=True)   # fold the tail back in
             power = np.eye(self.J + 1)
             acc = weights[0][:, None, None] * power
             for n in range(1, n_max + 1):
                 power = power @ self._jump_matrix
                 acc += weights[n][:, None, None] * power
-            acc = np.clip(acc, 0.0, 1.0)
-            for row, pos in enumerate(small):
-                full = acc[row]
-                full.setflags(write=False)
-                self._cache[float(ts[pos])] = full
-                out[pos] = full[: self.J, :]
-        for pos in large:
-            out[pos] = self.placement_rows(float(ts[pos]))
-        return out
+            fresh.update(zip(small, acc))
+        for t, out in fresh.items():
+            out = np.clip(out, 0.0, 1.0)
+            out.setflags(write=False)
+            self._cache[t] = out
+        return [self._cache[t] for t in ts]
 
 
 class GridKernel(OccupancyKernel):
@@ -337,16 +310,6 @@ class TabulatedKernel(GridKernel):
         if t > self._times[-1]:
             raise KernelDomainError(
                 f"tabulated kernel covers [0, {self._times[-1]}]; asked for {t}")
-
-
-def build_markov_kernel(nodes, J):
-    """Uniformization kernel for an all-exponential (or absorbing) network."""
-    return MarkovKernel(nodes, J)
-
-
-def build_renewal_kernel(nodes, J, grid):
-    """Markov-renewal grid kernel for general service laws."""
-    return RenewalKernel(nodes, J, grid)
 
 
 _HEADER_RE = re.compile(r"q_(\d+)_(\d+)$")

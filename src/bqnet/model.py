@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .arrivals import ArrivalProcess
 from .batch import BatchLaw
 from .errors import ValidationError
-from .kernels import (TimeGrid, build_markov_kernel, build_renewal_kernel,
+from .kernels import (MarkovKernel, RenewalKernel, TimeGrid,
                       load_tabulated_kernel_csv)
 from .service import EXPONENTIAL, ServiceNode, validate_nodes
 
@@ -55,9 +55,9 @@ class NetworkModel:
                              for n in self.nodes)
             rep = "markov-uniformization" if all_markov else "renewal-grid"
         if rep == "markov-uniformization":
-            return build_markov_kernel(self.nodes, self.J)
+            return MarkovKernel(self.nodes, self.J)
         if rep == "renewal-grid":
             grid = TimeGrid(end=float(self.kernel_spec.get("end", 8.0)),
                             nodes=int(self.kernel_spec.get("nodes", 1025)))
-            return build_renewal_kernel(self.nodes, self.J, grid)
+            return RenewalKernel(self.nodes, self.J, grid)
         raise ValidationError(f"unknown kernel representation {rep!r}")

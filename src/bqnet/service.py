@@ -188,6 +188,16 @@ def routing_matrix(nodes, J):
     return R
 
 
+def reachable(nodes, J, start):
+    """Boolean J-vector: the nodes reachable through R > 0 from the
+    nodes where ``start`` (a boolean J-vector) is true, those included."""
+    R = routing_matrix(nodes, J)
+    reach = np.array(start, dtype=bool)
+    for _ in range(J):
+        reach |= (R[reach] > 0).any(axis=0)
+    return reach
+
+
 def generator(nodes, J):
     """Generator mu_j (P - I) of one customer's path, (J+1) x (J+1).
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationBudgetError, ValidationError
-from .service import routing_matrix
+from .service import reachable, routing_matrix
 from .tables import dump_json, simplex_rank, write_occupancy_csv
 
 BLOCK_SIZE = 4096
@@ -115,10 +115,7 @@ def _check_zero_time_loop(nodes, J, entry_nodes):
     reachable through R, reaching 1 (to within roundoff).
     """
     R = routing_matrix(nodes, J)
-    reach = np.zeros(J, dtype=bool)
-    reach[entry_nodes] = True
-    for _ in range(J):
-        reach |= (R[reach] > 0).any(axis=0)
+    reach = reachable(nodes, J, np.isin(np.arange(J), entry_nodes))
     zero_time = np.array([node.service.cdf(0.0) for node in nodes])
     loop = (zero_time[:, None] * R)[np.ix_(reach, reach)]
     if loop.size and np.max(np.abs(np.linalg.eigvals(loop))) >= 1.0 - ZERO_TIME_LOOP_MARGIN:

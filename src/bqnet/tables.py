@@ -21,6 +21,7 @@ import math
 import weakref
 
 import numpy as np
+from scipy import special
 
 from .errors import ResourceBudgetError, ValidationError
 
@@ -150,6 +151,13 @@ class SimplexIndex:
         return simplex_rank(vecs)
 
     @functools.cached_property
+    def log_factorial(self):
+        """log(i_1! ... i_J!) for every vector i, built on first use."""
+        out = special.gammaln(self.array + 1.0).sum(axis=1)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
     def pairs(self):
         """The :class:`PairTable` of this simplex, built on first use."""
         J, cap = self.J, self.cap
@@ -213,7 +221,6 @@ class LatticePMF:
 
     def __init__(self, J, cap, values, tail_mass=None, meta=None):
         self.J, self.cap = int(J), int(cap)
-        self.index = values if isinstance(values, SimplexIndex) else None
         if isinstance(values, dict):
             idx = simplex_index(J, cap)
             arr = np.zeros(len(idx))

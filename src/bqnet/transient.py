@@ -62,8 +62,7 @@ def _gap_integrand(model, kernel, t, one_minus_z):
     """tau -> lambda(tau) [1 - G_C(t-tau)(z)], the PGF exponent's integrand."""
     def integrand(tau):
         rows = kernel.placement_rows_many(t - tau)
-        eps = rows[:, :, : model.J] @ one_minus_z
-        gaps = np.array([model.batch.pgf_gap(e) for e in eps])
+        gaps = model.batch.pgf_gap(rows[:, :, : model.J] @ one_minus_z)
         return np.asarray(model.arrival.rate(tau), dtype=float) * gaps
     return integrand
 

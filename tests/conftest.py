@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
-from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, ServiceLaw,
-                   ServiceNode, UnivariateLaw, build_markov_kernel)
+from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
+                   ServiceLaw, ServiceNode, UnivariateLaw)
+from bqnet.batch import (BINOMIAL, DEGENERATE, LOGARITHMIC, NEG_BINOMIAL,
+                         POISSON)
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +24,7 @@ def mm_model(single_exp_node):
 
 @pytest.fixture(scope="session")
 def mm_kernel(single_exp_node):
-    return build_markov_kernel([single_exp_node], 1)
+    return MarkovKernel([single_exp_node], 1)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +36,7 @@ def tandem_nodes():
 
 @pytest.fixture(scope="session")
 def tandem_kernel(tandem_nodes):
-    return build_markov_kernel(tandem_nodes, 2)
+    return MarkovKernel(tandem_nodes, 2)
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +53,6 @@ def batch_tandem_model(tandem_nodes):
 def brute_force_iid_compound(law, qvec, i, n_top):
     """Independent oracle: P(C = i) by direct compounding of the batch size
     with multinomial placement, truncated at n_top."""
-    import math
     qvec = np.asarray(qvec, dtype=float)
     i = tuple(int(v) for v in i)
     m = sum(i)
@@ -68,3 +72,130 @@ def brute_force_iid_compound(law, qvec, i, n_top):
             placement *= leave ** (n - m)
         total += p_n * placement
     return total
+
+
+# -- per-position compounding oracle ---------------------------------------------
+#
+# The per-position closed forms and truncated series that the one-formula
+# lattice in bqnet.compound replaced, kept verbatim as its oracle.
+
+
+def oracle_iid_lattice(law, qvec, idx_array):
+    """(P(C = i) for each row i of ``idx_array``, series tail bound)."""
+    if law.family in (BINOMIAL, POISSON, NEG_BINOMIAL, LOGARITHMIC, DEGENERATE):
+        return _oracle_closed(law, qvec, idx_array), 0.0
+    return _oracle_series(law, qvec, idx_array)
+
+
+def _oracle_log_power(qvec, idx_array):
+    """log prod_k q_k^{i_k} with the 0 * log 0 = 0 convention."""
+    with np.errstate(divide="ignore"):
+        lq = np.log(qvec)
+    contrib = idx_array * np.where(np.isfinite(lq), lq, 0.0)[None, :]
+    impossible = (~np.isfinite(lq))[None, :] & (idx_array > 0)
+    return np.where(impossible, -np.inf, contrib).sum(axis=1)
+
+
+def _oracle_closed(law, qvec, idx_array):
+    """Closed-form P(C = i) for the tractable univariate batch families."""
+    m = idx_array.sum(axis=1)
+    logqpow = _oracle_log_power(qvec, idx_array)
+    logfact = special.gammaln(idx_array + 1.0).sum(axis=1)
+    qbar = float(qvec.sum())
+    fam = law.family
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fam == POISSON:
+            if law.mu == 0.0:
+                return (m == 0).astype(float)
+            logp = (-law.mu * qbar + m * math.log(law.mu) + logqpow - logfact)
+            out = np.exp(logp)
+            out[m == 0] = math.exp(-law.mu * qbar)
+        elif fam == BINOMIAL:
+            N, alpha = law.count, law.prob
+            stay = 1.0 - alpha * qbar
+            log_stay = math.log(stay) if stay > 0 else -math.inf
+            tail_pow = np.where(N - m > 0, (N - m) * log_stay, 0.0)
+            logp = (special.gammaln(N + 1.0) - special.gammaln(N - m + 1.0)
+                    - logfact + m * (math.log(alpha) if alpha > 0 else -math.inf)
+                    + logqpow + tail_pow)
+            out = np.where(m <= N, np.exp(logp), 0.0)
+            if alpha == 0.0:
+                out = (m == 0).astype(float)
+        elif fam == NEG_BINOMIAL:
+            r, nu = law.shape, law.scale
+            logp = (special.gammaln(r + m) - special.gammaln(r) - logfact
+                    + m * math.log(nu) + logqpow
+                    - (r + m) * math.log1p(nu * qbar))
+            out = np.exp(logp)
+        elif fam == LOGARITHMIC:
+            rho = law.rho
+            base = 1.0 - rho * (1.0 - qbar)
+            norm = -math.log1p(-rho)
+            logp = (-math.log(norm) + special.gammaln(m.astype(float))
+                    + m * math.log(rho) + logqpow - logfact
+                    - m * math.log(base))
+            out = np.where(m >= 1, np.exp(logp), 0.0)
+            zero = math.log(base) / math.log1p(-rho)
+            out[m == 0] = zero
+        elif fam == DEGENERATE:
+            n = law.value
+            leave = 1.0 - qbar
+            log_leave = math.log(leave) if leave > 0 else -math.inf
+            tail_pow = np.where(n - m > 0, (n - m) * log_leave, 0.0)
+            logp = (special.gammaln(n + 1.0) - special.gammaln(n - m + 1.0)
+                    - logfact + logqpow + tail_pow)
+            out = np.where(m <= n, np.exp(logp), 0.0)
+        else:
+            raise AssertionError(fam)
+    return np.where(np.isfinite(out), out, 0.0)
+
+
+def _oracle_series(law, qvec, idx_array):
+    """Truncated compounding sum for families without a closed form."""
+    qbar = float(qvec.sum())
+    leave = 1.0 - qbar
+    log_leave = math.log(leave) if leave > 0 else -math.inf
+    logqpow = _oracle_log_power(qvec, idx_array)
+    logfact = special.gammaln(idx_array + 1.0).sum(axis=1)
+    m = idx_array.sum(axis=1)
+    out = np.zeros(idx_array.shape[0])
+    tail_bound = 0.0
+    top = law.support_max()
+    for pos in range(idx_array.shape[0]):
+        mm = int(m[pos])
+        if mm == 0:
+            out[pos] = 1.0 - law.pgf_gap(qbar)
+            continue
+        if not math.isfinite(logqpow[pos]):
+            continue
+        start = max(mm, law.support_min())
+        stop = top
+        acc = 0.0
+        n = start
+        chunk = 256
+        while True:
+            end = n + chunk if stop is None else min(n + chunk, stop + 1)
+            if end <= n:
+                break
+            ns = np.arange(n, end, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lw = (special.gammaln(ns + 1.0) - special.gammaln(ns - mm + 1.0)
+                      - logfact[pos] + logqpow[pos]
+                      + np.where(ns - mm > 0, (ns - mm) * log_leave, 0.0))
+            terms = law.pmf(ns.astype(np.int64)) * np.exp(lw)
+            acc += float(terms.sum())
+            n = end
+            if stop is not None and n > stop:
+                break
+            last = float(terms[-1])
+            if last < 1e-18 * max(acc, 1e-300) and terms[-1] <= terms[0]:
+                # geometric-style bound on the rest of the series
+                ratio = float(terms[-1] / terms[0]) ** (1.0 / max(len(terms) - 1, 1))
+                tail_bound = max(tail_bound,
+                                 last * ratio / max(1.0 - ratio, 1e-6))
+                break
+            if n - start > 1_000_000:
+                tail_bound = max(tail_bound, last)
+                break
+        out[pos] = acc
+    return out, tail_bound

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, ServiceLaw,
-                   ServiceNode, SimulationPlan, UnivariateLaw,
-                   build_markov_kernel, classify_ergodicity,
-                   expected_batch_occupancy, poisson_multinomial_pmf,
-                   recompute_with_pivot, run_simulation, transient_pgf,
-                   transient_pmf, transient_zero_prob)
+from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
+                   ServiceLaw, ServiceNode, SimulationPlan, UnivariateLaw,
+                   classify_ergodicity, expected_batch_occupancy,
+                   poisson_multinomial_pmf, recompute_with_pivot,
+                   run_simulation, transient_pgf, transient_pmf,
+                   transient_zero_prob)
 from bqnet.compound import CompoundSnapshot, compound_pmf
 
 from conftest import brute_force_iid_compound
@@ -39,7 +39,7 @@ def a2_setup():
         J=2, arrival=ArrivalProcess.sinusoidal(1.0, 0.5, 1.0),
         batch=BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [1.0, 0.0]),
         nodes=nodes)
-    kernel = build_markov_kernel(nodes, 2)
+    kernel = MarkovKernel(nodes, 2)
     start = time.perf_counter()
     pmf = transient_pmf(model, kernel, 3.0, 25)
     plan = SimulationPlan(model=model, times=(3.0,), replications=1_000_000,

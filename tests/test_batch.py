@@ -161,6 +161,32 @@ class TestBatchLaw:
         for law, want in cases:
             assert law.entry_mask().tolist() == want
 
+    @pytest.mark.parametrize("law,oracle", [
+        (BatchLaw.constant([2, 0, 1]),
+         lambda e: 1 - (1 - e[0]) ** 2 * (1 - e[2])),
+        (BatchLaw.iid_assignment(UnivariateLaw.zeta(1.5), [0.5, 0.0, 0.5]),
+         lambda e: UnivariateLaw.zeta(1.5).pgf_gap(0.5 * e[0] + 0.5 * e[2])),
+        (BatchLaw.independent([UnivariateLaw.poisson(1.0), UnivariateLaw.degenerate(0),
+                               UnivariateLaw.geometric(0.3)]),
+         lambda e: 1 - math.exp(-e[0]) * (1 - e[2] / (0.7 + 0.3 * e[2]))),
+        (BatchLaw.finite_table({(1, 0, 0): 0.25, (0, 2, 3): 0.75}, 3),
+         lambda e: 1 - 0.25 * (1 - e[0]) - 0.75 * (1 - e[1]) ** 2 * (1 - e[2]) ** 3),
+    ], ids=["constant", "iid", "independent", "finite-table"])
+    def test_pgf_gap_takes_a_stack(self, law, oracle):
+        # rows with eps = 1 (z = 0) and eps = 0 exercise the log 0 branches
+        eps = np.array([[0.3, 0.1, 0.7], [1.0, 0.0, 0.2], [0.0, 0.0, 0.0],
+                        [1.0, 1.0, 1.0], [1e-12, 0.5, 1.0]])
+        stacked = law.pgf_gap(eps)
+        assert stacked.shape == (5,)
+        singles = [law.pgf_gap(row) for row in eps]
+        assert all(isinstance(g, float) for g in singles)
+        np.testing.assert_allclose(stacked, singles, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(stacked, [oracle(row) for row in eps],
+                                   rtol=1e-14, atol=1e-15)
+        assert law.pgf_gap(eps[:0]).shape == (0,)
+        with pytest.raises(ValidationError):
+            law.pgf_gap(eps[:, :2])
+
     def test_constant_monomial(self):
         law = BatchLaw.constant([2, 1])
         assert law.pgf([0.5, 0.4]) == pytest.approx(0.1, abs=1e-12)

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bqnet import (BatchLaw, CompoundSnapshot, ResourceBudgetError,
-                   ServiceLaw, ServiceNode, UnivariateLaw,
-                   build_markov_kernel, compound_lattice, compound_pgf,
+from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
+                   ResourceBudgetError, ServiceLaw, ServiceNode,
+                   UnivariateLaw, compound_lattice, compound_pgf,
                    compound_pmf, poisson_multinomial_pmf)
 from bqnet.tables import SimplexIndex
 
-from conftest import brute_force_iid_compound
+from conftest import brute_force_iid_compound, oracle_iid_lattice
 
 
 class FixedRowKernel:
@@ -204,3 +206,74 @@ class TestPoissonMultinomial:
         assert pm.cap == 3
         assert isinstance(pm.index, SimplexIndex)
         assert abs(pm.assigned_mass - 1.0) <= 1e-9
+
+
+# Every univariate family, with parameters that reach each closed-form edge
+# case (zero mean, zero success probability, a size-0 degenerate law).
+ALL_FAMILIES = [
+    UnivariateLaw.binomial(6, 0.4), UnivariateLaw.binomial(3, 0.0),
+    UnivariateLaw.poisson(1.7), UnivariateLaw.poisson(0.0),
+    UnivariateLaw.negative_binomial(2.5, 0.8), UnivariateLaw.logarithmic(0.6),
+    UnivariateLaw.geometric(0.5), UnivariateLaw.zeta(1.5), UnivariateLaw.zeta(3.5),
+    UnivariateLaw.degenerate(3), UnivariateLaw.degenerate(0),
+    UnivariateLaw.finite_table({0: 0.1, 1: 0.9}),
+    UnivariateLaw.finite_table({2: 0.5, 5: 0.5}),
+    UnivariateLaw.log_weighted_tail(),
+]
+
+
+@st.composite
+def placement_rows(draw, J):
+    """(J, J+1) probability rows from small integer weights, so zero
+    columns, qbar = 0 (all weight on exit) and qbar = 1 (none) all occur."""
+    rows = []
+    for _ in range(J):
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=J + 1,
+                                   max_size=J + 1)), dtype=float)
+        if not w.any():
+            w[-1] = 1.0
+        rows.append(w / w.sum())
+    return np.array(rows)
+
+
+class TestOneFormulaLattice:
+    @given(data=st.data(), J=st.integers(1, 3), cap=st.integers(0, 8),
+           law=st.sampled_from(ALL_FAMILIES))
+    @settings(max_examples=80, deadline=None)
+    def test_iid_matches_per_position_oracle(self, data, J, cap, law):
+        rows = data.draw(placement_rows(J))
+        entry = np.zeros(J)
+        entry[0] = 1.0
+        snap = snap_for(BatchLaw.iid_assignment(law, entry), rows)
+        (values, idx), tail = compound_lattice(snap, cap)
+        want, want_tail = oracle_iid_lattice(law, snap.mixed_row[:J], idx.array)
+        err = np.abs(values - want)
+        assert np.all((err <= 1e-13 * np.abs(want)) | (err <= 1e-16))
+        assert abs(tail - want_tail) <= 1e-12 * want_tail
+
+    @given(data=st.data(), J=st.integers(1, 3), cap=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_constant_matches_poisson_multinomial(self, data, J, cap):
+        rows = data.draw(placement_rows(J))
+        vector = data.draw(st.lists(st.integers(0, 3), min_size=J, max_size=J))
+        (values, idx), tail = compound_lattice(snap_for(BatchLaw.constant(vector),
+                                                        rows), cap)
+        assert tail == 0.0
+        m = sum(vector)
+        if m == 0:
+            assert values[0] == 1.0 and not values[1:].any()
+            return
+        want = poisson_multinomial_pmf(np.repeat(rows, vector, axis=0))
+        expected = np.array([want.prob(v) for v in idx.vectors])
+        assert np.max(np.abs(values - expected)) <= 1e-15
+
+    def test_independent_is_convolution_of_placements(self):
+        rows = np.array([[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]])
+        laws = [UnivariateLaw.zeta(2.5), UnivariateLaw.negative_binomial(1.0, 2.0)]
+        (values, idx), tail = compound_lattice(
+            snap_for(BatchLaw.independent(laws), rows), 6)
+        first, tail0 = oracle_iid_lattice(laws[0], rows[0, :2], idx.array)
+        second, _ = oracle_iid_lattice(laws[1], rows[1, :2], idx.array)
+        np.testing.assert_allclose(values, idx.convolve(first, second),
+                                   rtol=1e-13, atol=1e-16)
+        assert tail == pytest.approx(tail0, rel=1e-12)

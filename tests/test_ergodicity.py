@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bqnet import (ArrivalProcess, BatchLaw, DomainError, NetworkModel,
-                   ServiceLaw, ServiceNode, UnivariateLaw,
-                   build_markov_kernel, classify_ergodicity,
-                   expected_batch_occupancy, transient_zero_prob)
+from bqnet import (ArrivalProcess, BatchLaw, DomainError, MarkovKernel,
+                   NetworkModel, ServiceLaw, ServiceNode, UnivariateLaw,
+                   bundled_config_path, classify_ergodicity,
+                   expected_batch_occupancy, load_config, transient_zero_prob)
 
 
 def model_for(batch, node=None):
@@ -25,7 +25,7 @@ def harmonic_series_ew(law, mu=1.0, tol=1e-14):
 
 @pytest.fixture(scope="module")
 def exp_kernel():
-    return build_markov_kernel(
+    return MarkovKernel(
         [ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])], 1)
 
 
@@ -144,13 +144,39 @@ class TestClassification:
         assert verdict.criterion == "finite-E[W]-quadrature"
         assert verdict.expected_batch_time == pytest.approx(1.0, abs=1e-6)
 
-    def test_absorbing_network_is_inconclusive(self):
+    def test_absorbing_network_is_non_ergodic(self):
         node = ServiceNode(ServiceLaw.absorbing())
         model = model_for(BatchLaw.constant([1]), node=node)
-        kernel = build_markov_kernel([node], 1)
+        kernel = MarkovKernel([node], 1)
         verdict = classify_ergodicity(model, kernel)
-        assert verdict.verdict == "inconclusive"
-        assert verdict.diagnostics["ew_status"] == "infinite"
+        assert verdict.verdict == "non-ergodic"
+        assert verdict.criterion == "absorbing-reachable"
+        assert verdict.expected_batch_time == math.inf
+        # the quadrature agrees, but only the certificate may say so
+        assert expected_batch_occupancy(model, kernel).status == "infinite"
+
+    @pytest.mark.parametrize("batch,rate", [
+        (BatchLaw.constant([1, 0]), 1.0),        # absorbing node 2 never reached
+        (BatchLaw.constant([0, 1]), 0.0),        # reached, but nothing arrives
+    ], ids=["unreachable", "zero-rate"])
+    def test_absorbing_certificate_needs_a_reachable_absorbing_node(self, batch, rate):
+        nodes = [ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0]),
+                 ServiceNode(ServiceLaw.absorbing())]
+        model = NetworkModel(J=2, arrival=ArrivalProcess.constant(rate),
+                             batch=batch, nodes=nodes)
+        verdict = classify_ergodicity(model, MarkovKernel(nodes, 2))
+        assert verdict.criterion != "absorbing-reachable"
+        if rate > 0:
+            assert verdict.verdict == "ergodic"
+            assert verdict.expected_batch_time == pytest.approx(1.0, abs=1e-8)
+
+    def test_vivax_is_non_ergodic(self):
+        # hypnozoites reach the absorbing queues D, C and PC
+        model = load_config(bundled_config_path("vivax"))
+        verdict = classify_ergodicity(model, model.build_kernel())
+        assert verdict.verdict == "non-ergodic"
+        assert verdict.criterion == "absorbing-reachable"
+        assert verdict.to_json_dict()["expected_batch_time"] == "infinity"
 
     def test_requires_homogeneous_arrivals(self, exp_kernel):
         model = NetworkModel(J=1, arrival=ArrivalProcess.sinusoidal(1.0, 0.5, 1.0),

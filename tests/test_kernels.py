@@ -2,14 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from bqnet import (ArrivalProcess, KernelDomainError,
-                   RefinementRequiredError, ServiceLaw, ServiceNode, TimeGrid,
-                   UnsupportedRepresentationError, ValidationError,
-                   build_markov_kernel, build_renewal_kernel,
+from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
+                   RefinementRequiredError, RenewalKernel, ServiceLaw,
+                   ServiceNode, TimeGrid, UnsupportedRepresentationError,
+                   ValidationError, bundled_config_path, load_config,
                    load_tabulated_kernel_csv)
+from bqnet.kernels import POISSON_TAIL
 
 LN2 = math.log(2.0)
+
+
+def scalar_uniformization(kernel, t):
+    """The transition matrix at one time, one Poisson term at a time."""
+    a = kernel.uniformization_rate * t
+    if a == 0.0:
+        return np.eye(kernel.J + 1)
+    n_max = int(stats.poisson.isf(POISSON_TAIL, a)) + 1
+    weights = stats.poisson.pmf(np.arange(n_max + 1), a)
+    weights /= weights.sum()
+    power = np.eye(kernel.J + 1)
+    out = weights[0] * power
+    for n in range(1, n_max + 1):
+        power = power @ kernel._jump_matrix
+        out = out + weights[n] * power
+    return np.clip(out, 0.0, 1.0)
 
 
 class TestArrivals:
@@ -60,7 +78,7 @@ class TestMarkovKernel:
     def test_survival_examples(self, tandem_kernel, mm_kernel):
         assert tandem_kernel.survival(0, 0.0) == 1.0
         assert tandem_kernel.survival(0, LN2) == pytest.approx(0.75, abs=1e-10)
-        absorbing = build_markov_kernel([ServiceNode(ServiceLaw.absorbing())], 1)
+        absorbing = MarkovKernel([ServiceNode(ServiceLaw.absorbing())], 1)
         for t in [0.0, 1.0, 50.0]:
             assert absorbing.survival(0, t) == 1.0
 
@@ -73,7 +91,7 @@ class TestMarkovKernel:
     def test_rejects_non_exponential(self):
         node = ServiceNode(ServiceLaw.deterministic(1.0), [0.0, 1.0])
         with pytest.raises(UnsupportedRepresentationError):
-            build_markov_kernel([node], 1)
+            MarkovKernel([node], 1)
 
     def test_rejects_bad_routing(self):
         with pytest.raises(ValidationError):
@@ -115,7 +133,7 @@ class TestMarkovKernel:
                 want[j, k] = mu * row[k]
             want[j, j] = -mu * (1.0 - row[j])
         assert np.array_equal(generator(nodes, J), want)
-        assert np.array_equal(build_markov_kernel(nodes, J).generator, want)
+        assert np.array_equal(MarkovKernel(nodes, J).generator, want)
         delta = float(-np.max(np.linalg.eigvals(want[:J, :J]).real))
         assert _service_certificates(nodes, J)["delta"] == delta
         absorbing = [ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.5, 0.5]),
@@ -123,9 +141,22 @@ class TestMarkovKernel:
         assert generator(absorbing, 2).tolist() == [[-1.0, 0.5, 0.5], [0.0] * 3,
                                                     [0.0] * 3]
 
+    @pytest.mark.parametrize("name", ["mm_infty", "tandem_batch", "zeta_batch",
+                                      "vivax"])
+    def test_single_time_is_the_scalar_series(self, name):
+        # one time asked for alone, in a stack of one, or summed term by
+        # term as a scalar Poisson series: the same bits
+        nodes = load_config(bundled_config_path(name)).nodes
+        J = len(nodes)
+        for t in (0.0, 0.01, 0.37, 1.0, 3.0, 10.0, 64.0):
+            alone = MarkovKernel(nodes, J).augmented_matrix(t)
+            stacked = MarkovKernel(nodes, J).placement_rows_many([t])[0]
+            assert np.array_equal(alone[:J], stacked)
+            assert np.array_equal(alone, scalar_uniformization(MarkovKernel(nodes, J), t))
+
     def test_vectorised_path_matches_scalar(self, tandem_kernel):
         ts = np.linspace(0.0, 3.0, 17)
-        fresh = build_markov_kernel(tandem_kernel.nodes, 2)
+        fresh = MarkovKernel(tandem_kernel.nodes, 2)
         many = fresh.placement_rows_many(ts)
         for pos, t in enumerate(ts):
             single = tandem_kernel.placement_rows(float(t))
@@ -135,17 +166,17 @@ class TestMarkovKernel:
 class TestRenewalKernel:
     def test_deterministic_step(self):
         node = ServiceNode(ServiceLaw.deterministic(1.0), [0.0, 1.0])
-        kern = build_renewal_kernel([node], 1, TimeGrid(end=2.0, nodes=201))
+        kern = RenewalKernel([node], 1, TimeGrid(end=2.0, nodes=201))
         assert kern.survival(0, 0.5) == 1.0
         assert kern.survival(0, 1.5) == 0.0
 
     def test_exponential_matches_closed_form(self):
         node = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])
-        kern = build_renewal_kernel([node], 1, TimeGrid(end=1.0, nodes=1001))
+        kern = RenewalKernel([node], 1, TimeGrid(end=1.0, nodes=1001))
         assert abs(kern.survival(0, 1.0) - math.exp(-1)) <= 1e-5
 
     def test_agreement_with_uniformization(self, tandem_nodes, tandem_kernel):
-        kern = build_renewal_kernel(tandem_nodes, 2, TimeGrid(end=3.0, nodes=3001))
+        kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=3.0, nodes=3001))
         for t in np.linspace(0.0, 3.0, 31):
             delta = np.abs(kern.transition_matrix(t)
                            - tandem_kernel.transition_matrix(t))
@@ -155,7 +186,7 @@ class TestRenewalKernel:
         from bqnet.simulate import _block_rng, _trajectory_locations
         nodes = [ServiceNode(ServiceLaw.erlang(2, 2.0), [0.0, 1.0, 0.0]),
                  ServiceNode(ServiceLaw.exponential(2.0), [0.0, 0.0, 1.0])]
-        kern = build_renewal_kernel(nodes, 2, TimeGrid(end=3.0, nodes=3001))
+        kern = RenewalKernel(nodes, 2, TimeGrid(end=3.0, nodes=3001))
         reps = 1_000_000
         rng = _block_rng(2024, 0)
         offsets = np.array([0.5, 1.0, 2.0])
@@ -170,15 +201,15 @@ class TestRenewalKernel:
     def test_refinement_required(self):
         node = ServiceNode(ServiceLaw.exponential(10.0), [0.0, 1.0])
         with pytest.raises(RefinementRequiredError):
-            build_renewal_kernel([node], 1, TimeGrid(end=8.0, nodes=201))
+            RenewalKernel([node], 1, TimeGrid(end=8.0, nodes=201))
 
     def test_lazy_extension(self):
         node = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])
-        kern = build_renewal_kernel([node], 1, TimeGrid(end=2.0, nodes=257))
+        kern = RenewalKernel([node], 1, TimeGrid(end=2.0, nodes=257))
         assert abs(kern.survival(0, 6.0) - math.exp(-6)) <= 1e-4
 
     def test_identity_at_zero(self, tandem_nodes):
-        kern = build_renewal_kernel(tandem_nodes, 2, TimeGrid(end=1.0, nodes=257))
+        kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=1.0, nodes=257))
         np.testing.assert_array_equal(kern.transition_matrix(0.0), np.eye(2))
 
 

@@ -20,10 +20,10 @@ from bqnet import (ArrivalProcess, BatchLaw, CompoundSnapshot, LatticePMF,
                    NetworkModel, ResourceBudgetError, ServiceLaw, ServiceNode,
                    bundled_config_path, compound_lattice, load_config,
                    recompute_with_pivot, transient_pmf)
-from bqnet.compound import (_CLOSED_FORM_FAMILIES, _iid_closed_values,
-                            _iid_series_values)
 from bqnet.tables import SimplexIndex, simplex_index, simplex_rank
 from bqnet.transient import _run_recursion
+
+from conftest import oracle_iid_lattice
 
 
 def oracle_compositions(total, parts):
@@ -213,11 +213,7 @@ def test_vivax_lattice_matches_oracle_convolution(t):
     assert model.J == 8
     want = None
     for j, law in enumerate(model.batch.laws):
-        qvec = snap.rows[j, : model.J]
-        if law.family in _CLOSED_FORM_FAMILIES:
-            marginal = _iid_closed_values(law, qvec, idx.array)
-        else:
-            marginal, _ = _iid_series_values(law, qvec, idx.array)
+        marginal, _ = oracle_iid_lattice(law, snap.rows[j, : model.J], idx.array)
         want = marginal if want is None else oracle_convolve(want, marginal,
                                                              idx.vectors)
     assert np.max(np.abs(values - want)) <= 1e-13

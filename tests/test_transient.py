@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, QuadratureSpec,
-                   ServiceLaw, ServiceNode, SimulationPlan, UnivariateLaw,
-                   ValidationError, build_markov_kernel, recompute_with_pivot,
+from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
+                   QuadratureSpec, ServiceLaw, ServiceNode, SimulationPlan,
+                   UnivariateLaw, ValidationError, recompute_with_pivot,
                    run_simulation, transient_moments, transient_pgf,
                    transient_pmf, transient_zero_prob)
 
@@ -59,7 +59,7 @@ class TestTransientPMF:
         model = NetworkModel(J=2, arrival=ArrivalProcess.constant(1.0),
                              batch=BatchLaw.constant([2, 0]),
                              nodes=tandem_nodes)
-        kernel = build_markov_kernel(tandem_nodes, 2)
+        kernel = MarkovKernel(tandem_nodes, 2)
         pmf = transient_pmf(model, kernel, 2.0, 12)
         plan = SimulationPlan(model=model, times=(2.0,), replications=1_000_000,
                               seed=424242, cap=12)
@@ -98,7 +98,7 @@ class TestTransientPMF:
         model = NetworkModel(J=1, arrival=ArrivalProcess.sinusoidal(1.0, 0.5, 1.0),
                              batch=BatchLaw.constant([1]),
                              nodes=[single_exp_node])
-        kernel = build_markov_kernel([single_exp_node], 1)
+        kernel = MarkovKernel([single_exp_node], 1)
         t = 2.5
         mean, err = integrate.quad(
             lambda tau: model.arrival.rate(tau) * math.exp(-(t - tau)), 0.0, t,
@@ -136,7 +136,7 @@ class TestZeroProb:
         model = NetworkModel(J=1, arrival=ArrivalProcess.constant(1.0),
                              batch=BatchLaw.constant([2]),
                              nodes=[single_exp_node])
-        kernel = build_markov_kernel([single_exp_node], 1)
+        kernel = MarkovKernel([single_exp_node], 1)
         got = transient_zero_prob(model, kernel, 40.0)
         assert abs(got - math.exp(-1.5)) <= 1e-4
 
@@ -169,7 +169,7 @@ class TestMoments:
                              batch=BatchLaw.iid_assignment(
                                  UnivariateLaw.zeta(1.5), [1.0]),
                              nodes=[single_exp_node])
-        kernel = build_markov_kernel([single_exp_node], 1)
+        kernel = MarkovKernel([single_exp_node], 1)
         result = transient_moments(model, kernel, 1.0)
         assert result.mean is None
         assert result.undefined_reason is not None
