@@ -244,9 +244,11 @@ def _series_log_derivatives(law, qbar, offset):
                 break
             last = float(terms[-1])
             if last < _SERIES_CUTOFF * max(acc, 1e-300) and terms[-1] <= terms[0]:
-                # geometric-style bound on the rest of the series
-                ratio = float(terms[-1] / terms[0]) ** (1.0 / max(len(terms) - 1, 1))
-                tail_bound = max(tail_bound, last * ratio / max(1.0 - ratio, 1e-6))
+                # geometric-style bound on the rest of the series; a first
+                # term of 0 is (1 - qbar)^(n - m) = 0, and so is the rest
+                if terms[0] > 0:
+                    ratio = float(terms[-1] / terms[0]) ** (1.0 / max(len(terms) - 1, 1))
+                    tail_bound = max(tail_bound, last * ratio / max(1.0 - ratio, 1e-6))
                 break
             if n - start > _SERIES_MAX_TERMS:
                 tail_bound = max(tail_bound, last)

@@ -21,17 +21,19 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from .errors import (KernelDomainError, RefinementRequiredError,
                      UnsupportedRepresentationError, ValidationError)
-from .service import EXPONENTIAL, generator, routing_matrix, validate_nodes
+from .service import (EXPONENTIAL, generator, routing_matrix, validate_nodes,
+                      zero_time_loop)
 
 POISSON_TAIL = 1e-12
 # Beyond this uniformization rate * t, the Poisson series is longer than a
 # scaling-and-squaring matrix exponential is worth; switch to expm.
 UNIFORMIZATION_MAX_A = 1e4
 MAX_GRID_POINTS = 1 << 22
+_SINGULAR_LOOP = "instantaneous routing loop makes the renewal system singular"
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,12 @@ class MarkovKernel(OccupancyKernel):
     and routes by its routing row, exit being absorbing. With uniformization
     rate r and jump matrix P, the transition matrix at time t is
     sum_n Pois(n; r t) P^n, the Poisson series truncated so the neglected
-    tail is below ``POISSON_TAIL`` and renormalised. All the times of one
-    call share one series, truncated for the largest of them, so a single
-    time gives the same matrix whether it is asked for alone or in a
-    stack of one. Beyond r t = ``UNIFORMIZATION_MAX_A`` a
+    tail is below ``POISSON_TAIL`` and renormalised. The truncation point
+    and the weights are ``scipy.stats.poisson``'s ``isf`` and ``pmf``,
+    bit for bit, evaluated straight from ``scipy.special``. All the times of
+    one call share one series, truncated for the largest of them, so a
+    single time gives the same matrix whether it is asked for alone or in
+    a stack of one. Beyond r t = ``UNIFORMIZATION_MAX_A`` a
     scaling-and-squaring matrix exponential takes over (the two agree to
     roundoff where they meet). Matrices are cached per time.
     """
@@ -153,8 +157,8 @@ class MarkovKernel(OccupancyKernel):
         if small:
             a = self.uniformization_rate * np.array(small)
             a_max = float(np.max(a))
-            n_max = 0 if a_max == 0.0 else int(stats.poisson.isf(POISSON_TAIL, a_max)) + 1
-            weights = stats.poisson.pmf(np.arange(n_max + 1)[:, None], a[None, :])
+            n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
+            weights = _poisson_pmf(np.arange(n_max + 1)[:, None], a)
             weights /= weights.sum(axis=0, keepdims=True)   # fold the tail back in
             power = np.eye(self.J + 1)
             acc = weights[0][:, None, None] * power
@@ -167,6 +171,18 @@ class MarkovKernel(OccupancyKernel):
             out.setflags(write=False)
             self._cache[t] = out
         return [self._cache[t] for t in ts]
+
+
+def _poisson_isf(q, a):
+    """``scipy.stats.poisson.isf(q, a)`` for 0 < q < 1 and a > 0."""
+    n = np.ceil(special.pdtrik(1.0 - q, a))
+    below = max(n - 1.0, 0.0)
+    return below if special.pdtr(below, a) >= 1.0 - q else n
+
+
+def _poisson_pmf(n, a):
+    """``scipy.stats.poisson.pmf(n, a)`` for integers n >= 0 and a >= 0."""
+    return np.exp(special.xlogy(n, a) - special.gammaln(n + 1) - a)
 
 
 class GridKernel(OccupancyKernel):
@@ -204,9 +220,13 @@ class RenewalKernel(GridKernel):
 
     Forward time-stepping with trapezoidal Stieltjes convolution against
     each node's service CDF; values between grid nodes are linearly
-    interpolated. Asking for times beyond the grid end transparently
-    re-solves on a doubled horizon (same spacing), up to a hard point
-    budget.
+    interpolated. With dF_j[n] = F_j(t_n+1) - F_j(t_n), step i weighs the
+    solved Q[s] by (dF_j[i-1-s] + dF_j[i-s]) / 2 and Q[0] by dF_j[i-1] / 2,
+    and solves for the Q[i] term, with any atom at 0, implicitly: one
+    (J, i) @ (i, J^2) product per step, O(m^2 J^3) for m points. Times
+    beyond the grid end double the horizon at the same spacing, up to a
+    hard point budget; the recursion is causal, so only the new points are
+    time-stepped and the rows already solved never change.
     """
 
     representation = "renewal-grid"
@@ -214,6 +234,8 @@ class RenewalKernel(GridKernel):
     def __init__(self, nodes, J, grid: TimeGrid):
         super().__init__(J)
         validate_nodes(nodes, J)
+        if zero_time_loop(nodes, J, np.ones(J, dtype=bool)):
+            raise ValidationError(_SINGULAR_LOOP)
         means = [n.service.mean() for n in nodes
                  if not n.is_absorbing and n.service.mean() > 0]
         if means and grid.spacing > min(means) / 4.0:
@@ -222,47 +244,40 @@ class RenewalKernel(GridKernel):
                 f"service mean {min(means)}; refine the grid")
         self.nodes = list(nodes)
         self.grid = grid
-        self._times, self._table = self._solve(grid.end, grid.nodes)
+        self._times = grid.times()
+        self._table = self._solve(self._times)
 
-    def _solve(self, end, m):
-        J = self.J
-        times = np.linspace(0.0, end, m)
-        cdf = np.zeros((J, m))
-        for j, node in enumerate(self.nodes):
-            cdf[j] = node.service.cdf(times)
-        dF = np.diff(cdf, axis=1)                      # (J, m-1)
+    def _solve(self, times, prefix=None):
+        """Q on ``times``, keeping ``prefix`` (Q on its leading points) as is."""
+        J, m = self.J, times.size
+        cdf = np.array([node.service.cdf(times) for node in self.nodes])
+        half = 0.5 * np.diff(cdf, axis=1)              # (J, m-1)
         atom0 = cdf[:, 0]                              # mass exactly at 0
         surv = 1.0 - cdf                               # delta_jk factor
         R = routing_matrix(self.nodes, J)
 
         def implicit_solver(coeff):
-            M = np.eye(J) - coeff[:, None] * R
             try:
-                return np.linalg.inv(M)
+                return np.linalg.inv(np.eye(J) - coeff[:, None] * R)
             except np.linalg.LinAlgError:
-                raise ValidationError(
-                    "instantaneous routing loop makes the renewal system singular")
+                raise ValidationError(_SINGULAR_LOOP)
 
         Q = np.empty((m, J, J))
-        if np.any(atom0 > 0):
+        if prefix is not None:
+            Q[: len(prefix)] = prefix
+        elif np.any(atom0 > 0):
             Q[0] = implicit_solver(atom0) @ np.diag(1.0 - atom0)
         else:
             Q[0] = np.eye(J)
-        step_solver = implicit_solver(atom0 + 0.5 * dF[:, 0])
-        for i in range(1, m):
-            rhs = np.diag(surv[:, i]).astype(float)
-            # trapezoidal Stieltjes convolution, unknown Q[i] term excluded
-            recent = Q[i - 1::-1]                      # Q[i-1] ... Q[0]
-            for j, node in enumerate(self.nodes):
-                if node.routing is None:
-                    continue
-                K = np.tensordot(dF[j, :i], recent[:i], axes=1)
-                if i > 1:
-                    K = K + np.tensordot(dF[j, 1:i], recent[: i - 1], axes=1)
-                rhs[j] += R[j] @ (0.5 * K)
-            Q[i] = step_solver @ rhs
-        np.clip(Q, 0.0, 1.0, out=Q)
-        return times, Q
+        step_solver = implicit_solver(atom0 + half[:, 0])
+        flat = Q.reshape(m, J * J)
+        # weights of Q[1..i-1] at step i: trap[:, m-1-i : m-2], reversed
+        trap = np.ascontiguousarray((half[:, :-1] + half[:, 1:])[:, ::-1])
+        for i in range(1 if prefix is None else len(prefix), m):
+            history = trap[:, m - 1 - i: m - 2] @ flat[1:i] + half[:, i - 1, None] * flat[0]
+            history = np.einsum("jl,jlk->jk", R, history.reshape(J, J, J))
+            Q[i] = step_solver @ (np.diag(surv[:, i]) + history)
+        return np.clip(Q, 0.0, 1.0, out=Q)
 
     def _cover(self, t):
         if t <= self._times[-1]:
@@ -275,9 +290,9 @@ class RenewalKernel(GridKernel):
                 raise KernelDomainError(
                     f"renewal kernel cannot be extended to t={t} within the "
                     f"{MAX_GRID_POINTS}-point grid budget")
-        # rebuild then swap; readers only ever see a consistent pair
-        times, table = self._solve(end, m)
-        self._times, self._table = times, table
+        # extend then swap; readers only ever see a consistent pair
+        times = np.append(self._times, np.linspace(0.0, end, m)[self._times.size:])
+        self._times, self._table = times, self._solve(times, self._table)
 
 
 class TabulatedKernel(GridKernel):

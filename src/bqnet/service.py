@@ -16,6 +16,8 @@ from scipy import special
 from .errors import ValidationError
 
 ROUTING_TOL = 1e-12
+# A zero-time loop is a spectral radius within this of 1.
+ZERO_TIME_LOOP_MARGIN = 1e-12
 
 EXPONENTIAL = "exponential"
 ERLANG = "erlang"
@@ -196,6 +198,21 @@ def reachable(nodes, J, start):
     for _ in range(J):
         reach |= (R[reach] > 0).any(axis=0)
     return reach
+
+
+def zero_time_loop(nodes, J, start):
+    """True when customers from the nodes where ``start`` (a boolean
+    J-vector) is true can reach a set of nodes that they would never
+    leave, each service there taking zero time.
+
+    That is the spectral radius of diag(F_j(0)) R, restricted to the nodes
+    reachable through R, reaching 1 (to within roundoff).
+    """
+    reach = reachable(nodes, J, start)
+    zero_time = np.array([node.service.cdf(0.0) for node in nodes])
+    loop = (zero_time[:, None] * routing_matrix(nodes, J))[np.ix_(reach, reach)]
+    return bool(loop.size) and bool(
+        np.max(np.abs(np.linalg.eigvals(loop))) >= 1.0 - ZERO_TIME_LOOP_MARGIN)
 
 
 def generator(nodes, J):

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationBudgetError, ValidationError
-from .service import reachable, routing_matrix
+from .service import zero_time_loop
 from .tables import dump_json, simplex_rank, write_occupancy_csv
 
 BLOCK_SIZE = 4096
 EXITED = -1
 MAX_CUSTOMER_EVENTS = 1_000_000
-ZERO_TIME_LOOP_MARGIN = 1e-12
 # Customers one block may hold. Each costs about 100 bytes while its block
 # runs: entry node, arrival time and replication (8 bytes each), a
 # location per snapshot (8 bytes each) and the trajectory loop's per
@@ -107,18 +106,10 @@ def _route(nodes, J, node_ids, rng):
     return np.minimum(nxt, J)
 
 
-def _check_zero_time_loop(nodes, J, entry_nodes):
-    """Raise when customers from ``entry_nodes`` can reach a set of nodes
-    that they would never leave, each service there taking zero time.
-
-    That is the spectral radius of diag(F_j(0)) R, restricted to the nodes
-    reachable through R, reaching 1 (to within roundoff).
-    """
-    R = routing_matrix(nodes, J)
-    reach = reachable(nodes, J, np.isin(np.arange(J), entry_nodes))
-    zero_time = np.array([node.service.cdf(0.0) for node in nodes])
-    loop = (zero_time[:, None] * R)[np.ix_(reach, reach)]
-    if loop.size and np.max(np.abs(np.linalg.eigvals(loop))) >= 1.0 - ZERO_TIME_LOOP_MARGIN:
+def _check_zero_time_loop(nodes, J, start):
+    """Raise before any draw when customers from ``start`` (a boolean
+    J-vector) can circle forever in zero time."""
+    if zero_time_loop(nodes, J, start):
         raise SimulationBudgetError(
             "customers can reach nodes they would circle forever in zero time")
 
@@ -171,7 +162,7 @@ def sample_trajectory(nodes, entry, rng, offsets):
     offsets = np.asarray(offsets, dtype=float)
     if np.any(offsets < 0):
         raise ValidationError("snapshot offsets must be >= 0")
-    _check_zero_time_loop(nodes, J, [entry])
+    _check_zero_time_loop(nodes, J, np.arange(J) == entry)
     locs = _trajectory_locations(nodes, J, np.array([entry]), np.zeros(1),
                                  offsets, rng)
     return locs[0]
@@ -299,8 +290,7 @@ def run_simulation(plan: SimulationPlan, workers=1):
     never dropped silently.
     """
     model = plan.model
-    _check_zero_time_loop(model.nodes, model.J,
-                          np.flatnonzero(model.batch.entry_mask()))
+    _check_zero_time_loop(model.nodes, model.J, model.batch.entry_mask())
     blocks = []
     remaining = plan.replications
     while remaining > 0:

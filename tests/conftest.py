@@ -8,6 +8,7 @@ from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, UnivariateLaw)
 from bqnet.batch import (BINOMIAL, DEGENERATE, LOGARITHMIC, NEG_BINOMIAL,
                          POISSON)
+from bqnet.service import routing_matrix
 
 
 @pytest.fixture(scope="session")
@@ -199,3 +200,46 @@ def _oracle_series(law, qvec, idx_array):
                 break
         out[pos] = acc
     return out, tail_bound
+
+
+# -- per-node renewal solve oracle -------------------------------------------------
+#
+# The Markov-renewal time-stepping that RenewalKernel's one-product-per-step
+# solve replaced, kept verbatim as its oracle: a pair of tensordot calls per
+# node and step over a reversed view of the history.
+
+
+def oracle_renewal_solve(nodes, J, end, m):
+    """(times, Q) on the uniform grid of ``m`` points over [0, end]."""
+    times = np.linspace(0.0, end, m)
+    cdf = np.zeros((J, m))
+    for j, node in enumerate(nodes):
+        cdf[j] = node.service.cdf(times)
+    dF = np.diff(cdf, axis=1)
+    atom0 = cdf[:, 0]
+    surv = 1.0 - cdf
+    R = routing_matrix(nodes, J)
+
+    def implicit_solver(coeff):
+        return np.linalg.inv(np.eye(J) - coeff[:, None] * R)
+
+    Q = np.empty((m, J, J))
+    if np.any(atom0 > 0):
+        Q[0] = implicit_solver(atom0) @ np.diag(1.0 - atom0)
+    else:
+        Q[0] = np.eye(J)
+    step_solver = implicit_solver(atom0 + 0.5 * dF[:, 0])
+    for i in range(1, m):
+        rhs = np.diag(surv[:, i]).astype(float)
+        # trapezoidal Stieltjes convolution, unknown Q[i] term excluded
+        recent = Q[i - 1::-1]
+        for j, node in enumerate(nodes):
+            if node.routing is None:
+                continue
+            K = np.tensordot(dF[j, :i], recent[:i], axes=1)
+            if i > 1:
+                K = K + np.tensordot(dF[j, 1:i], recent[: i - 1], axes=1)
+            rhs[j] += R[j] @ (0.5 * K)
+        Q[i] = step_solver @ rhs
+    np.clip(Q, 0.0, 1.0, out=Q)
+    return times, Q

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
                    ResourceBudgetError, ServiceLaw, ServiceNode,
                    UnivariateLaw, compound_lattice, compound_pgf,
                    compound_pmf, poisson_multinomial_pmf)
-from bqnet.tables import SimplexIndex
+from bqnet.compound import _placement
+from bqnet.tables import SimplexIndex, simplex_index
 
 from conftest import brute_force_iid_compound, oracle_iid_lattice
 
@@ -277,3 +279,15 @@ class TestOneFormulaLattice:
         np.testing.assert_allclose(values, idx.convolve(first, second),
                                    rtol=1e-13, atol=1e-16)
         assert tail == pytest.approx(tail0, rel=1e-12)
+
+    def test_series_tail_is_zero_when_nobody_leaves(self):
+        # qbar = 1: past degree m's first term every term carries
+        # (1 - qbar)^(n - m) = 0, so the series ends with no tail at all
+        law = UnivariateLaw.log_weighted_tail()
+        idx = simplex_index(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, tail = _placement(law, [1.0, 0.0, 0.0], idx)
+        assert tail == 0.0
+        want = [law.pmf(v[0]) if v[1] == 0 else 0.0 for v in idx.vectors]
+        np.testing.assert_allclose(values, want, rtol=1e-13, atol=0.0)

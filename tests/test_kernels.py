@@ -9,7 +9,9 @@ from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
                    ServiceNode, TimeGrid, UnsupportedRepresentationError,
                    ValidationError, bundled_config_path, load_config,
                    load_tabulated_kernel_csv)
-from bqnet.kernels import POISSON_TAIL
+from bqnet.kernels import POISSON_TAIL, _poisson_isf, _poisson_pmf
+
+from conftest import oracle_renewal_solve
 
 LN2 = math.log(2.0)
 
@@ -28,6 +30,22 @@ def scalar_uniformization(kernel, t):
         power = power @ kernel._jump_matrix
         out = out + weights[n] * power
     return np.clip(out, 0.0, 1.0)
+
+
+# J <= 3 general-service networks: a tandem with a deterministic delay, a
+# feedback loop, an absorbing node, and a service law with an atom at 0
+RENEWAL_NETWORKS = {
+    "tandem": [ServiceNode(ServiceLaw.erlang(2, 2.0), [0.0, 1.0, 0.0]),
+               ServiceNode(ServiceLaw.deterministic(0.5), [0.0, 0.0, 1.0])],
+    "feedback": [ServiceNode(ServiceLaw.erlang(3, 3.0), [0.2, 0.5, 0.3]),
+                 ServiceNode(ServiceLaw.exponential(2.0), [0.4, 0.0, 0.6])],
+    "absorbing": [ServiceNode(ServiceLaw.erlang(2, 4.0), [0.0, 0.6, 0.3, 0.1]),
+                  ServiceNode(ServiceLaw.deterministic(0.3), [0.1, 0.0, 0.5, 0.4]),
+                  ServiceNode(ServiceLaw.absorbing())],
+    "atom": [ServiceNode(ServiceLaw.tabulated([0.0, 0.5, 1.0, 2.0],
+                                              [0.3, 0.5, 0.9, 1.0]), [0.4, 0.3, 0.3]),
+             ServiceNode(ServiceLaw.exponential(1.5), [0.5, 0.0, 0.5])],
+}
 
 
 class TestArrivals:
@@ -154,6 +172,14 @@ class TestMarkovKernel:
             assert np.array_equal(alone[:J], stacked)
             assert np.array_equal(alone, scalar_uniformization(MarkovKernel(nodes, J), t))
 
+    def test_poisson_truncation_and_weights_are_scipy_stats(self):
+        a = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 241)])
+        for a_k in a[1:]:
+            want = stats.poisson.isf(POISSON_TAIL, a_k)
+            assert _poisson_isf(POISSON_TAIL, float(a_k)) == want
+        n = np.arange(int(stats.poisson.isf(POISSON_TAIL, a[-1])) + 2)[:, None]
+        assert np.array_equal(_poisson_pmf(n, a), stats.poisson.pmf(n, a[None, :]))
+
     def test_vectorised_path_matches_scalar(self, tandem_kernel):
         ts = np.linspace(0.0, 3.0, 17)
         fresh = MarkovKernel(tandem_kernel.nodes, 2)
@@ -211,6 +237,39 @@ class TestRenewalKernel:
     def test_identity_at_zero(self, tandem_nodes):
         kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=1.0, nodes=257))
         np.testing.assert_array_equal(kern.transition_matrix(0.0), np.eye(2))
+
+
+    @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
+    def test_matches_per_node_oracle(self, name):
+        nodes = RENEWAL_NETWORKS[name]
+        J = len(nodes)
+        kern = RenewalKernel(nodes, J, TimeGrid(end=2.0, nodes=513))
+        times, want = oracle_renewal_solve(nodes, J, 2.0, 513)
+        assert np.array_equal(kern._times, times)
+        assert np.max(np.abs(kern._table - want)) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
+    def test_extension_continues_the_solved_prefix(self, name):
+        nodes = RENEWAL_NETWORKS[name]
+        J = len(nodes)
+        kern = RenewalKernel(nodes, J, TimeGrid(end=2.0, nodes=257))
+        times, table = kern._times.copy(), kern._table.copy()
+        kern.placement_rows(7.0)                   # two doublings, to t = 8
+        assert kern._table.shape == (1025, J, J)
+        assert np.array_equal(kern._times[:257], times)
+        assert np.array_equal(kern._table[:257], table)
+        fresh = RenewalKernel(nodes, J, TimeGrid(end=8.0, nodes=1025))
+        assert np.array_equal(kern._times, fresh._times)
+        assert np.max(np.abs(kern._table - fresh._table)) <= 1e-13
+
+    def test_zero_time_loop_fails_before_any_solve(self, monkeypatch):
+        # a mixed three-node loop: the renewal system is singular, though
+        # not exactly enough for a matrix inverse to raise
+        rows = [[0.0, 0.3, 0.7, 0.0], [0.6, 0.0, 0.4, 0.0], [0.2, 0.8, 0.0, 0.0]]
+        nodes = [ServiceNode(ServiceLaw.deterministic(0.0), row) for row in rows]
+        monkeypatch.setattr(RenewalKernel, "_solve", None)
+        with pytest.raises(ValidationError, match="instantaneous routing loop"):
+            RenewalKernel(nodes, 3, TimeGrid(end=1.0, nodes=257))
 
 
 class TestTabulatedKernel:
