@@ -14,14 +14,17 @@ and Taylor's theorem at z = 0 gives its coefficients
 
 (multinomial compounding; Johnson, Kotz & Balakrishnan 1997, *Discrete
 Multivariate Distributions*). :func:`_placement` evaluates this in log
-space at every position of the simplex. Only the vector of
-log G_N^(m)(1 - qbar), m = 0..cap, depends on the family of N:
+space at every position of the simplex, for a stack of rows at once (one
+row per quadrature node). Only the log G_N^(m)(1 - qbar), m = 0..cap, one
+row of them per node, depend on the family of N:
 
 * the Poisson, binomial, negative-binomial, logarithmic and degenerate
   PGFs are differentiated in closed form;
 * for every other family, G_N^(m)(s) = sum_{n >= m} P(N = n) n!/(n - m)!
   s^(n - m) is summed once per degree m until its terms drop below a
-  relative cutoff; a geometric bound on the rest is the tail bound.
+  relative cutoff; a geometric bound on the rest is the tail bound. All
+  nodes share each chunk of batch probabilities, and each node stops at
+  its own cutoff.
 
 Every batch variant is built from such placements:
 
@@ -31,6 +34,15 @@ Every batch variant is built from such placements:
 * finite tables: the mixture over table vectors s of the convolution over
   queues of the degenerate size s_j placed by q^j(t);
 * constant batches: the finite table with one vector.
+
+:func:`lattice_stack` is the one lattice routine. It takes the placement
+rows of m nodes, an (m, J, J+1) array, and returns the (m, |index|)
+lattices and the m series tail bounds; convolutions run on node stacks
+through the simplex pair table. Nodes go in chunks under the fixed
+``LATTICE_BUDGET`` of working memory, and no node's values depend on the
+chunk it lands in. :class:`CompoundSnapshot` is the single-time view:
+:func:`compound_lattice`, :func:`compound_pmf` and :func:`compound_pgf`
+read one elapsed time's rows, and the lattice is the stack of one.
 
 :func:`poisson_multinomial_pmf` computes the constant-batch law another
 way, by inverting its characteristic function with a DFT.
@@ -54,6 +66,11 @@ POISSON_MULTINOMIAL_BUDGET = 1 << 26
 _SERIES_CUTOFF = 1e-18
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_CHUNK = 256
+# Bytes of working arrays per chunk of nodes in lattice_stack, and the
+# bytes each node needs per working cell: a placement's log powers, or one
+# pair-table row of a convolution (two gathers and their product).
+LATTICE_BUDGET = 1 << 22
+_BYTES_PER_CELL = 24
 
 _CLOSED_FORM_FAMILIES = (batchmod.BINOMIAL, batchmod.POISSON,
                          batchmod.NEG_BINOMIAL, batchmod.LOGARITHMIC,
@@ -68,10 +85,7 @@ class CompoundSnapshot:
             raise ValidationError("elapsed time must be >= 0")
         if batch.J != kernel.J:
             raise ValidationError("batch dimension does not match the kernel")
-        rows = np.array(kernel.placement_rows(t), dtype=float)
-        if np.any(rows < -ROW_TOL) or np.any(np.abs(rows.sum(axis=1) - 1.0) > ROW_TOL):
-            raise ValidationError("kernel placement rows are not probability vectors")
-        rows = np.clip(rows, 0.0, 1.0)
+        rows = checked_rows(kernel.placement_rows(t))
         self.batch = batch
         self.kernel = kernel
         self.t = float(t)
@@ -80,6 +94,18 @@ class CompoundSnapshot:
         if batch.variant == batchmod.IID_ASSIGNMENT:
             # q_k(t) = sum_j p_j q^j_k(t): the per-customer placement row
             self.mixed_row = batch.entry_probs @ rows
+
+
+def checked_rows(rows):
+    """Placement rows (last axis J+1) as floats clipped to [0, 1].
+
+    Raises :class:`ValidationError` unless every row is a probability
+    vector to within ``ROW_TOL``.
+    """
+    rows = np.array(rows, dtype=float)
+    if np.any(rows < -ROW_TOL) or np.any(np.abs(rows.sum(axis=-1) - 1.0) > ROW_TOL):
+        raise ValidationError("kernel placement rows are not probability vectors")
+    return np.clip(rows, 0.0, 1.0)
 
 
 def compound_pgf(snap: CompoundSnapshot, z):
@@ -106,78 +132,121 @@ def compound_pmf(snap: CompoundSnapshot, i):
 
 
 def compound_lattice(snap: CompoundSnapshot, cap):
-    """P(C(t) = i) for every i with sum(i) <= cap.
+    """P(C(t) = i) for every i with sum(i) <= cap: :func:`lattice_stack`
+    for a stack of one node.
 
     Returns ``((values, index), tail_bound)`` where ``values`` aligns with
     ``index`` (a :class:`SimplexIndex`) and ``tail_bound`` bounds what the
     truncated series left out (0 when none ran).
     """
-    b = snap.batch
     idx = simplex_index(snap.J, cap)
-    if b.variant == batchmod.IID_ASSIGNMENT:
-        values, tail = _placement(b.law, snap.mixed_row, idx)
-    elif b.variant == batchmod.INDEPENDENT:
+    values, tails = lattice_stack(snap.batch, snap.rows[None], idx)
+    return (values[0], idx), float(tails[0])
+
+
+def lattice_stack(batch, rows, idx, out=None):
+    """Displacement laws on ``idx`` for a stack of placement-row matrices.
+
+    ``rows`` is an (m, J, J+1) array of checked rows (:func:`checked_rows`),
+    one matrix per node. Returns ``(values, tails)``: ``values[k]`` is
+    P(C = i) at every position i of ``idx`` when the rows are ``rows[k]``,
+    written into ``out`` when given, and ``tails[k]`` bounds what node k's
+    truncated series left out. Nodes are taken in chunks whose working
+    arrays stay under ``LATTICE_BUDGET`` bytes.
+    """
+    m = rows.shape[0]
+    if batch.variant == batchmod.IID_ASSIGNMENT:
+        # one placement by q_k = sum_j p_j q^j_k, the per-customer row
+        rows = (batch.entry_probs @ rows)[:, None]
+        mixtures = [(1.0, [(batch.law, 0)])]
+    elif batch.variant == batchmod.INDEPENDENT:
         # a marginal whose support is {0} places the unit of convolution
-        placed = [_placement(law, row, idx)
-                  for law, row in zip(b.laws, snap.rows) if law.support_max() != 0]
-        values = _convolve_all(idx, [v for v, _ in placed])
-        tail = sum((t for _, t in placed), 0.0)
+        mixtures = [(1.0, [(law, j) for j, law in enumerate(batch.laws)
+                           if law.support_max() != 0])]
     else:
-        if b.variant == batchmod.CONSTANT:
-            table = [(b.vector, 1.0)]
-        else:
-            table = zip(b.vectors, b.probs)
-        values, tail = 0.0, 0.0
-        for vec, p in table:
-            values = values + p * _convolve_all(idx, [
-                _placement(batchmod.UnivariateLaw.degenerate(int(n)), row, idx)[0]
-                for n, row in zip(vec, snap.rows) if n > 0])
-    return (values, idx), tail
+        table = ([(batch.vector, 1.0)] if batch.variant == batchmod.CONSTANT
+                 else zip(batch.vectors, batch.probs))
+        mixtures = [(p, [(batchmod.UnivariateLaw.degenerate(int(n)), j)
+                         for j, n in enumerate(vec) if n > 0]) for vec, p in table]
+    # a placement's largest working arrays are its (|idx|, J) log powers
+    step = _nodes_per_chunk(len(idx) * idx.J)
+    values = np.empty((m, len(idx))) if out is None else out
+    tails = np.zeros(m)
+    for lo in range(0, m, step):
+        chunk = rows[lo:lo + step]
+        mixed = 0.0
+        for p, parts in mixtures:
+            placed = [_placement(law, chunk[:, j], idx) for law, j in parts]
+            mixed = mixed + p * _convolve_all(idx, [v for v, _ in placed], len(chunk))
+            for _, tail in placed:
+                tails[lo:lo + step] += tail
+        values[lo:lo + step] = mixed
+    return values, tails
 
 
-def _convolve_all(idx, lattices):
-    """Truncated convolution of the lattices in order; the unit for none."""
-    if not lattices:
-        unit = np.zeros(len(idx))
-        unit[0] = 1.0
+def _nodes_per_chunk(cells):
+    """Nodes per chunk when each node needs ``cells`` working cells."""
+    return max(1, LATTICE_BUDGET // (_BYTES_PER_CELL * cells))
+
+
+def _convolve_all(idx, stacks, m):
+    """Truncated convolution of the node stacks in order; the unit for none.
+
+    Each convolution gathers the whole pair table per node, so it runs in
+    chunks of its own.
+    """
+    if not stacks:
+        unit = np.zeros((m, len(idx)))
+        unit[:, 0] = 1.0
         return unit
-    out = lattices[0]
-    for other in lattices[1:]:
-        out = idx.convolve(out, other)
+    if len(stacks) == 1:
+        return stacks[0]   # without building the pair table
+    out = np.empty_like(stacks[0])
+    step = _nodes_per_chunk(len(idx.pairs))
+    for lo in range(0, m, step):
+        part = stacks[0][lo:lo + step]
+        for other in stacks[1:]:
+            part = idx.convolve(part, other[lo:lo + step])
+        out[lo:lo + step] = part
     return out
 
 
-# -- one placement -----------------------------------------------------------------
+# -- placements --------------------------------------------------------------------
 
 
-def _placement(law, row, idx):
-    """Law on ``idx`` of N ~ ``law`` customers placed iid by ``row``.
+def _placement(law, q, idx):
+    """Law on ``idx`` of N ~ ``law`` customers placed iid by each row of ``q``.
 
-    ``row`` is (q_1, ..., q_J[, exit]); the exit column is not read. Returns
-    ``(values, tail_bound)`` with values exp(log q^i - log i! +
-    log G^(|i|)(1 - qbar)), exactly 0 where some q_k = 0 < i_k.
+    ``q`` is an (m, J[+1]) stack of rows (q_1, ..., q_J[, exit]); the exit
+    column is not read. Returns ``(values, tails)``, values (m, |idx|) with
+    exp(log q^i - log i! + log G^(|i|)(1 - qbar)), exactly 0 where some
+    q_k = 0 < i_k, and tails (m,) the series tail bounds.
     """
-    q = np.asarray(row[: idx.J], dtype=float)
-    # log(q^i / i!) with 0 * log 0 = 0; -inf marks an impossible position
+    q = np.asarray(q, dtype=float)[:, : idx.J]
+    # log(q^i / i!) with 0 * log 0 = 0; -inf marks an impossible position.
+    # Each node's sum over coordinates runs alone, so a node's values do
+    # not depend on the other nodes of its chunk.
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_power = np.where(idx.array > 0, idx.array * np.log(q), 0.0)
-    log_weight = log_power.sum(axis=1) - idx.log_factorial
-    qbar = float(q.sum())
+        log_power = np.where(idx.array > 0, idx.array * np.log(q)[:, None, :], 0.0)
+    log_weight = log_power.sum(axis=2) - idx.log_factorial
+    qbar = q.sum(axis=1)
     if law.family in _CLOSED_FORM_FAMILIES:
-        log_g, tail = _closed_log_derivatives(law, qbar, idx.cap), 0.0
+        log_g, tails = _closed_log_derivatives(law, qbar, idx.cap), np.zeros(len(q))
     else:
         # each degree's series is scaled by its largest log(q^i / i!)
-        offset = np.maximum.reduceat(log_weight, idx.degree_start[:-1])
-        log_g, tail = _series_log_derivatives(law, qbar, offset)
+        offset = np.maximum.reduceat(log_weight, idx.degree_start[:-1], axis=1)
+        log_g, tails = _series_log_derivatives(law, qbar, offset)
     degree = np.repeat(np.arange(idx.cap + 1), np.diff(idx.degree_start))
     with np.errstate(invalid="ignore"):
-        values = np.exp(log_weight + log_g[degree])
-    return np.where(np.isneginf(log_weight), 0.0, values), tail
+        values = np.exp(log_weight + log_g[:, degree])
+    return np.where(np.isneginf(log_weight), 0.0, values), tails
 
 
 def _closed_log_derivatives(law, qbar, cap):
-    """log G^(m)(1 - qbar) for m = 0..cap, for the closed-form families."""
+    """log G^(m)(1 - qbar) as an (nodes, cap+1) array, for the closed-form
+    families; ``qbar`` holds one value per node."""
     m = np.arange(cap + 1.0)
+    qbar = qbar[:, None]
     fam = law.family
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam == batchmod.POISSON:
@@ -187,14 +256,14 @@ def _closed_log_derivatives(law, qbar, cap):
             # G(s) = (1 + nu (1 - s))^-r
             r, nu = law.shape, law.scale
             return (special.gammaln(r + m) - special.gammaln(r) + m * math.log(nu)
-                    - (r + m) * math.log1p(nu * qbar))
+                    - (r + m) * np.log1p(nu * qbar))
         if fam == batchmod.LOGARITHMIC:
             # G(s) = log(1 - rho s) / log(1 - rho)
             rho = law.rho
-            base = 1.0 - rho * (1.0 - qbar)
-            out = (special.gammaln(m) + m * math.log(rho) - m * math.log(base)
+            log_base = np.log(1.0 - rho * (1.0 - qbar))
+            out = (special.gammaln(m) + m * math.log(rho) - m * log_base
                    - math.log(-math.log1p(-rho)))
-            out[0] = np.log(math.log(base) / math.log1p(-rho))
+            out[:, :1] = np.log(log_base / math.log1p(-rho))
             return out
         # G(s) = (1 - alpha + alpha s)^count; degenerate is alpha = 1
         if fam == batchmod.BINOMIAL:
@@ -203,59 +272,68 @@ def _closed_log_derivatives(law, qbar, cap):
             count, alpha = law.value, 1.0
         else:
             raise DomainError(f"no closed form for family {fam}")
-        stay = max(1.0 - alpha * qbar, 0.0)
+        stay = np.maximum(1.0 - alpha * qbar, 0.0)
         out = (special.gammaln(count + 1.0) - special.gammaln(count - m + 1.0)
                + special.xlogy(m, alpha) + special.xlogy(count - m, stay))
         return np.where(m <= count, out, -np.inf)
 
 
 def _series_log_derivatives(law, qbar, offset):
-    """log G^(m)(1 - qbar) for m = 0..cap by truncated series, and a tail bound.
+    """log G^(m)(1 - qbar) for m = 0..cap by truncated series, and tail bounds.
 
-    The degree-m series is scaled by ``offset[m]``, that degree's largest
-    log(q^i / i!), so its terms are those of P(C = i) at the degree's
-    largest position: the cutoff is relative and the tail bound is that
-    position's. Degrees with no possible position are skipped.
+    ``qbar`` holds one value per node and ``offset`` is (nodes, cap+1).
+    Node k's degree-m series is scaled by ``offset[k, m]``, that degree's
+    largest log(q^i / i!), so its terms are those of P(C = i) at the
+    degree's largest position: the cutoff is relative and the tail bound
+    is that position's. Every node shares each chunk of terms' batch
+    probabilities and stops at its own cutoff; degrees with no possible
+    position are skipped. Returns the (nodes, cap+1) logs and the (nodes,)
+    tail bounds.
     """
     leave = 1.0 - qbar
-    log_leave = math.log(leave) if leave > 0 else -math.inf
-    out = np.full(offset.size, -np.inf)
     with np.errstate(divide="ignore"):
-        out[0] = np.log(1.0 - law.pgf_gap(qbar))
-    tail_bound = 0.0
+        log_leave = np.log(np.maximum(leave, 0.0))
+        out = np.full(offset.shape, -np.inf)
+        out[:, 0] = np.log(1.0 - law.pgf_gap(qbar))
+    tails = np.zeros(len(qbar))
     top = law.support_max()
-    for m in range(1, offset.size):
-        if not math.isfinite(offset[m]):
-            continue
+    for m in range(1, offset.shape[1]):
+        started = live = np.flatnonzero(np.isfinite(offset[:, m]))
         start = n = max(m, law.support_min())
-        acc = 0.0
-        while True:
+        acc = np.zeros(len(qbar))
+        while live.size:
             end = n + _SERIES_CHUNK if top is None else min(n + _SERIES_CHUNK, top + 1)
             if end <= n:
                 break
             ns = np.arange(n, end, dtype=float)
+            pmf = law.pmf(ns.astype(np.int64))
             with np.errstate(divide="ignore", invalid="ignore"):
                 lw = (special.gammaln(ns + 1.0) - special.gammaln(ns - m + 1.0)
-                      + offset[m] + np.where(ns - m > 0, (ns - m) * log_leave, 0.0))
-            terms = law.pmf(ns.astype(np.int64)) * np.exp(lw)
-            acc += float(terms.sum())
+                      + offset[live, m][:, None]
+                      + np.where(ns - m > 0, (ns - m) * log_leave[live][:, None], 0.0))
+            terms = pmf * np.exp(lw)
+            acc[live] += terms.sum(axis=1)
             n = end
             if top is not None and n > top:
                 break
-            last = float(terms[-1])
-            if last < _SERIES_CUTOFF * max(acc, 1e-300) and terms[-1] <= terms[0]:
-                # geometric-style bound on the rest of the series; a first
-                # term of 0 is (1 - qbar)^(n - m) = 0, and so is the rest
-                if terms[0] > 0:
-                    ratio = float(terms[-1] / terms[0]) ** (1.0 / max(len(terms) - 1, 1))
-                    tail_bound = max(tail_bound, last * ratio / max(1.0 - ratio, 1e-6))
-                break
+            first, last = terms[:, 0], terms[:, -1]
+            done = (last < _SERIES_CUTOFF * np.maximum(acc[live], 1e-300)) & (last <= first)
+            # geometric-style bound on the rest of each finished series; a
+            # first term of 0 is (1 - qbar)^(n - m) = 0, and so is the rest
+            bounded = done & (first > 0)
+            if bounded.any():
+                ratio = ((last[bounded] / first[bounded])
+                         ** (1.0 / max(terms.shape[1] - 1, 1)))
+                where = live[bounded]
+                tails[where] = np.maximum(
+                    tails[where], last[bounded] * ratio / np.maximum(1.0 - ratio, 1e-6))
+            live, last = live[~done], last[~done]
             if n - start > _SERIES_MAX_TERMS:
-                tail_bound = max(tail_bound, last)
+                tails[live] = np.maximum(tails[live], last)
                 break
         with np.errstate(divide="ignore"):
-            out[m] = np.log(acc) - offset[m]
-    return out, tail_bound
+            out[started, m] = np.log(acc[started]) - offset[started, m]
+    return out, tails
 
 
 # -- Poisson multinomial by DFT -----------------------------------------------------

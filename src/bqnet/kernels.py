@@ -32,6 +32,8 @@ POISSON_TAIL = 1e-12
 # Beyond this uniformization rate * t, the Poisson series is longer than a
 # scaling-and-squaring matrix exponential is worth; switch to expm.
 UNIFORMIZATION_MAX_A = 1e4
+# Bytes for the cached jump-matrix powers and for each weighted sum over them.
+UNIFORMIZATION_BUDGET = 1 << 23
 MAX_GRID_POINTS = 1 << 22
 _SINGULAR_LOOP = "instantaneous routing loop makes the renewal system singular"
 
@@ -110,8 +112,16 @@ class MarkovKernel(OccupancyKernel):
     bit for bit, evaluated straight from ``scipy.special``. All the times of
     one call share one series, truncated for the largest of them, so a
     single time gives the same matrix whether it is asked for alone or in
-    a stack of one. Beyond r t = ``UNIFORMIZATION_MAX_A`` a
-    scaling-and-squaring matrix exponential takes over (the two agree to
+    a stack of one.
+
+    The jump-matrix powers P^0, P^1, ... are computed once, on first use,
+    and cached, so each call is one weighted sum over the cached powers:
+    ``(weights[..., None, None] * powers).sum(axis=0)``. NumPy reduces that
+    outer axis in order, so the sum is the term-by-term series bit for
+    bit. Times are summed in chunks whose product stays under
+    ``UNIFORMIZATION_BUDGET`` bytes. Where the powers a series needs would
+    themselves exceed that budget, or beyond r t = ``UNIFORMIZATION_MAX_A``,
+    a scaling-and-squaring matrix exponential takes over (the two agree to
     roundoff where they meet). Matrices are cached per time.
     """
 
@@ -132,6 +142,7 @@ class MarkovKernel(OccupancyKernel):
             self._jump_matrix = np.eye(J + 1) + A / self.uniformization_rate
         else:
             self._jump_matrix = np.eye(J + 1)
+        self._powers = np.empty((0, J + 1, J + 1))
         self._cache = {}
 
     def augmented_matrix(self, t):
@@ -152,25 +163,40 @@ class MarkovKernel(OccupancyKernel):
             raise KernelDomainError("kernel evaluated at negative time")
         pending = [t for t in dict.fromkeys(ts) if t not in self._cache]
         small = [t for t in pending if self.uniformization_rate * t <= UNIFORMIZATION_MAX_A]
-        fresh = {t: linalg.expm(self.generator * t) for t in pending
-                 if self.uniformization_rate * t > UNIFORMIZATION_MAX_A}
+        a_max = self.uniformization_rate * max(small, default=0.0)
+        n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
+        if (n_max + 1) * (self.J + 1) ** 2 * 8 > UNIFORMIZATION_BUDGET:
+            small = []   # the powers alone would not fit the budget
+        series = set(small)
+        fresh = {t: linalg.expm(self.generator * t) for t in pending if t not in series}
         if small:
             a = self.uniformization_rate * np.array(small)
-            a_max = float(np.max(a))
-            n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
             weights = _poisson_pmf(np.arange(n_max + 1)[:, None], a)
             weights /= weights.sum(axis=0, keepdims=True)   # fold the tail back in
-            power = np.eye(self.J + 1)
-            acc = weights[0][:, None, None] * power
-            for n in range(1, n_max + 1):
-                power = power @ self._jump_matrix
-                acc += weights[n][:, None, None] * power
-            fresh.update(zip(small, acc))
+            powers = self._jump_powers(n_max)[:, None]
+            step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
+            for lo in range(0, len(small), step):
+                acc = (weights[:, lo:lo + step, None, None] * powers).sum(axis=0)
+                fresh.update(zip(small[lo:lo + step], acc))
         for t, out in fresh.items():
             out = np.clip(out, 0.0, 1.0)
             out.setflags(write=False)
             self._cache[t] = out
         return [self._cache[t] for t in ts]
+
+    def _jump_powers(self, n):
+        """P^0 .. P^n as an (n+1, J+1, J+1) array, extending the cache as needed."""
+        powers = self._powers
+        if len(powers) <= n:
+            grown = np.empty((n + 1,) + powers.shape[1:])
+            grown[: len(powers)] = powers
+            power = powers[-1] if len(powers) else None
+            for k in range(len(powers), n + 1):
+                power = np.eye(self.J + 1) if power is None else power @ self._jump_matrix
+                grown[k] = power
+            grown.setflags(write=False)
+            self._powers = powers = grown
+        return powers[: n + 1]
 
 
 def _poisson_isf(q, a):

@@ -7,9 +7,9 @@ the same CSV schema (``n_1,...,n_J,prob[,stderr,replications]``) so the
 compare tooling can treat them uniformly.
 
 The simplex itself is a :class:`SimplexIndex`; its :class:`PairTable`
-lists every split n = a + b on it, which makes truncated convolution and
-the occupancy recursion of :mod:`bqnet.transient` gathers plus one
-``np.bincount`` each.
+lists every split n = a + b on it, which makes truncated convolution
+gathers plus one ``np.add.reduceat`` and each degree of the occupancy
+recursion of :mod:`bqnet.transient` gathers plus one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -85,14 +85,15 @@ class PairTable:
     total by a in lexicographic order, so a sum over the rows of one total
     adds its terms in a fixed order. Because positions are graded, the
     rows whose total has degree d are the slice
-    ``degree_start[d]:degree_start[d + 1]``. ``pivot_weight[r]`` is
+    ``degree_start[d]:degree_start[d + 1]``, and those of total n start at
+    row ``total_start[n]``. ``pivot_weight[r]`` is
     a_p as a float, where p is the last nonzero coordinate of n (0 for
     n = 0).
     """
 
-    def __init__(self, part, rest, total, degree_start, pivot_weight):
+    def __init__(self, part, rest, total, degree_start, total_start, pivot_weight):
         self.part, self.rest, self.total = part, rest, total
-        self.degree_start = degree_start
+        self.degree_start, self.total_start = degree_start, total_start
         self.pivot_weight = pivot_weight
 
     def __len__(self):
@@ -110,9 +111,9 @@ class SimplexIndex:
     positions without a lookup table (the combinatorial number system).
 
     :attr:`pairs` is the :class:`PairTable` of the simplex. It turns the
-    truncated convolution of two value arrays into one ``np.bincount``
-    (:meth:`convolve`) and drives the degree-by-degree recursion of
-    :mod:`bqnet.transient`. It holds C(cap + 2J, 2J) rows, is built on
+    truncated convolution of two value arrays, or of two stacks of them,
+    into one ``np.add.reduceat`` (:meth:`convolve`) and drives the
+    degree-by-degree recursion of :mod:`bqnet.transient`. It holds C(cap + 2J, 2J) rows, is built on
     first use and raises :class:`ResourceBudgetError` above
     ``PAIR_TABLE_BUDGET`` rows.
 
@@ -192,13 +193,21 @@ class SimplexIndex:
         weight = self.array[part, self._pivot[total]].astype(float)
         for arr in (part, rest, total, weight):
             arr.flags.writeable = False
-        return PairTable(part, rest, total, np.searchsorted(total, start), weight)
+        return PairTable(part, rest, total, np.searchsorted(total, start),
+                         np.searchsorted(total, np.arange(start[-1])), weight)
 
     def convolve(self, x, y):
-        """(x * y)[n] = sum over a + b = n of x[a] y[b], for every n on the simplex."""
+        """(x * y)[..., n] = sum over a + b = n of x[..., a] y[..., b], for
+        every n on the simplex.
+
+        Leading axes index a stack of lattices, convolved pairwise. The
+        pair table's rows of one total are contiguous, so each sum is one
+        segment of an ``np.add.reduceat``; no segment is empty, because
+        every n has the split 0 + n.
+        """
         pairs = self.pairs
-        return np.bincount(pairs.total, x[pairs.part] * y[pairs.rest],
-                           minlength=len(self))
+        terms = np.take(x, pairs.part, axis=-1) * np.take(y, pairs.rest, axis=-1)
+        return np.add.reduceat(terms, pairs.total_start, axis=-1)
 
 
 # Indexes are immutable, so sharing one is safe; holding them weakly ties

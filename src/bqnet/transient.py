@@ -24,6 +24,15 @@ Terms are added in a fixed order, and every time integral (the PGF
 exponent, the displacement integrals and the moments) runs through
 :func:`bqnet.quadrature.simpson_refine`, whose nested doubling evaluates
 each node once, so results are bit-deterministic for a fixed node count.
+
+The PMF's integrand takes each doubling's new nodes as one stack: it
+checks their placement rows once and calls
+:func:`bqnet.compound.lattice_stack` once, so every displacement lattice
+of the doubling comes from one pass. Beside the lattice and
+lambda P[C != 0] it integrates lambda times each node's series tail
+bound, reported as ``meta["series_tail_bound"]`` (0 for closed-form
+batch families); the convergence test does not read that column, and it
+is not serialised.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compound import CompoundSnapshot, compound_lattice
+from .compound import checked_rows, lattice_stack
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, converged_elementwise, simpson_refine
 from .tables import LatticePMF, simplex_index
@@ -120,30 +129,33 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
         values[0] = 1.0
         return LatticePMF(model.J, cap, values,
                           meta={"_index": index, "t": 0.0, "quadrature_nodes": 0,
-                                "displacement_integrals": {}})
+                                "displacement_integrals": {},
+                                "series_tail_bound": 0.0})
 
     def integrand(tau):
-        # per node: lambda * lattice, then lambda * P[C(t - tau) != 0]
-        out = np.empty((tau.size, len(index) + 1))
-        for row, (u, lam) in enumerate(zip(t - tau, model.arrival.rate(tau))):
-            snap = CompoundSnapshot(model.batch, kernel, float(u))
-            (vals, _), _tail = compound_lattice(snap, index.cap)
-            out[row, :-1] = lam * vals
-            out[row, -1] = lam * (1.0 - vals[0])
+        # per node: lambda * lattice, lambda * P[C(t - tau) != 0] and
+        # lambda * the lattice's series tail bound
+        rows = checked_rows([kernel.placement_rows(float(u)) for u in t - tau])
+        out = np.empty((tau.size, len(index) + 2))
+        _, tails = lattice_stack(model.batch, rows, index, out[:, :-2])
+        out[:, -2] = 1.0 - out[:, 0]
+        out[:, -1] = tails
+        out *= np.asarray(model.arrival.rate(tau), dtype=float)[:, None]
         return out
 
     def recursion(estimate):
-        return _run_recursion(index, estimate[:-1], math.exp(-estimate[-1]))
+        return _run_recursion(index, estimate[:-2], math.exp(-estimate[-2]))
 
     def settled(previous, current, spec):
         return converged_elementwise(recursion(previous), recursion(current), spec)
 
     estimate, m = simpson_refine(integrand, 0.0, t, quad, "PMF quadrature", settled)
-    A, current = estimate[:-1], recursion(estimate)
+    A, current = estimate[:-2], recursion(estimate)
     integrals = {vec: float(a) for vec, a in zip(index.vectors, A)}
     pmf = LatticePMF(model.J, cap, current,
                      meta={"_index": index, "t": t, "quadrature_nodes": m,
-                           "displacement_integrals": integrals})
+                           "displacement_integrals": integrals,
+                           "series_tail_bound": float(estimate[-1])})
     if pmf.tail_mass > tail_warning:
         warnings.warn(
             f"occupancy cap {cap} leaves tail mass {pmf.tail_mass:.3g} "

@@ -8,6 +8,7 @@ from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, UnivariateLaw)
 from bqnet.batch import (BINOMIAL, DEGENERATE, LOGARITHMIC, NEG_BINOMIAL,
                          POISSON)
+from bqnet.kernels import POISSON_TAIL, _poisson_isf, _poisson_pmf
 from bqnet.service import routing_matrix
 
 
@@ -243,3 +244,25 @@ def oracle_renewal_solve(nodes, J, end, m):
         Q[i] = step_solver @ rhs
     np.clip(Q, 0.0, 1.0, out=Q)
     return times, Q
+
+
+# -- per-term uniformization oracle ------------------------------------------------
+#
+# The Poisson-series accumulation that MarkovKernel's cached jump-matrix
+# powers replaced, kept verbatim as its oracle: one matrix product and one
+# weighted add per term, all times of a call sharing one truncation.
+
+
+def oracle_uniformization(kernel, ts):
+    """(len(ts), J+1, J+1) transition matrices of ``kernel`` at ``ts``."""
+    a = kernel.uniformization_rate * np.asarray(ts, dtype=float)
+    a_max = float(np.max(a))
+    n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
+    weights = _poisson_pmf(np.arange(n_max + 1)[:, None], a)
+    weights /= weights.sum(axis=0, keepdims=True)
+    power = np.eye(kernel.J + 1)
+    acc = weights[0][:, None, None] * power
+    for n in range(1, n_max + 1):
+        power = power @ kernel._jump_matrix
+        acc += weights[n][:, None, None] * power
+    return np.clip(acc, 0.0, 1.0)

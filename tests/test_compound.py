@@ -11,8 +11,12 @@ from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
                    ResourceBudgetError, ServiceLaw, ServiceNode,
                    UnivariateLaw, compound_lattice, compound_pgf,
                    compound_pmf, poisson_multinomial_pmf)
-from bqnet.compound import _placement
+from bqnet import compound as compound_module
+from bqnet import transient as transient_module
+from bqnet.compound import _placement, checked_rows, lattice_stack
+from bqnet.quadrature import QuadratureSpec
 from bqnet.tables import SimplexIndex, simplex_index
+from bqnet.transient import transient_pmf
 
 from conftest import brute_force_iid_compound, oracle_iid_lattice
 
@@ -287,7 +291,98 @@ class TestOneFormulaLattice:
         idx = simplex_index(2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, tail = _placement(law, [1.0, 0.0, 0.0], idx)
+            (values,), (tail,) = _placement(law, np.array([[1.0, 0.0, 0.0]]), idx)
         assert tail == 0.0
         want = [law.pmf(v[0]) if v[1] == 0 else 0.0 for v in idx.vectors]
         np.testing.assert_allclose(values, want, rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def batch_laws(draw, J):
+    """One batch law of dimension J from every variant: iid assignment of a
+    closed-form or series family, independent marginals, a finite table
+    and a constant vector."""
+    variant = draw(st.sampled_from(["iid", "independent", "table", "constant"]))
+    if variant == "iid":
+        weights = np.array(draw(st.lists(st.integers(1, 3), min_size=J, max_size=J)),
+                           dtype=float)
+        return BatchLaw.iid_assignment(draw(st.sampled_from(ALL_FAMILIES)),
+                                       weights / weights.sum())
+    if variant == "independent":
+        return BatchLaw.independent(draw(st.lists(st.sampled_from(ALL_FAMILIES),
+                                                  min_size=J, max_size=J)))
+    vector = st.tuples(*[st.integers(0, 3)] * J)
+    if variant == "constant":
+        return BatchLaw.constant(list(draw(vector)))
+    vectors = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 3), min_size=len(vectors),
+                                     max_size=len(vectors))), dtype=float)
+    return BatchLaw.finite_table(dict(zip(vectors, weights / weights.sum())), J)
+
+
+def vivax_like_stack(nodes=7):
+    """A J=3 independent-marginal batch (a series and a closed-form family)
+    with one row matrix per node."""
+    batch = BatchLaw.independent([UnivariateLaw.zeta(2.5), UnivariateLaw.degenerate(0),
+                                  UnivariateLaw.negative_binomial(1.0, 3.0)])
+    rng = np.random.default_rng(7)
+    rows = rng.random((nodes, 3, 4))
+    return batch, rows / rows.sum(axis=2, keepdims=True)
+
+
+class TestLatticeStack:
+    @given(data=st.data(), J=st.integers(1, 3), cap=st.integers(0, 6),
+           nodes=st.integers(1, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_each_node_is_its_snapshot_lattice(self, data, J, cap, nodes):
+        batch = data.draw(batch_laws(J))
+        rows = np.stack([data.draw(placement_rows(J)) for _ in range(nodes)])
+        idx = simplex_index(J, cap)
+        values, tails = lattice_stack(batch, checked_rows(rows), idx)
+        assert values.shape == (nodes, len(idx)) and tails.shape == (nodes,)
+        for k in range(nodes):
+            (want, _), want_tail = compound_lattice(snap_for(batch, rows[k]), cap)
+            err = np.abs(values[k] - want)
+            assert np.all((err <= 1e-13 * np.abs(want)) | (err <= 1e-300))
+            assert abs(tails[k] - want_tail) <= 1e-13 * want_tail
+
+    def test_chunked_stack_is_the_unchunked_stack(self, monkeypatch):
+        batch, rows = vivax_like_stack()
+        idx = simplex_index(3, 6)
+        whole, whole_tails = lattice_stack(batch, rows, idx)
+        # room for one node per chunk
+        monkeypatch.setattr(compound_module, "LATTICE_BUDGET", 1)
+        chunked, chunked_tails = lattice_stack(batch, rows, idx)
+        assert np.array_equal(whole, chunked)
+        assert np.array_equal(whole_tails, chunked_tails)
+        assert whole_tails.max() > 0.0
+
+    def test_stack_writes_into_out(self):
+        batch, rows = vivax_like_stack(3)
+        idx = simplex_index(3, 4)
+        out = np.full((3, len(idx) + 2), -1.0)
+        want, _ = lattice_stack(batch, rows, idx)
+        values, _ = lattice_stack(batch, rows, idx, out[:, 1:-1])
+        assert np.array_equal(out[:, 1:-1], want)
+        assert np.all(out[:, [0, -1]] == -1.0)
+
+    @pytest.mark.filterwarnings("ignore:occupancy cap")
+    def test_pmf_computes_one_stack_per_doubling(self, batch_tandem_model,
+                                                 tandem_kernel, monkeypatch):
+        calls = []
+
+        def counted(batch, rows, idx, out=None):
+            calls.append(len(rows))
+            return lattice_stack(batch, rows, idx, out)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("transient_pmf built a CompoundSnapshot")
+
+        monkeypatch.setattr(transient_module, "lattice_stack", counted)
+        monkeypatch.setattr(compound_module.CompoundSnapshot, "__init__", refused)
+        quad = QuadratureSpec(initial_nodes=17)
+        pmf = transient_pmf(batch_tandem_model, tandem_kernel, 2.0, 8, quad)
+        m = pmf.meta["quadrature_nodes"]
+        doublings = int(math.log2((m - 1) // (quad.initial_nodes - 1)))
+        assert len(calls) == 1 + doublings
+        assert sum(calls) == m

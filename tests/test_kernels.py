@@ -9,9 +9,12 @@ from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
                    ServiceNode, TimeGrid, UnsupportedRepresentationError,
                    ValidationError, bundled_config_path, load_config,
                    load_tabulated_kernel_csv)
+from bqnet import kernels as kernels_module
 from bqnet.kernels import POISSON_TAIL, _poisson_isf, _poisson_pmf
 
-from conftest import oracle_renewal_solve
+from conftest import oracle_renewal_solve, oracle_uniformization
+
+BUNDLED_MARKOV = ["mm_infty", "tandem_batch", "zeta_batch", "vivax"]
 
 LN2 = math.log(2.0)
 
@@ -179,6 +182,50 @@ class TestMarkovKernel:
             assert _poisson_isf(POISSON_TAIL, float(a_k)) == want
         n = np.arange(int(stats.poisson.isf(POISSON_TAIL, a[-1])) + 2)[:, None]
         assert np.array_equal(_poisson_pmf(n, a), stats.poisson.pmf(n, a[None, :]))
+
+    @pytest.mark.parametrize("name", BUNDLED_MARKOV)
+    def test_cached_powers_match_per_term_series(self, name):
+        # one kernel, stacks of growing length and horizon: every call
+        # extends the power cache and sums the same bits as the per-term loop
+        nodes = load_config(bundled_config_path(name)).nodes
+        J = len(nodes)
+        kernel = MarkovKernel(nodes, J)
+        for size, end in ((1, 0.3), (17, 2.0), (257, 12.0)):
+            ts = np.linspace(0.0, end, size + 1)[1:]
+            got = kernel.placement_rows_many(ts)
+            assert np.array_equal(got, oracle_uniformization(kernel, ts)[:, :J])
+
+    @pytest.mark.parametrize("name", BUNDLED_MARKOV)
+    def test_budgeted_time_chunks_match_per_term_series(self, name, monkeypatch):
+        nodes = load_config(bundled_config_path(name)).nodes
+        J = len(nodes)
+        kernel = MarkovKernel(nodes, J)
+        ts = np.linspace(0.0, 5.0, 40)
+        n_max = int(_poisson_isf(POISSON_TAIL, kernel.uniformization_rate * 5.0)) + 1
+        # room for the powers and three times' products at once
+        monkeypatch.setattr(kernels_module, "UNIFORMIZATION_BUDGET",
+                            3 * (n_max + 1) * (J + 1) ** 2 * 8)
+        assert np.array_equal(kernel.placement_rows_many(ts),
+                              oracle_uniformization(kernel, ts)[:, :J])
+
+    @pytest.mark.parametrize("name", BUNDLED_MARKOV)
+    def test_expm_beyond_the_power_budget(self, name, monkeypatch):
+        nodes = load_config(bundled_config_path(name)).nodes
+        J = len(nodes)
+        ts = np.linspace(0.0, 6.0, 25)
+        want = MarkovKernel(nodes, J).placement_rows_many(ts)
+        # too small for even P^0: every time goes through expm
+        monkeypatch.setattr(kernels_module, "UNIFORMIZATION_BUDGET", 8)
+        kernel = MarkovKernel(nodes, J)
+        got = kernel.placement_rows_many(ts)
+        assert len(kernel._powers) == 0
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_construction_builds_no_powers(self, tandem_nodes):
+        kernel = MarkovKernel(tandem_nodes, 2)
+        assert len(kernel._powers) == 0
+        kernel.placement_rows(0.5)
+        assert len(kernel._powers) > 0
 
     def test_vectorised_path_matches_scalar(self, tandem_kernel):
         ts = np.linspace(0.0, 3.0, 17)

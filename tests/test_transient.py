@@ -7,8 +7,9 @@ from scipy import integrate, stats
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    QuadratureSpec, ServiceLaw, ServiceNode, SimulationPlan,
                    UnivariateLaw, ValidationError, recompute_with_pivot,
-                   run_simulation, transient_moments, transient_pgf,
-                   transient_pmf, transient_zero_prob)
+                   bundled_config_path, load_config, run_simulation,
+                   transient_moments, transient_pgf, transient_pmf,
+                   transient_zero_prob)
 
 MM_MEAN = 1.0 - math.exp(-1.0)
 
@@ -122,6 +123,19 @@ class TestTransientPMF:
     def test_tail_warning(self, batch_tandem_model, tandem_kernel):
         with pytest.warns(UserWarning, match="tail mass"):
             transient_pmf(batch_tandem_model, tandem_kernel, 3.0, 2)
+
+    @pytest.mark.filterwarnings("ignore:occupancy cap")
+    def test_series_tail_bound(self):
+        # closed-form families run no series; the zeta family's series stops
+        # at a relative cutoff and reports a small positive bound
+        bounds = {}
+        for name, cap in (("tandem_batch", 6), ("zeta_batch", 6)):
+            model = load_config(bundled_config_path(name))
+            pmf = transient_pmf(model, model.build_kernel(), 3.0, cap)
+            bounds[name] = pmf.meta["series_tail_bound"]
+            assert "series_tail_bound" not in pmf.to_json_dict()
+        assert bounds["tandem_batch"] == 0.0
+        assert 0.0 < bounds["zeta_batch"] < 1e-12
 
 
 class TestZeroProb:
