@@ -14,20 +14,26 @@ negative binomial, logarithmic, geometric) plus zeta, degenerate,
 finite-table, and a log-weighted-tail law c/(n log^2 n), n >= 2, whose
 logarithmic moment diverges. Moments that do not exist are reported as
 ``math.inf`` -- a first-class signal, never an exception.
+
+Importing this module loads NumPy and ``scipy.special`` and nothing else
+from SciPy. The pmfs are the closed forms that ``scipy.stats`` evaluates
+(Poisson, geometric and logarithmic bit for bit, binomial and negative
+binomial through its log-pmf formulas), and the samplers are the
+``numpy.random.Generator`` methods its ``rvs`` calls. ``mpmath`` is
+imported only by the zeta PGF, and ``scipy.integrate`` only by the
+log-weighted-tail PGF, the first time either is evaluated.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .errors import DomainError, SimulationBudgetError, ValidationError
 
 PROB_SUM_TOL = 1e-12
-TRUNCATION_QUANTILE = 1.0 - 1e-12
 #: Largest batch size representable in simulation tallies.
 MAX_SAMPLE = 1 << 62
 
@@ -154,19 +160,28 @@ class UnivariateLaw:
         out = np.zeros(n.shape, dtype=float)
         nn = n.astype(np.int64, copy=False)
         valid = nn >= 0
+        pos = nn >= 1
         if self.family == BINOMIAL:
-            out[valid] = stats.binom.pmf(nn[valid], self.count, self.prob)
+            inside = valid & (nn <= self.count)
+            k, N, p = nn[inside], self.count, self.prob
+            log_choose = special.gammaln(N + 1) - (special.gammaln(k + 1)
+                                                   + special.gammaln(N - k + 1))
+            out[inside] = np.exp(log_choose + special.xlogy(k, p)
+                                 + special.xlog1py(N - k, -p))
         elif self.family == POISSON:
-            out[valid] = stats.poisson.pmf(nn[valid], self.mu)
+            out[valid] = poisson_pmf(nn[valid], self.mu)
         elif self.family == NEG_BINOMIAL:
-            out[valid] = stats.nbinom.pmf(nn[valid], self.shape,
-                                          1.0 / (1.0 + self.scale))
+            k, r, p = nn[valid], self.shape, 1.0 / (1.0 + self.scale)
+            log_coeff = (special.gammaln(r + k) - special.gammaln(k + 1)
+                         - special.gammaln(r))
+            out[valid] = np.exp(log_coeff + r * np.log(p) + special.xlog1py(k, -p))
         elif self.family == LOGARITHMIC:
-            out[valid] = stats.logser.pmf(nn[valid], self.rho)
+            k = nn[pos]
+            out[pos] = -np.power(self.rho, k) / k / special.log1p(-self.rho)
         elif self.family == GEOMETRIC:
-            out[valid] = stats.geom.pmf(nn[valid], 1.0 - self.beta)
+            p = 1.0 - self.beta
+            out[pos] = np.power(1.0 - p, nn[pos] - 1) * p
         elif self.family == ZETA:
-            pos = nn >= 1
             out[pos] = nn[pos].astype(float) ** -self.exponent / self._zeta_norm
         elif self.family == DEGENERATE:
             out[valid & (nn == self.value)] = 1.0
@@ -225,6 +240,8 @@ class UnivariateLaw:
 
     def _zeta_series_coeffs(self):
         if self._zeta_coeffs is None:
+            import mpmath
+
             s = self.exponent
             with mpmath.workdps(40):
                 coeffs = [float(mpmath.zeta(s - k))
@@ -244,6 +261,8 @@ class UnivariateLaw:
             n = np.arange(1, 60)
             return 1.0 - float(np.sum(z ** n / n ** s)) / self._zeta_norm
         if float(s).is_integer():
+            import mpmath
+
             digits = max(30, int(1.2 * (s - 1) * -math.log10(eps)) + 20)
             with mpmath.workdps(digits):
                 gap = 1 - mpmath.polylog(int(s), 1 - mpmath.mpf(eps)) / mpmath.zeta(s)
@@ -289,6 +308,8 @@ class UnivariateLaw:
         a = _LWT_BODY_MAX + 1
         tail = self._lwt_tail_sum(a)
         if s * a < 45.0:
+            from scipy.integrate import quad
+
             la = math.log(a)
             g = math.exp(-s * a) / (a * la * la)
             gprime = -math.exp(-s * a) * (s / (a * la * la)
@@ -305,8 +326,8 @@ class UnivariateLaw:
             integral = 0.0
             for lo, hi in pieces:
                 if hi > lo:
-                    val, _ = integrate.quad(damped, lo, hi,
-                                            epsabs=1e-14, epsrel=1e-11, limit=200)
+                    val, _ = quad(damped, lo, hi, epsabs=1e-14, epsrel=1e-11,
+                                  limit=200)
                     integral += val
             tail -= integral + 0.5 * g - gprime / 12.0
         return self._lwt_c * (body + tail)
@@ -382,40 +403,24 @@ class UnivariateLaw:
         if self.family == DEGENERATE:
             return self.value
         if self.family == FINITE:
-            return int(self.support[0])
+            return int(self.support[self.probs > 0][0])
         return 0
 
     def support_max(self):
-        """Largest support point, or None for unbounded families."""
+        """Largest n with P(S = n) > 0, or None for unbounded families.
+
+        Decided from the parameters alone, so a positive but tiny mass
+        (Poisson mean 1e-17, say) still counts.
+        """
         if self.family == BINOMIAL:
-            return self.count
+            return self.count if self.prob > 0.0 else 0
         if self.family == DEGENERATE:
             return self.value
         if self.family == FINITE:
-            return int(self.support[-1])
+            return int(self.support[self.probs > 0][-1])
         if self.family == POISSON and self.mu == 0.0:
             return 0
         return None
-
-    def truncation_support(self, q=TRUNCATION_QUANTILE):
-        """Smallest n with P(S <= n) >= q (analytic bound for zeta)."""
-        bounded = self.support_max()
-        if bounded is not None:
-            return bounded
-        if self.family == POISSON:
-            return int(stats.poisson.ppf(q, self.mu))
-        if self.family == NEG_BINOMIAL:
-            return int(stats.nbinom.ppf(q, self.shape, 1.0 / (1.0 + self.scale)))
-        if self.family == LOGARITHMIC:
-            return int(stats.logser.ppf(q, self.rho))
-        if self.family == GEOMETRIC:
-            return int(stats.geom.ppf(q, 1.0 - self.beta))
-        if self.family == ZETA:
-            # analytic tail bound inversion; can be astronomically large
-            s = self.exponent
-            n = ((s - 1.0) * self._zeta_norm * (1.0 - q)) ** (1.0 / (1.0 - s))
-            return int(math.ceil(n))
-        raise DomainError("log-weighted-tail has no practical truncation point")
 
     def sample(self, rng, size):
         """Draw ``size`` variates as an int64 array."""
@@ -428,11 +433,11 @@ class UnivariateLaw:
             lam = rng.gamma(self.shape, self.scale, size)
             return rng.poisson(lam).astype(np.int64)
         if self.family == LOGARITHMIC:
-            return stats.logser.rvs(self.rho, size=size, random_state=rng).astype(np.int64)
+            return rng.logseries(self.rho, size).astype(np.int64)
         if self.family == GEOMETRIC:
             return rng.geometric(1.0 - self.beta, size).astype(np.int64)
         if self.family == ZETA:
-            return stats.zipf.rvs(self.exponent, size=size, random_state=rng).astype(np.int64)
+            return rng.zipf(self.exponent, size).astype(np.int64)
         if self.family == DEGENERATE:
             return np.full(size, self.value, dtype=np.int64)
         if self.family == FINITE:
@@ -692,8 +697,8 @@ class BatchLaw:
         if self.variant == FINITE_TABLE:
             return (self.vectors[self.probs > 0] > 0).any(axis=0)
         if self.variant == INDEPENDENT:
-            return np.array([law.pmf(0) < 1.0 for law in self.laws])
-        return (self.entry_probs > 0) & (self.law.pmf(0) < 1.0)
+            return np.array([law.support_max() != 0 for law in self.laws])
+        return (self.entry_probs > 0) & (self.law.support_max() != 0)
 
     def sample_many(self, rng, count):
         """Draw ``count`` batch vectors as an int64 array (count, J)."""
@@ -718,6 +723,12 @@ class BatchLaw:
 
     def __repr__(self):
         return f"BatchLaw({self.variant}, J={self.J})"
+
+
+def poisson_pmf(n, mu):
+    """``scipy.stats.poisson.pmf(n, mu)``, bit for bit, for integers n >= 0
+    and mu >= 0; broadcasts."""
+    return np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
 
 
 def _multinomial_weight(n, probs):

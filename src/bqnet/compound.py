@@ -91,9 +91,6 @@ class CompoundSnapshot:
         self.t = float(t)
         self.rows = rows
         self.J = batch.J
-        if batch.variant == batchmod.IID_ASSIGNMENT:
-            # q_k(t) = sum_j p_j q^j_k(t): the per-customer placement row
-            self.mixed_row = batch.entry_probs @ rows
 
 
 def checked_rows(rows):

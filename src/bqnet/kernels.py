@@ -21,8 +21,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
+from .batch import poisson_pmf
 from .errors import (KernelDomainError, RefinementRequiredError,
                      UnsupportedRepresentationError, ValidationError)
 from .service import (EXPONENTIAL, generator, routing_matrix, validate_nodes,
@@ -122,7 +123,8 @@ class MarkovKernel(OccupancyKernel):
     ``UNIFORMIZATION_BUDGET`` bytes. Where the powers a series needs would
     themselves exceed that budget, or beyond r t = ``UNIFORMIZATION_MAX_A``,
     a scaling-and-squaring matrix exponential takes over (the two agree to
-    roundoff where they meet). Matrices are cached per time.
+    roundoff where they meet); ``scipy.linalg`` is imported only when a
+    time first needs it. Matrices are cached per time.
     """
 
     representation = "markov-uniformization"
@@ -168,10 +170,15 @@ class MarkovKernel(OccupancyKernel):
         if (n_max + 1) * (self.J + 1) ** 2 * 8 > UNIFORMIZATION_BUDGET:
             small = []   # the powers alone would not fit the budget
         series = set(small)
-        fresh = {t: linalg.expm(self.generator * t) for t in pending if t not in series}
+        beyond = [t for t in pending if t not in series]
+        fresh = {}
+        if beyond:
+            from scipy.linalg import expm
+
+            fresh = {t: expm(self.generator * t) for t in beyond}
         if small:
             a = self.uniformization_rate * np.array(small)
-            weights = _poisson_pmf(np.arange(n_max + 1)[:, None], a)
+            weights = poisson_pmf(np.arange(n_max + 1)[:, None], a)
             weights /= weights.sum(axis=0, keepdims=True)   # fold the tail back in
             powers = self._jump_powers(n_max)[:, None]
             step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
@@ -204,11 +211,6 @@ def _poisson_isf(q, a):
     n = np.ceil(special.pdtrik(1.0 - q, a))
     below = max(n - 1.0, 0.0)
     return below if special.pdtr(below, a) >= 1.0 - q else n
-
-
-def _poisson_pmf(n, a):
-    """``scipy.stats.poisson.pmf(n, a)`` for integers n >= 0 and a >= 0."""
-    return np.exp(special.xlogy(n, a) - special.gammaln(n + 1) - a)
 
 
 class GridKernel(OccupancyKernel):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, UnivariateLaw)
-from bqnet.batch import (BINOMIAL, DEGENERATE, LOGARITHMIC, NEG_BINOMIAL,
-                         POISSON)
-from bqnet.kernels import POISSON_TAIL, _poisson_isf, _poisson_pmf
+from bqnet.batch import (BINOMIAL, DEGENERATE, GEOMETRIC, LOGARITHMIC,
+                         NEG_BINOMIAL, POISSON, ZETA, poisson_pmf)
+from bqnet.kernels import POISSON_TAIL, _poisson_isf
 from bqnet.service import routing_matrix
 
 
@@ -50,6 +50,27 @@ def batch_tandem_model(tandem_nodes):
         batch=BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [1.0, 0.0]),
         nodes=[ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0, 0.0]),
                ServiceNode(ServiceLaw.exponential(2.0), [0.0, 0.0, 1.0])])
+
+
+def truncation_support(law, q=1.0 - 1e-12):
+    """Smallest n with P(S <= n) >= q, from ``scipy.stats`` quantiles (an
+    analytic tail bound for zeta), for truncating oracle sums over n."""
+    bounded = law.support_max()
+    if bounded is not None:
+        return bounded
+    if law.family == POISSON:
+        return int(stats.poisson.ppf(q, law.mu))
+    if law.family == NEG_BINOMIAL:
+        return int(stats.nbinom.ppf(q, law.shape, 1.0 / (1.0 + law.scale)))
+    if law.family == LOGARITHMIC:
+        return int(stats.logser.ppf(q, law.rho))
+    if law.family == GEOMETRIC:
+        return int(stats.geom.ppf(q, 1.0 - law.beta))
+    if law.family == ZETA:
+        s = law.exponent
+        n = ((s - 1.0) * law._zeta_norm * (1.0 - q)) ** (1.0 / (1.0 - s))
+        return int(math.ceil(n))
+    raise ValueError(f"{law.family} has no practical truncation point")
 
 
 def brute_force_iid_compound(law, qvec, i, n_top):
@@ -258,7 +279,7 @@ def oracle_uniformization(kernel, ts):
     a = kernel.uniformization_rate * np.asarray(ts, dtype=float)
     a_max = float(np.max(a))
     n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
-    weights = _poisson_pmf(np.arange(n_max + 1)[:, None], a)
+    weights = poisson_pmf(np.arange(n_max + 1)[:, None], a)
     weights /= weights.sum(axis=0, keepdims=True)
     power = np.eye(kernel.J + 1)
     acc = weights[0][:, None, None] * power

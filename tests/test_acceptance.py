@@ -22,7 +22,7 @@ from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    transient_zero_prob)
 from bqnet.compound import CompoundSnapshot, compound_pmf
 
-from conftest import brute_force_iid_compound
+from conftest import brute_force_iid_compound, truncation_support
 
 
 def report(name, ok, detail=""):
@@ -111,8 +111,8 @@ def test_a04_closed_form_compound_laws():
     for law in laws:
         batch = BatchLaw.iid_assignment(law, entry)
         snap = CompoundSnapshot(batch, Frozen(), 1.0)
-        qvec = snap.mixed_row[:3]
-        n_top = law.truncation_support(1.0 - 1e-16)
+        qvec = (batch.entry_probs @ snap.rows)[:3]
+        n_top = truncation_support(law, 1.0 - 1e-16)
         worst = 0.0
         for i in itertools.product(range(11), repeat=3):
             if sum(i) > 10:
@@ -148,7 +148,7 @@ def test_a05_poisson_multinomial_exact():
 
 def test_a06_harmonic_sum_identity(single_exp_node, mm_kernel):
     def series(law):
-        top = law.truncation_support(1.0 - 1e-15)
+        top = truncation_support(law, 1.0 - 1e-15)
         ns = np.arange(1, top + 1)
         return float(np.sum(law.pmf(ns) * np.cumsum(1.0 / ns)))
 

@@ -9,6 +9,8 @@ from scipy import stats
 
 from bqnet import BatchLaw, UnivariateLaw, ValidationError
 
+from conftest import truncation_support
+
 AB_FAMILIES = [
     UnivariateLaw.binomial(10, 0.3),
     UnivariateLaw.poisson(2.0),
@@ -66,13 +68,13 @@ class TestUnivariate:
     @pytest.mark.parametrize("law", AB_FAMILIES + [UnivariateLaw.degenerate(3)],
                              ids=lambda l: l.family)
     def test_truncated_pmf_normalises(self, law):
-        top = law.truncation_support()
+        top = truncation_support(law)
         total = float(law.pmf(np.arange(top + 1)).sum())
         assert abs(total - 1.0) <= 1e-10
 
     def test_zeta_truncation_is_analytic_bound(self):
         law = UnivariateLaw.zeta(1.5)
-        top = law.truncation_support()
+        top = truncation_support(law)
         # tail bound at the analytic quantile stays below the tolerance
         tail = top ** (1.0 - 1.5) / ((1.5 - 1.0) * 2.6123753486854883)
         assert tail <= 1.1e-12
@@ -132,6 +134,58 @@ class TestUnivariate:
             UnivariateLaw.binomial(0, 0.5)
 
 
+class TestScipyStatsClosedForms:
+    """The pmfs and samplers are the formulas and Generator calls that
+    ``scipy.stats`` uses, without importing it."""
+
+    N = np.arange(-2, 201)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-17, 1e-3, 0.5, 1.0, 2.0, 7.3, 50.0, 150.0])
+    def test_poisson_pmf_is_scipy_stats(self, mu):
+        got = UnivariateLaw.poisson(mu).pmf(self.N)
+        assert np.array_equal(got, stats.poisson.pmf(self.N, mu))
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.1, 0.5, 0.9, 0.999])
+    def test_geometric_pmf_is_scipy_stats(self, beta):
+        got = UnivariateLaw.geometric(beta).pmf(self.N)
+        assert np.array_equal(got, stats.geom.pmf(self.N, 1.0 - beta))
+
+    @pytest.mark.parametrize("rho", [1e-9, 0.1, 0.5, 0.9, 0.999])
+    def test_logarithmic_pmf_is_scipy_stats(self, rho):
+        got = UnivariateLaw.logarithmic(rho).pmf(self.N)
+        assert np.array_equal(got, stats.logser.pmf(self.N, rho))
+
+    @pytest.mark.parametrize("count", [1, 5, 40, 200])
+    @pytest.mark.parametrize("prob", [0.0, 1e-17, 0.3, 0.5, 0.97, 1.0])
+    def test_binomial_pmf_matches_scipy_stats(self, count, prob):
+        got = UnivariateLaw.binomial(count, prob).pmf(self.N)
+        np.testing.assert_allclose(got, stats.binom.pmf(self.N, count, prob),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 10.0])
+    @pytest.mark.parametrize("scale", [0.01, 0.5, 1.5, 20.0])
+    def test_negative_binomial_pmf_matches_scipy_stats(self, shape, scale):
+        got = UnivariateLaw.negative_binomial(shape, scale).pmf(self.N)
+        want = stats.nbinom.pmf(self.N, shape, 1.0 / (1.0 + scale))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("law,dist", [
+        (UnivariateLaw.logarithmic(0.1), stats.logser(0.1)),
+        (UnivariateLaw.logarithmic(0.95), stats.logser(0.95)),
+        (UnivariateLaw.zeta(1.5), stats.zipf(1.5)),
+        (UnivariateLaw.zeta(4.0), stats.zipf(4.0)),
+    ], ids=["logser-0.1", "logser-0.95", "zipf-1.5", "zipf-4"])
+    def test_samples_are_scipy_stats_draws(self, law, dist):
+        def rng():
+            key = np.array([20240901, 3], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        got = law.sample(rng(), 5000)
+        want = dist.rvs(size=5000, random_state=rng())
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 class TestBatchLaw:
     def test_pgf_normalisation_all_variants(self):
         laws = [
@@ -160,6 +214,22 @@ class TestBatchLaw:
         ]
         for law, want in cases:
             assert law.entry_mask().tolist() == want
+
+    def test_entry_mask_counts_tiny_entry_mass(self):
+        # P(S_j = 0) rounds to 1.0 here, yet P(S_j > 0) > 0
+        assert UnivariateLaw.poisson(1e-17).pmf(0) == 1.0
+        assert UnivariateLaw.binomial(3, 1e-17).pmf(0) == 1.0
+        laws = [BatchLaw.independent([UnivariateLaw.poisson(1.0),
+                                      UnivariateLaw.poisson(1e-17)]),
+                BatchLaw.iid_assignment(UnivariateLaw.binomial(3, 1e-17), [0.5, 0.5])]
+        for law in laws:
+            assert law.entry_mask().tolist() == [True, True]
+
+    def test_support_ignores_zero_probability_points(self):
+        assert UnivariateLaw.binomial(3, 0.0).support_max() == 0
+        assert UnivariateLaw.binomial(3, 1e-17).support_max() == 3
+        law = UnivariateLaw.finite_table({0: 0.0, 2: 0.4, 3: 0.6, 5: 0.0})
+        assert (law.support_min(), law.support_max()) == (2, 3)
 
     @pytest.mark.parametrize("law,oracle", [
         (BatchLaw.constant([2, 0, 1]),

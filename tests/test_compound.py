@@ -18,7 +18,8 @@ from bqnet.quadrature import QuadratureSpec
 from bqnet.tables import SimplexIndex, simplex_index
 from bqnet.transient import transient_pmf
 
-from conftest import brute_force_iid_compound, oracle_iid_lattice
+from conftest import (brute_force_iid_compound, oracle_iid_lattice,
+                      truncation_support)
 
 
 class FixedRowKernel:
@@ -93,8 +94,8 @@ class TestCompoundPMF:
         rows = [[0.35, 0.25, 0.40], [0.10, 0.55, 0.35]]
         batch = BatchLaw.iid_assignment(law, [0.7, 0.3])
         snap = snap_for(batch, rows)
-        qvec = snap.mixed_row[:2]
-        n_top = law.truncation_support(1.0 - 1e-16)
+        qvec = (batch.entry_probs @ snap.rows)[:2]
+        n_top = truncation_support(law, 1.0 - 1e-16)
         for i in itertools.product(range(7), repeat=2):
             if sum(i) > 6:
                 continue
@@ -107,7 +108,7 @@ class TestCompoundPMF:
         rows = [[0.35, 0.25, 0.40], [0.10, 0.55, 0.35]]
         batch = BatchLaw.iid_assignment(law, [0.7, 0.3])
         snap = snap_for(batch, rows)
-        qvec = snap.mixed_row[:2]
+        qvec = (batch.entry_probs @ snap.rows)[:2]
         for i in [(0, 0), (1, 0), (2, 1), (3, 2)]:
             want = brute_force_iid_compound(law, qvec, i, 300)
             assert compound_pmf(snap, i) == pytest.approx(want, abs=1e-10)
@@ -252,7 +253,7 @@ class TestOneFormulaLattice:
         entry[0] = 1.0
         snap = snap_for(BatchLaw.iid_assignment(law, entry), rows)
         (values, idx), tail = compound_lattice(snap, cap)
-        want, want_tail = oracle_iid_lattice(law, snap.mixed_row[:J], idx.array)
+        want, want_tail = oracle_iid_lattice(law, (entry @ snap.rows)[:J], idx.array)
         err = np.abs(values - want)
         assert np.all((err <= 1e-13 * np.abs(want)) | (err <= 1e-16))
         assert abs(tail - want_tail) <= 1e-12 * want_tail

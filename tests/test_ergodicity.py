@@ -8,6 +8,8 @@ from bqnet import (ArrivalProcess, BatchLaw, DomainError, MarkovKernel,
                    bundled_config_path, classify_ergodicity,
                    expected_batch_occupancy, load_config, transient_zero_prob)
 
+from conftest import truncation_support
+
 
 def model_for(batch, node=None):
     node = node or ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])
@@ -17,7 +19,7 @@ def model_for(batch, node=None):
 
 def harmonic_series_ew(law, mu=1.0, tol=1e-14):
     """Independent oracle: E[W] = sum_j P(S=j) H_j / mu."""
-    top = law.truncation_support(1.0 - 1e-15)
+    top = truncation_support(law, 1.0 - 1e-15)
     ns = np.arange(1, top + 1)
     H = np.cumsum(1.0 / ns)
     return float(np.sum(law.pmf(ns) * H)) / mu
@@ -169,6 +171,20 @@ class TestClassification:
         if rate > 0:
             assert verdict.verdict == "ergodic"
             assert verdict.expected_batch_time == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("batch", [
+        BatchLaw.independent([UnivariateLaw.poisson(1.0), UnivariateLaw.poisson(1e-17)]),
+        BatchLaw.iid_assignment(UnivariateLaw.binomial(3, 1e-17), [0.5, 0.5]),
+    ], ids=["independent-poisson", "iid-binomial"])
+    def test_tiny_entry_mass_reaches_absorbing_node(self, batch):
+        # P(S_2 = 0) rounds to 1.0, but customers do reach the absorbing node
+        nodes = [ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0]),
+                 ServiceNode(ServiceLaw.absorbing())]
+        model = NetworkModel(J=2, arrival=ArrivalProcess.constant(1.0),
+                             batch=batch, nodes=nodes)
+        verdict = classify_ergodicity(model, MarkovKernel(nodes, 2))
+        assert verdict.verdict == "non-ergodic"
+        assert verdict.criterion == "absorbing-reachable"
 
     def test_vivax_is_non_ergodic(self):
         # hypnozoites reach the absorbing queues D, C and PC

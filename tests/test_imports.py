@@ -1,11 +1,17 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and cold
+start imports no more than it needs.
 
 A static scan with ``ast``: a name counts as used when it appears as a
 ``Name`` node anywhere in the module (annotations included), and in
-``__init__.py`` also when ``__all__`` lists it as a re-export.
+``__init__.py`` also when ``__all__`` lists it as a re-export. The
+cold-start checks run in fresh interpreters and read ``sys.modules``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +65,49 @@ def test_package_exports_resolve():
     import bqnet
 
     assert all(hasattr(bqnet, name) for name in bqnet.__all__)
+
+
+# Modules that cold start must not pay for: each is imported on demand by
+# the one branch that needs it.
+ON_DEMAND = ("scipy.stats", "scipy.integrate", "scipy.linalg", "mpmath")
+
+_LOADED = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in {modules!r} if m in sys.modules)))
+"""
+
+
+def loaded_after(body, modules, cwd):
+    """Which of ``modules`` a fresh interpreter has loaded after ``body``."""
+    env = dict(os.environ)
+    paths = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)] + paths)
+    code = _LOADED.format(body=body, modules=modules)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_on_demand_module(tmp_path):
+    assert loaded_after("import bqnet", ON_DEMAND, tmp_path) == []
+
+
+def test_cli_ops_on_bundled_configs_load_no_on_demand_module(tmp_path):
+    calls = []
+    for config, J in (("mm_infty", 1), ("tandem_batch", 2), ("vivax", 8)):
+        t = "10" if config == "vivax" else "3"
+        calls += [["pmf", "--config", config, "--t", t, "--cap", "2"],
+                  ["pgf", "--config", config, "--t", t, "--z", ",".join(["0.5"] * J)],
+                  ["zero-prob", "--config", config, "--t", t],
+                  ["moments", "--config", config, "--t", t],
+                  ["ergodicity", "--config", config],
+                  ["simulate", "--config", config, "--t", t, "--reps", "200",
+                   "--seed", "1", "--cap", "2"]]
+    calls = [argv + ["-o", f"{k}.out"] for k, argv in enumerate(calls)]
+    body = ("from bqnet import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            # tandem_batch's arrivals are not homogeneous: its ergodicity
+            # call fails fast with DomainError's exit code
+            "assert codes.count(0) == len(codes) - 1, codes")
+    assert loaded_after(body, ON_DEMAND, tmp_path) == []

@@ -10,7 +10,8 @@ from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
                    ValidationError, bundled_config_path, load_config,
                    load_tabulated_kernel_csv)
 from bqnet import kernels as kernels_module
-from bqnet.kernels import POISSON_TAIL, _poisson_isf, _poisson_pmf
+from bqnet.batch import poisson_pmf
+from bqnet.kernels import POISSON_TAIL, _poisson_isf
 
 from conftest import oracle_renewal_solve, oracle_uniformization
 
@@ -181,7 +182,7 @@ class TestMarkovKernel:
             want = stats.poisson.isf(POISSON_TAIL, a_k)
             assert _poisson_isf(POISSON_TAIL, float(a_k)) == want
         n = np.arange(int(stats.poisson.isf(POISSON_TAIL, a[-1])) + 2)[:, None]
-        assert np.array_equal(_poisson_pmf(n, a), stats.poisson.pmf(n, a[None, :]))
+        assert np.array_equal(poisson_pmf(n, a), stats.poisson.pmf(n, a[None, :]))
 
     @pytest.mark.parametrize("name", BUNDLED_MARKOV)
     def test_cached_powers_match_per_term_series(self, name):

@@ -307,6 +307,18 @@ class TestTally:
                                           replications=500, seed=5, cap=10))
         assert blocks == []
 
+    def test_zero_time_loop_reached_by_tiny_entry_mass(self):
+        # P(S_2 = 0) rounds to 1.0, but the loop is reachable all the same
+        exits = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0])
+        loop = ServiceNode(ServiceLaw.deterministic(0.0), [0.0, 1.0, 0.0])
+        batch = BatchLaw.independent([UnivariateLaw.poisson(1.0),
+                                      UnivariateLaw.poisson(1e-17)])
+        model = NetworkModel(J=2, arrival=ArrivalProcess.constant(1.0),
+                             batch=batch, nodes=[exits, loop])
+        with pytest.raises(SimulationBudgetError):
+            run_simulation(SimulationPlan(model=model, times=(1.0,),
+                                          replications=500, seed=5, cap=10))
+
     def test_block_budget_on_zeta_batch(self):
         model = load_config(bundled_config_path("zeta_batch"))
         plan = SimulationPlan(model=model, times=(3.0,), replications=20_000,
