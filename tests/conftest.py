@@ -5,11 +5,12 @@ import pytest
 from scipy import special, stats
 
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
-                   ServiceLaw, ServiceNode, UnivariateLaw)
+                   ServiceLaw, ServiceNode, SimulationBudgetError, UnivariateLaw)
 from bqnet.batch import (BINOMIAL, DEGENERATE, GEOMETRIC, LOGARITHMIC,
                          NEG_BINOMIAL, POISSON, ZETA, poisson_pmf)
 from bqnet.kernels import POISSON_TAIL, _poisson_isf
 from bqnet.service import routing_matrix
+from bqnet.simulate import EXITED, MAX_CUSTOMER_EVENTS
 
 
 @pytest.fixture(scope="session")
@@ -287,3 +288,78 @@ def oracle_uniformization(kernel, ts):
         power = power @ kernel._jump_matrix
         acc += weights[n][:, None, None] * power
     return np.clip(acc, 0.0, 1.0)
+
+
+# -- per-node trajectory oracle ----------------------------------------------------
+#
+# The customer walk that the simulator's walk-and-tally pass replaced, kept
+# verbatim as its oracle: a boolean mask per node for the service draws and
+# another for the routing draws, and an (n, S) location array per block.
+
+
+def _oracle_draw_services(nodes, node_ids, rng):
+    """Service durations for customers grouped by node, in fixed node order."""
+    out = np.empty(node_ids.shape[0])
+    for j, node in enumerate(nodes):
+        mask = node_ids == j
+        count = int(mask.sum())
+        if count:
+            out[mask] = node.service.sample(rng, count)
+    return out
+
+
+def _oracle_route(nodes, J, node_ids, rng):
+    """Next node (J = exit) for departing customers, grouped by node."""
+    nxt = np.empty(node_ids.shape[0], dtype=np.int64)
+    for j, node in enumerate(nodes):
+        mask = node_ids == j
+        count = int(mask.sum())
+        if not count:
+            continue
+        if node.routing is None:
+            raise SimulationBudgetError("absorbing customers should never depart")
+        cum = np.cumsum(node.routing)
+        nxt[mask] = np.searchsorted(cum, rng.uniform(size=count), side="right")
+    return np.minimum(nxt, J)
+
+
+def oracle_trajectory_locations(nodes, J, entry_nodes, arrival_times,
+                                snapshot_times, rng):
+    """Node index per customer per snapshot (EXITED when gone or not arrived).
+
+    Vectorised across customers: each loop pass services every active
+    customer once, so draws happen in a deterministic (iteration, node)
+    order for a given stream. Callers check for zero-time loops first
+    (``bqnet.simulate._check_zero_time_loop``); ``MAX_CUSTOMER_EVENTS`` is
+    the backstop.
+    """
+    n = entry_nodes.shape[0]
+    snaps = np.asarray(snapshot_times, dtype=float)
+    out = np.full((n, snaps.size), EXITED, dtype=np.int64)
+    if n == 0:
+        return out
+    horizon = float(snaps.max()) if snaps.size else 0.0
+    node = entry_nodes.astype(np.int64).copy()
+    epoch = arrival_times.astype(float).copy()
+    active = np.ones(n, dtype=bool)
+    for _ in range(MAX_CUSTOMER_EVENTS):
+        if not active.any():
+            return out
+        idx = np.flatnonzero(active)
+        departs = epoch[idx] + _oracle_draw_services(nodes, node[idx], rng)
+        for s, t_s in enumerate(snaps):
+            present = (epoch[idx] <= t_s) & (t_s < departs)
+            out[idx[present], s] = node[idx[present]]
+        moving = departs <= horizon
+        done = idx[~moving]
+        active[done] = False
+        movers = idx[moving]
+        if movers.size:
+            nxt = _oracle_route(nodes, J, node[movers], rng)
+            exited = nxt == J
+            active[movers[exited]] = False
+            keep = movers[~exited]
+            node[keep] = nxt[~exited]
+            epoch[keep] = departs[moving][~exited]
+    raise SimulationBudgetError(
+        f"a customer exceeded {MAX_CUSTOMER_EVENTS} service completions")

@@ -257,18 +257,18 @@ class TestRenewalKernel:
             assert np.max(delta) <= 1e-5
 
     def test_erlang_tandem_vs_trajectory_oracle(self):
-        from bqnet.simulate import _block_rng, _trajectory_locations
+        from bqnet.simulate import _block_rng, _walk
         nodes = [ServiceNode(ServiceLaw.erlang(2, 2.0), [0.0, 1.0, 0.0]),
                  ServiceNode(ServiceLaw.exponential(2.0), [0.0, 0.0, 1.0])]
         kern = RenewalKernel(nodes, 2, TimeGrid(end=3.0, nodes=3001))
         reps = 1_000_000
         rng = _block_rng(2024, 0)
         offsets = np.array([0.5, 1.0, 2.0])
-        locs = _trajectory_locations(nodes, 2, np.zeros(reps, dtype=np.int64),
-                                     np.zeros(reps), offsets, rng)
+        counts = _walk(nodes, 2, np.zeros(reps, dtype=np.int64), np.zeros(reps),
+                       np.zeros(reps, dtype=np.int64), offsets, rng, 2)
         for col, t in enumerate(offsets):
             want = kern.eval(0, 1, float(t))
-            got = float(np.mean(locs[:, col] == 1))
+            got = counts[col, 1] / reps
             se = math.sqrt(want * (1.0 - want) / reps)
             assert abs(got - want) <= 3.0 * se + 2e-4
 

@@ -11,7 +11,9 @@ from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, ServiceLaw,
                    load_config, run_simulation, sample_arrival_times,
                    sample_trajectory)
 from bqnet.batch import _LWT_BODY_MAX
-from bqnet.simulate import BLOCK_SIZE, EXITED, _block_rng, _trajectory_locations
+from bqnet.simulate import BLOCK_SIZE, EXITED, _block_rng, _router, _walk
+from bqnet.tables import read_occupancy_csv
+from conftest import oracle_trajectory_locations
 
 LN2 = math.log(2.0)
 
@@ -27,8 +29,8 @@ def oracle_occupancy(model, times, seed, block, count):
     batches = model.batch.sample_many(rng, arr_times.size)
     totals = batches.sum(axis=1)
     entry = np.repeat(np.tile(np.arange(J), arr_times.size), batches.ravel())
-    locations = _trajectory_locations(model.nodes, J, entry,
-                                      np.repeat(arr_times, totals), snaps, rng)
+    locations = oracle_trajectory_locations(model.nodes, J, entry,
+                                            np.repeat(arr_times, totals), snaps, rng)
     rep = np.repeat(arr_reps, totals)
     occupancy = np.zeros((count, snaps.size, J), dtype=np.int64)
     for s in range(snaps.size):
@@ -55,6 +57,42 @@ def oracle_tally(plan):
                     key = tuple(int(v) for v in vec)
                     counts[s][key] = counts[s].get(key, 0) + int(c)
     return counts, overflow
+
+
+def mixed_network():
+    """J=5: Erlang, deterministic, tabulated with mass beyond its last knot,
+    exponential and absorbing nodes; a 0 <-> 1 feedback loop; piecewise
+    arrivals."""
+    nodes = [
+        ServiceNode(ServiceLaw.erlang(3, 2.0), [0.0, 0.5, 0.2, 0.0, 0.0, 0.3]),
+        ServiceNode(ServiceLaw.deterministic(0.7), [0.3, 0.0, 0.0, 0.4, 0.0, 0.3]),
+        ServiceNode(ServiceLaw.tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.3, 0.6, 0.9]),
+                    [0.0, 0.0, 0.0, 0.5, 0.1, 0.4]),
+        ServiceNode(ServiceLaw.exponential(1.5), [0.0, 0.2, 0.0, 0.0, 0.0, 0.8]),
+        ServiceNode(ServiceLaw.absorbing()),
+    ]
+    return NetworkModel(J=5, arrival=ArrivalProcess.piecewise([0.0, 1.0, 3.0],
+                                                              [2.0, 0.5, 1.5]),
+                        batch=BatchLaw.iid_assignment(UnivariateLaw.poisson(1.5),
+                                                      [0.4, 0.2, 0.2, 0.1, 0.1]),
+                        nodes=nodes)
+
+
+def chain_network(J=300):
+    """A J-node chain (node ids need uint16): each node passes on with
+    probability 0.95, and the last one feeds 20 nodes back uniformly."""
+    nodes = []
+    for j in range(J - 1):
+        row = np.zeros(J + 1)
+        row[j + 1], row[J] = 0.95, 0.05
+        nodes.append(ServiceNode(ServiceLaw.exponential(100.0), row))
+    row = np.zeros(J + 1)
+    row[:20] = row[J] = 1.0 / 21.0
+    nodes.append(ServiceNode(ServiceLaw.exponential(100.0), row))
+    entry = [0] * J
+    entry[0] = entry[250] = 1
+    return NetworkModel(J=J, arrival=ArrivalProcess.constant(2.0),
+                        batch=BatchLaw.constant(entry), nodes=nodes)
 
 
 class TestArrivalSampling:
@@ -165,11 +203,10 @@ class TestTrajectories:
     def test_exponential_survival(self, single_exp_node):
         rng = _block_rng(10, 0)
         reps = 1_000_000
-        from bqnet.simulate import _trajectory_locations
-        locs = _trajectory_locations([single_exp_node], 1,
-                                     np.zeros(reps, dtype=np.int64),
-                                     np.zeros(reps), np.array([1.0]), rng)
-        p_hat = float(np.mean(locs[:, 0] == 0))
+        counts = _walk([single_exp_node], 1, np.zeros(reps, dtype=np.int64),
+                       np.zeros(reps), np.zeros(reps, dtype=np.int64),
+                       np.array([1.0]), rng, 1)
+        p_hat = counts[0, 0] / reps
         want = math.exp(-1)
         se = math.sqrt(want * (1 - want) / reps)
         assert abs(p_hat - want) <= 3.0 * se
@@ -177,11 +214,10 @@ class TestTrajectories:
     def test_tandem_second_node(self, tandem_nodes):
         rng = _block_rng(11, 0)
         reps = 1_000_000
-        from bqnet.simulate import _trajectory_locations
-        locs = _trajectory_locations(tandem_nodes, 2,
-                                     np.zeros(reps, dtype=np.int64),
-                                     np.zeros(reps), np.array([LN2]), rng)
-        p_hat = float(np.mean(locs[:, 0] == 1))
+        counts = _walk(tandem_nodes, 2, np.zeros(reps, dtype=np.int64),
+                       np.zeros(reps), np.zeros(reps, dtype=np.int64),
+                       np.array([LN2]), rng, 2)
+        p_hat = counts[0, 1] / reps
         se = math.sqrt(0.25 * 0.75 / reps)
         assert abs(p_hat - 0.25) <= 3.0 * se
 
@@ -190,6 +226,13 @@ class TestTrajectories:
         rng = np.random.default_rng(12)
         locs = sample_trajectory(nodes, 0, rng, [0.0, 10.0, 1000.0])
         assert np.all(locs == 0)
+
+    def test_absorbing_customer_never_departs(self):
+        # only an infinite horizon lets an infinite service end before it
+        nodes = [ServiceNode(ServiceLaw.absorbing())]
+        rng = np.random.default_rng(12)
+        with pytest.raises(SimulationBudgetError, match="never depart"):
+            sample_trajectory(nodes, 0, rng, [math.inf])
 
     def test_budget_error_on_zero_service_loop(self):
         nodes = [ServiceNode(ServiceLaw.deterministic(0.0), [1.0, 0.0])]
@@ -259,6 +302,18 @@ class TestRunSimulation:
         assert est.overflow[0] > 0
         assert sum(est.counts[0].values()) + est.overflow[0] == plan.replications
 
+    def test_csv_width_when_every_vector_overflows(self, tmp_path):
+        nodes = [ServiceNode(ServiceLaw.absorbing()) for _ in range(3)]
+        model = NetworkModel(J=3, arrival=ArrivalProcess.constant(50.0),
+                             batch=BatchLaw.constant([1, 1, 1]), nodes=nodes)
+        est = run_simulation(SimulationPlan(model=model, times=(1.0,),
+                                            replications=5, seed=2, cap=0))
+        assert est.counts == [{}] and est.overflow == [5]
+        path = tmp_path / "empty.csv"
+        est.to_csv(path)
+        assert path.read_text().splitlines()[0] == "n_1,n_2,n_3,prob,stderr,replications"
+        assert read_occupancy_csv(path)[0] == 3
+
     def test_plan_validation(self, mm_model):
         with pytest.raises(ValidationError):
             SimulationPlan(model=mm_model, times=(1.0,), replications=0, seed=1)
@@ -286,6 +341,39 @@ class TestTally:
         assert est.overflow == overflow
         if config == "vivax" or cap == 0:
             assert min(overflow) > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model, times, replications, cap", [
+        (mixed_network(), (0.0, 0.5, 2.5, 4.0), 2 * BLOCK_SIZE + 123, 30),
+        (chain_network(), (0.5, 2.0), 300, 10),
+        (load_config(bundled_config_path("tandem_batch")), (0.0,), BLOCK_SIZE + 7, 25),
+    ], ids=["mixed-J5", "chain-J300", "t0-only"])
+    def test_matches_oracle_on_wider_networks(self, model, times, replications,
+                                              cap, workers):
+        plan = SimulationPlan(model=model, times=times, replications=replications,
+                              seed=31, cap=cap)
+        est = run_simulation(plan, workers=workers)
+        counts, overflow = oracle_tally(plan)
+        assert est.counts == counts
+        assert est.overflow == overflow
+        assert sum(est.counts[-1].values()) + est.overflow[-1] == replications
+
+    def test_router_matches_binary_search(self):
+        rng = np.random.default_rng(33)
+        u = rng.uniform(size=20_000)
+        rows = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                [0.1] * 10, [0.3, 0.0, 0.3, 0.4 - 1e-12, 0.0]]
+        for J in (3, 12, 40, 300):
+            for density in (0.05, 0.5, 1.0):
+                row = rng.uniform(size=J + 1) * (rng.uniform(size=J + 1) < density)
+                row[rng.integers(J + 1)] += 0.5
+                rows.append(row / row.sum())
+        for row in rows:
+            J = len(row) - 1
+            route = _router(np.asarray(row), J, np.min_scalar_type(J))
+            want = np.minimum(np.searchsorted(np.cumsum(row), u, side="right"), J)
+            np.testing.assert_array_equal(route(u), want)
+            assert route(u).dtype == np.min_scalar_type(J)
 
     def test_zero_time_loop_checked_once_for_entry_queues(self, monkeypatch):
         exits = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0])
