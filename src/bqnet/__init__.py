@@ -7,9 +7,8 @@ from .batch import BatchLaw, UnivariateLaw
 from .compound import (CompoundSnapshot, compound_lattice, compound_pgf,
                        compound_pmf, poisson_multinomial_pmf)
 from .config import bundled_config_path, load_config, parse_config
-from .ergodicity import (BatchOccupancyIntegral, HorizonPolicy,
-                         StabilityVerdict, classify_ergodicity,
-                         expected_batch_occupancy)
+from .ergodicity import (BatchOccupancyIntegral, StabilityVerdict,
+                         classify_ergodicity, expected_batch_occupancy)
 from .errors import (BqnetError, ConvergenceError, DomainError,
                      KernelDomainError, RefinementRequiredError,
                      ResourceBudgetError, SimulationBudgetError,
@@ -32,7 +31,7 @@ __all__ = [
     'classify_ergodicity',
     'compound_lattice', 'compound_pgf', 'compound_pmf',
     'CompoundSnapshot', 'ConvergenceError', 'DomainError',
-    'expected_batch_occupancy', 'HorizonPolicy', 'KernelDomainError',
+    'expected_batch_occupancy', 'KernelDomainError',
     'LatticePMF', 'load_config', 'load_tabulated_kernel_csv',
     'MarkovKernel', 'NetworkModel', 'OccupancyKernel', 'parse_config',
     'poisson_multinomial_pmf', 'QuadratureSpec', 'read_occupancy_csv',

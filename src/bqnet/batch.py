@@ -1,13 +1,15 @@
 """Batch-size laws: univariate families and multivariate batch representations.
 
 The multivariate batch law S drives everything downstream, so it comes in
-the four shapes that each unlock a different fast path:
+the three shapes that each unlock a different fast path:
 
 * ``finite-table``   -- an explicit map from occupancy vectors to probabilities
 * ``iid-assignment`` -- one univariate batch size, each customer independently
                         assigned an entry queue by a probability vector p
 * ``independent-marginals`` -- one univariate law per queue, independent
-* ``constant``       -- a fixed vector
+
+A constant batch (:meth:`BatchLaw.constant`) is the finite table with one
+vector.
 
 Univariate families include the (a, b)-recursive class (binomial, Poisson,
 negative binomial, logarithmic, geometric) plus zeta, degenerate,
@@ -100,7 +102,7 @@ class UnivariateLaw:
             if not table:
                 raise ValidationError("finite table must be non-empty")
             for n, p in table.items():
-                if int(n) != n or n < 0 or p < 0:
+                if not float(n).is_integer() or n < 0 or p < 0:
                     raise ValidationError("finite table needs nonnegative integer "
                                           "support and probabilities")
             total = float(sum(table.values()))
@@ -488,11 +490,30 @@ class UnivariateLaw:
 FINITE_TABLE = "finite-table"
 IID_ASSIGNMENT = "iid-assignment"
 INDEPENDENT = "independent-marginals"
-CONSTANT = "constant"
 
 # Overshoot above z = 1 tolerated by pgf() so finite-difference probes of
 # moments can straddle the boundary.
 PGF_OVERSHOOT = 1e-3
+
+
+def check_pgf_argument(z, J):
+    """``z`` as a float J-vector in the unit box (up to ``PGF_OVERSHOOT``)."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (J,):
+        raise ValidationError(f"PGF argument must have length {J}")
+    if np.any(z < 0.0) or np.any(z > 1.0 + PGF_OVERSHOOT):
+        raise ValidationError("PGF argument entries must lie in [0, 1]")
+    return z
+
+
+def check_occupancy_vector(n, J):
+    """``n`` as an int64 J-vector of nonnegative integers."""
+    n = np.asarray(n)
+    if n.shape != (J,):
+        raise ValidationError(f"occupancy vector must have length {J}")
+    if np.any(n < 0) or np.any(n != n.astype(np.int64)):
+        raise ValidationError("occupancy vector entries must be nonnegative integers")
+    return n.astype(np.int64)
 
 
 class BatchLaw:
@@ -509,13 +530,13 @@ class BatchLaw:
                 raise ValidationError("finite batch table must be non-empty")
             vectors, probs = [], []
             for vec, p in sorted(table.items()):
-                vec = tuple(int(v) for v in vec)
-                if len(vec) != J or any(v < 0 for v in vec):
+                vec = tuple(vec)
+                if len(vec) != J or any(v < 0 or not float(v).is_integer() for v in vec):
                     raise ValidationError(
-                        f"batch table key {vec} is not a nonnegative {J}-vector")
+                        f"batch table key {vec} is not a nonnegative integer {J}-vector")
                 if p < 0:
                     raise ValidationError("batch table probabilities must be >= 0")
-                vectors.append(vec)
+                vectors.append(tuple(int(v) for v in vec))
                 probs.append(float(p))
             total = math.fsum(probs)
             if abs(total - 1.0) > PROB_SUM_TOL:
@@ -536,11 +557,6 @@ class BatchLaw:
             if len(laws) != J:
                 raise ValidationError("need one marginal law per queue")
             self.laws = laws
-        elif variant == CONSTANT:
-            vec = np.asarray(kwargs["vector"])
-            if vec.shape != (J,) or np.any(vec < 0) or np.any(vec != vec.astype(np.int64)):
-                raise ValidationError("constant batch must be a nonnegative integer J-vector")
-            self.vector = vec.astype(np.int64)
         else:
             raise ValidationError(f"unknown batch variant {variant!r}")
 
@@ -559,21 +575,15 @@ class BatchLaw:
 
     @classmethod
     def constant(cls, vector):
-        return cls(CONSTANT, len(tuple(vector)), vector=tuple(vector))
+        """The batch that is always ``vector``: a finite table with one row."""
+        vector = tuple(vector)
+        return cls(FINITE_TABLE, len(vector), table={vector: 1.0})
 
     # -- PGF -----------------------------------------------------------------
 
-    def _check_z(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.J,):
-            raise ValidationError(f"PGF argument must have length {self.J}")
-        if np.any(z < 0.0) or np.any(z > 1.0 + PGF_OVERSHOOT):
-            raise ValidationError("PGF argument entries must lie in [0, 1]")
-        return z
-
     def pgf(self, z):
         """E[prod z_k^{S_k}] for z in the unit box."""
-        return 1.0 - self.pgf_gap(1.0 - self._check_z(z))
+        return 1.0 - self.pgf_gap(1.0 - check_pgf_argument(z, self.J))
 
     def pgf_gap(self, eps):
         """1 - pgf(1 - eps), stable for tiny eps (no unit-box check).
@@ -597,29 +607,17 @@ class BatchLaw:
             return -np.expm1(log_keep)
         with np.errstate(divide="ignore"):
             logz = np.log1p(-np.minimum(eps, 1.0))
-        vectors = self.vector[None, :] if self.variant == CONSTANT else self.vectors
-        probs = np.ones(1) if self.variant == CONSTANT else self.probs
         # sum_k s_k log z_k per table vector s, with 0 * log 0 = 0
         bad = ~np.isfinite(logz)
-        pw = np.where(bad, 0.0, logz) @ vectors.T
-        hits = (bad[:, None, :] & (vectors[None, :, :] > 0)).any(axis=2)
-        return -np.expm1(np.where(hits, -np.inf, pw)) @ probs
+        pw = np.where(bad, 0.0, logz) @ self.vectors.T
+        hits = (bad[:, None, :] & (self.vectors[None, :, :] > 0)).any(axis=2)
+        return -np.expm1(np.where(hits, -np.inf, pw)) @ self.probs
 
     # -- PMF -----------------------------------------------------------------
 
-    def _check_n(self, n):
-        n = np.asarray(n)
-        if n.shape != (self.J,):
-            raise ValidationError(f"occupancy vector must have length {self.J}")
-        if np.any(n < 0) or np.any(n != n.astype(np.int64)):
-            raise ValidationError("occupancy vector entries must be nonnegative integers")
-        return n.astype(np.int64)
-
     def pmf(self, n):
         """Exact P(S = n)."""
-        n = self._check_n(n)
-        if self.variant == CONSTANT:
-            return 1.0 if np.array_equal(n, self.vector) else 0.0
+        n = check_occupancy_vector(n, self.J)
         if self.variant == INDEPENDENT:
             return float(np.prod([law.pmf(int(v))
                                   for law, v in zip(self.laws, n)]))
@@ -638,20 +636,16 @@ class BatchLaw:
         """Order 1: E[S_j] as a vector. Order 2: E[S_j (S_k - delta_jk)] as a
         matrix. Divergent entries are math.inf."""
         if order == 1:
-            if self.variant == CONSTANT:
-                return self.vector.astype(float)
             if self.variant == INDEPENDENT:
                 return np.array([law.mean() for law in self.laws])
             if self.variant == FINITE_TABLE:
                 return self.probs @ self.vectors
-            return self.law.mean() * self.entry_probs
+            mean = self.law.mean()
+            if math.isinf(mean):
+                return np.where(self.entry_probs > 0, math.inf, 0.0)
+            return mean * self.entry_probs
         if order != 2:
             raise ValidationError("factorial moments are defined for order 1 or 2")
-        if self.variant == CONSTANT:
-            s = self.vector.astype(float)
-            out = np.outer(s, s)
-            np.fill_diagonal(out, s * (s - 1.0))
-            return out
         if self.variant == INDEPENDENT:
             means = np.array([law.mean() for law in self.laws])
             out = _safe_outer(means, means)
@@ -692,8 +686,6 @@ class BatchLaw:
 
     def entry_mask(self):
         """Boolean J-vector: whether P(S_j > 0) > 0 for each queue j."""
-        if self.variant == CONSTANT:
-            return self.vector > 0
         if self.variant == FINITE_TABLE:
             return (self.vectors[self.probs > 0] > 0).any(axis=0)
         if self.variant == INDEPENDENT:
@@ -704,9 +696,10 @@ class BatchLaw:
         """Draw ``count`` batch vectors as an int64 array (count, J)."""
         if count == 0:
             return np.zeros((0, self.J), dtype=np.int64)
-        if self.variant == CONSTANT:
-            return np.tile(self.vector, (count, 1))
         if self.variant == FINITE_TABLE:
+            if len(self.probs) == 1:
+                # rng.choice would consume the stream even with one option
+                return np.tile(self.vectors[0], (count, 1))
             idx = rng.choice(self.vectors.shape[0], p=self.probs, size=count)
             return self.vectors[idx]
         if self.variant == INDEPENDENT:

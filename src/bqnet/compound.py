@@ -57,7 +57,7 @@ from scipy import special
 
 from . import batch as batchmod
 from .errors import DomainError, ResourceBudgetError, ValidationError
-from .tables import LatticePMF, simplex_index
+from .tables import LatticePMF, simplex_index, simplex_rank
 
 ROW_TOL = 1e-12
 NEGATIVE_CLAMP = 1e-10
@@ -107,25 +107,16 @@ def checked_rows(rows):
 
 def compound_pgf(snap: CompoundSnapshot, z):
     """E[prod z_k^{C_k(t)}] = G_S(1 + sum_k (z_k - 1) q^j_k(t), ...)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (snap.J,):
-        raise ValidationError(f"PGF argument must have length {snap.J}")
-    if np.any(z < 0.0) or np.any(z > 1.0 + batchmod.PGF_OVERSHOOT):
-        raise ValidationError("PGF argument entries must lie in [0, 1]")
+    z = batchmod.check_pgf_argument(z, snap.J)
     eps = snap.rows[:, : snap.J] @ (1.0 - z)
     return 1.0 - snap.batch.pgf_gap(eps)
 
 
 def compound_pmf(snap: CompoundSnapshot, i):
     """P(C(t) = i) for a nonnegative integer vector i."""
-    i = np.asarray(i)
-    if i.shape != (snap.J,):
-        raise ValidationError(f"occupancy vector must have length {snap.J}")
-    if np.any(i < 0) or np.any(i != i.astype(np.int64)):
-        raise ValidationError("occupancy vector entries must be nonnegative integers")
-    i = i.astype(np.int64)
-    (values, idx), _ = compound_lattice(snap, int(i.sum()))
-    return float(values[idx.position[tuple(i.tolist())]])
+    i = batchmod.check_occupancy_vector(i, snap.J)
+    (values, _), _ = compound_lattice(snap, int(i.sum()))
+    return float(values[simplex_rank(i[None])[0]])
 
 
 def compound_lattice(snap: CompoundSnapshot, cap):
@@ -161,10 +152,9 @@ def lattice_stack(batch, rows, idx, out=None):
         mixtures = [(1.0, [(law, j) for j, law in enumerate(batch.laws)
                            if law.support_max() != 0])]
     else:
-        table = ([(batch.vector, 1.0)] if batch.variant == batchmod.CONSTANT
-                 else zip(batch.vectors, batch.probs))
         mixtures = [(p, [(batchmod.UnivariateLaw.degenerate(int(n)), j)
-                         for j, n in enumerate(vec) if n > 0]) for vec, p in table]
+                         for j, n in enumerate(vec) if n > 0])
+                    for vec, p in zip(batch.vectors, batch.probs)]
     # a placement's largest working arrays are its (|idx|, J) log powers
     step = _nodes_per_chunk(len(idx) * idx.J)
     values = np.empty((m, len(idx))) if out is None else out
@@ -378,4 +368,4 @@ def poisson_multinomial_pmf(rows, budget=POISSON_MULTINOMIAL_BUDGET):
     if abs(total - 1.0) > MASS_TOL:
         raise DomainError(f"DFT masses sum to {total}, not 1")
     return LatticePMF(J, m, values, tail_mass=0.0,
-                      meta={"_index": idx, "clamped_entries": clamped})
+                      meta={"clamped_entries": clamped})

@@ -95,13 +95,16 @@ def _build_univariate(block, path, collector):
     if not _check_keys(block, _FAMILY_KEYS[name], _FAMILY_KEYS[name], path, collector):
         return None
     params = {k: block[k] for k in _FAMILY_KEYS[name]}
-    if name == "finite-table":
-        table = params["table"]
-        if isinstance(table, dict):
-            params["table"] = {int(k): float(v) for k, v in table.items()}
-        else:
-            params["table"] = {int(n): float(p) for n, p in table}
-    return collector.attempt(path, lambda: UnivariateLaw(name, **params))
+
+    def build():
+        if name == "finite-table":
+            # object keys are strings; UnivariateLaw rejects non-integers
+            table = params["table"]
+            pairs = table.items() if isinstance(table, dict) else table
+            params["table"] = {float(n): float(p) for n, p in pairs}
+        return UnivariateLaw(name, **params)
+
+    return collector.attempt(path, build)
 
 
 def _load_batch_table(block, J, base_dir, path, collector):
@@ -119,13 +122,12 @@ def _load_batch_table(block, J, base_dir, path, collector):
     if not isinstance(rows, list):
         collector.error(path, "inline table must be a list of [n_1,...,n_J,prob] rows")
         return None
-    out = {}
     for row in rows:
-        if len(row) != J + 1:
+        if not isinstance(row, list) or len(row) != J + 1:
             collector.error(path, f"table row {row} needs {J + 1} entries")
             return None
-        out[tuple(int(v) for v in row[:J])] = float(row[J])
-    return out
+    # BatchLaw validates the entries
+    return [(tuple(row[:J]), row[J]) for row in rows]
 
 
 def _build_batch(block, J, base_dir, collector):

@@ -39,18 +39,16 @@ ABSORBING_REACHABLE = "absorbing-reachable"
 _PANEL_QUAD = QuadratureSpec(initial_nodes=17, rtol=1e-9, atol=1e-9,
                              max_doublings=12)
 _SUBSTOCHASTIC_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class HorizonPolicy:
-    """Geometric horizon growth for the E[W] integral."""
-
-    start: float = 1.0
-    max_doublings: int = 48
-    integrand_floor: float = 1e-12
-    relative_change: float = 1e-8
-    slow_decay_margin: float = 1e-3
-    slow_decay_runs: int = 4
+# Geometric horizon growth for the E[W] integral: the first horizon, the
+# number of doublings, the integrand floor and relative panel change that
+# end it, and the slow-decay test (exponents below 1 + margin for that
+# many consecutive doublings).
+_HORIZON_START = 1.0
+_HORIZON_DOUBLINGS = 48
+_INTEGRAND_FLOOR = 1e-12
+_RELATIVE_CHANGE = 1e-8
+_SLOW_DECAY_MARGIN = 1e-3
+_SLOW_DECAY_RUNS = 4
 
 
 @dataclass
@@ -74,13 +72,13 @@ class BatchOccupancyIntegral:
         return self.status == "finite"
 
 
-def expected_batch_occupancy(model, kernel, policy: HorizonPolicy = HorizonPolicy()):
+def expected_batch_occupancy(model, kernel):
     """E[W] = int_0^inf [1 - G_S(1 - Q_1(tau), ...)] dtau, or a divergence signal.
 
     Composite Simpson on [0, T] with T doubled geometrically until the
     integrand drops below the floor and the value settles; if the
     integrand decays slower than tau^-(1 + margin) across
-    ``slow_decay_runs`` consecutive doublings, returns the infinity
+    ``_SLOW_DECAY_RUNS`` consecutive doublings, returns the infinity
     signal carrying the measured decay exponent.
     """
     batch = model.batch
@@ -92,14 +90,14 @@ def expected_batch_occupancy(model, kernel, policy: HorizonPolicy = HorizonPolic
         return float(integrand(np.array([tau]))[0])
 
     try:
-        horizon = policy.start
+        horizon = _HORIZON_START
         total, _ = simpson_refine(integrand, 0.0, horizon, _PANEL_QUAD,
                                   "batch occupancy panel")
         partials = [total]
         g_prev = point(horizon)
         exponents = []
         measured = []
-        for _ in range(policy.max_doublings):
+        for _ in range(_HORIZON_DOUBLINGS):
             new_horizon = horizon * 2.0
             g_new = point(new_horizon)
             if (g_new == 0.0 and g_prev > 0.0
@@ -117,7 +115,7 @@ def expected_batch_occupancy(model, kernel, policy: HorizonPolicy = HorizonPolic
             total += panel
             partials.append(total)
             # decay exponents are only meaningful well above the noise floor
-            measurable = 100.0 * policy.integrand_floor
+            measurable = 100.0 * _INTEGRAND_FLOOR
             if g_prev > measurable and g_new > measurable:
                 beta = math.log2(g_prev / g_new)
                 if beta < -0.05:
@@ -129,14 +127,14 @@ def expected_batch_occupancy(model, kernel, policy: HorizonPolicy = HorizonPolic
             else:
                 exponents.append(math.inf)
             horizon, g_prev = new_horizon, g_new
-            if (g_new < policy.integrand_floor
-                    and panel <= policy.relative_change * max(total, 1e-300)):
+            if (g_new < _INTEGRAND_FLOOR
+                    and panel <= _RELATIVE_CHANGE * max(total, 1e-300)):
                 return BatchOccupancyIntegral(total, "finite", horizon,
                                               exponents[-1] if exponents else None,
                                               partials)
-            recent = exponents[-policy.slow_decay_runs:]
-            if (len(recent) == policy.slow_decay_runs
-                    and all(b < 1.0 + policy.slow_decay_margin for b in recent)):
+            recent = exponents[-_SLOW_DECAY_RUNS:]
+            if (len(recent) == _SLOW_DECAY_RUNS
+                    and all(b < 1.0 + _SLOW_DECAY_MARGIN for b in recent)):
                 return BatchOccupancyIntegral(
                     math.inf, "infinite", horizon,
                     float(np.mean(recent)), partials,
@@ -205,8 +203,7 @@ def _service_certificates(nodes, J):
     }
 
 
-def classify_ergodicity(model, kernel, polynomial_tail_alpha=None,
-                        policy: HorizonPolicy = HorizonPolicy()):
+def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
     """Stability verdict for a homogeneous-arrival network.
 
     Decision ladder: an absorbing node that arriving customers can reach
@@ -235,7 +232,7 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None,
                                 diagnostics)
 
     def with_ew(verdict):
-        ew = expected_batch_occupancy(model, kernel, policy)
+        ew = expected_batch_occupancy(model, kernel)
         if ew.is_finite:
             verdict.expected_batch_time = ew.value
             verdict.diagnostics["ew_horizon"] = ew.horizon
@@ -256,7 +253,7 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None,
         if batch.fractional_moment_finite(polynomial_tail_alpha):
             return with_ew(StabilityVerdict(ERGODIC, FRACTIONAL_MOMENT, None,
                                             diagnostics))
-    ew = expected_batch_occupancy(model, kernel, policy)
+    ew = expected_batch_occupancy(model, kernel)
     diagnostics["ew_status"] = ew.status
     diagnostics["ew_horizon"] = ew.horizon
     if ew.decay_exponent is not None and math.isfinite(ew.decay_exponent):

@@ -5,8 +5,10 @@ network at node j sits in node k a time t later; its row sum Q_j(t) is
 the probability the customer is still anywhere in the network. Every
 analytic formula in this package consumes kernels through one contract:
 
-    placement_rows(t) -> (J, J+1) array, row j = (q^j_1 ... q^j_J, 1-Q_j)
+    placement_rows_many(ts) -> (len(ts), J, J+1) array, one (J, J+1)
+    matrix per time whose row j is (q^j_1 ... q^j_J, 1-Q_j)
 
+and ``placement_rows(t)``, the stack of one, ``placement_rows_many([t])[0]``.
 Three interchangeable constructions are provided: uniformization of the
 customer-path CTMC (all-exponential networks), a Markov-renewal grid
 solver (general service laws), and tabulated values loaded from CSV.
@@ -69,34 +71,20 @@ class OccupancyKernel:
         self.J = J
 
     def placement_rows(self, t):
-        raise NotImplementedError
+        """Placement rows at one time, shape (J, J+1)."""
+        return self.placement_rows_many([t])[0]
 
     def placement_rows_many(self, ts):
         """Stack of placement rows, shape (len(ts), J, J+1)."""
-        return np.stack([self.placement_rows(t) for t in np.asarray(ts, dtype=float)])
+        raise NotImplementedError
 
-    def transition_matrix(self, t):
-        """q^j_k(t) as a (J, J) array."""
-        return self.placement_rows(t)[:, : self.J]
-
-    def eval(self, j, k, t):
-        """q^j_k(t) for 0-based node indices."""
-        if not 0 <= j < self.J or not 0 <= k < self.J:
-            raise IndexError(f"node index out of range for J={self.J}")
-        return float(self.placement_rows(t)[j, k])
-
-    def survival(self, j, t):
-        """Q_j(t) = sum_k q^j_k(t), clamped to [0, 1].
+    def survival_vectors(self, ts):
+        """Q_j(t) = sum_k q^j_k(t), clamped to [0, 1], shape (len(ts), J).
 
         Summing the queue columns (rather than complementing the exit
         column) keeps the truncation error one-sided, so Q decays cleanly
         to zero at large t.
         """
-        if not 0 <= j < self.J:
-            raise IndexError(f"node index out of range for J={self.J}")
-        return float(np.clip(self.placement_rows(t)[j, : self.J].sum(), 0.0, 1.0))
-
-    def survival_vectors(self, ts):
         rows = self.placement_rows_many(ts)
         return np.clip(rows[:, :, : self.J].sum(axis=2), 0.0, 1.0)
 
@@ -111,9 +99,7 @@ class MarkovKernel(OccupancyKernel):
     tail is below ``POISSON_TAIL`` and renormalised. The truncation point
     and the weights are ``scipy.stats.poisson``'s ``isf`` and ``pmf``,
     bit for bit, evaluated straight from ``scipy.special``. All the times of
-    one call share one series, truncated for the largest of them, so a
-    single time gives the same matrix whether it is asked for alone or in
-    a stack of one.
+    one call share one series, truncated for the largest of them.
 
     The jump-matrix powers P^0, P^1, ... are computed once, on first use,
     and cached, so each call is one weighted sum over the cached powers:
@@ -146,13 +132,6 @@ class MarkovKernel(OccupancyKernel):
             self._jump_matrix = np.eye(J + 1)
         self._powers = np.empty((0, J + 1, J + 1))
         self._cache = {}
-
-    def augmented_matrix(self, t):
-        """Full (J+1, J+1) transition matrix including the exit state."""
-        return self._transition_matrices([t])[0]
-
-    def placement_rows(self, t):
-        return self.augmented_matrix(t)[: self.J, :]
 
     def placement_rows_many(self, ts):
         mats = self._transition_matrices(ts)
@@ -223,9 +202,6 @@ class GridKernel(OccupancyKernel):
     def _cover(self, t):
         """Make the grid reach ``t`` or raise :class:`KernelDomainError`."""
         raise NotImplementedError
-
-    def placement_rows(self, t):
-        return self.placement_rows_many([t])[0]
 
     def placement_rows_many(self, ts):
         ts = np.asarray(ts, dtype=float)

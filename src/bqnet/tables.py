@@ -6,7 +6,9 @@ unassigned tail mass. Both the analytic recursion and the simulator emit
 the same CSV schema (``n_1,...,n_J,prob[,stderr,replications]``) so the
 compare tooling can treat them uniformly.
 
-The simplex itself is a :class:`SimplexIndex`; its :class:`PairTable`
+A vector's only key is its graded-lex position, :func:`simplex_rank`,
+which no cap changes. The simplex itself is a :class:`SimplexIndex`,
+whose ``array`` lists the vectors by position; its :class:`PairTable`
 lists every split n = a + b on it, which makes truncated convolution
 gathers plus one ``np.add.reduceat`` and each degree of the occupancy
 recursion of :mod:`bqnet.transient` gathers plus one ``np.bincount``.
@@ -53,10 +55,10 @@ def simplex_rank(vecs):
     nonnegative integers (the combinatorial number system).
 
     A row's position depends only on the row, not on any cap: the index at
-    a smaller cap is a prefix of the larger one, so this equals
-    ``SimplexIndex(J, cap).rank`` for every cap at or above the row's
-    total. Raises :class:`ResourceBudgetError` when a row's total d makes
-    C(d + J, J), the number of vectors of total <= d, reach 2**63.
+    a smaller cap is a prefix of the larger one, so this is the row's
+    position in ``SimplexIndex(J, cap).array`` for every cap at or above
+    the row's total. Raises :class:`ResourceBudgetError` when a row's total
+    d makes C(d + J, J), the number of vectors of total <= d, reach 2**63.
     """
     vecs = np.asarray(vecs, dtype=np.int64)
     J = vecs.shape[1]
@@ -107,8 +109,9 @@ class SimplexIndex:
     decreasing lexicographic order, so ``(cap, 0, ..., 0)`` comes first
     among those of total ``cap``. The index at a smaller cap is therefore
     a prefix of this one, and the vectors of total d are the positions
-    ``degree_start[d]:degree_start[d + 1]``. :meth:`rank` maps vectors to
-    positions without a lookup table (the combinatorial number system).
+    ``degree_start[d]:degree_start[d + 1]``. :attr:`array` lists the
+    vectors by position, and :func:`simplex_rank` maps vectors back to
+    positions.
 
     :attr:`pairs` is the :class:`PairTable` of the simplex. It turns the
     truncated convolution of two value arrays, or of two stacks of them,
@@ -134,10 +137,8 @@ class SimplexIndex:
             first = np.repeat(np.cumsum(room + 1) - (room + 1), room + 1)
             vecs = np.column_stack([vecs, np.arange(len(vecs)) - first])
         self.array = np.empty_like(vecs)
-        self.array[self.rank(vecs)] = vecs
+        self.array[simplex_rank(vecs)] = vecs
         self.array.flags.writeable = False
-        self.vectors = tuple(map(tuple, self.array.tolist()))
-        self.position = {v: i for i, v in enumerate(self.vectors)}
         # last nonzero coordinate of each vector (the recursion's pivot)
         # and its value
         self._pivot = J - 1 - np.argmax(self.array[:, ::-1] > 0, axis=1)
@@ -145,11 +146,7 @@ class SimplexIndex:
         self.pivot_count.flags.writeable = False
 
     def __len__(self):
-        return len(self.vectors)
-
-    def rank(self, vecs):
-        """Positions of the rows of ``vecs`` (an (m, J) array on the simplex)."""
-        return simplex_rank(vecs)
+        return len(self.array)
 
     @functools.cached_property
     def log_factorial(self):
@@ -183,7 +180,7 @@ class SimplexIndex:
                 key = key * (nvec[:, k] + 1) + avec[:, k]
             parts.append(a)
             rests.append(b)
-            totals.append(self.rank(nvec))
+            totals.append(simplex_rank(nvec))
             keys.append(key)
         total = np.concatenate(totals)
         order = np.lexsort((np.concatenate(keys), total))
@@ -230,17 +227,10 @@ class LatticePMF:
 
     def __init__(self, J, cap, values, tail_mass=None, meta=None):
         self.J, self.cap = int(J), int(cap)
-        if isinstance(values, dict):
-            idx = simplex_index(J, cap)
-            arr = np.zeros(len(idx))
-            for vec, p in values.items():
-                arr[idx.position[tuple(int(v) for v in vec)]] = p
-            self.index, self.values = idx, arr
-        else:
-            self.index = meta.pop("_index") if meta and "_index" in meta else simplex_index(J, cap)
-            self.values = np.asarray(values, dtype=float)
-            if self.values.shape != (len(self.index),):
-                raise ValidationError("lattice values do not match the simplex size")
+        self.index = simplex_index(J, cap)
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (len(self.index),):
+            raise ValidationError("lattice values do not match the simplex size")
         clamped = int(np.sum((self.values < 0) & (self.values >= ENTRY_CLAMP)))
         if np.any(self.values < ENTRY_CLAMP):
             worst = float(self.values.min())
@@ -262,12 +252,14 @@ class LatticePMF:
 
     def prob(self, n):
         """P(N = n); zero outside the stored simplex."""
-        key = tuple(int(v) for v in n)
-        pos = self.index.position.get(key)
-        return 0.0 if pos is None else float(self.values[pos])
+        n = [int(v) for v in n]
+        if len(n) != self.J or min(n) < 0 or sum(n) > self.cap:
+            return 0.0
+        return float(self.values[simplex_rank([n])[0]])
 
     def items(self):
-        return zip(self.index.vectors, self.values)
+        """``(vector, prob)`` pairs in index order, vectors as tuples."""
+        return zip(map(tuple, self.index.array.tolist()), self.values)
 
     # -- serialisation ----------------------------------------------------------
 
@@ -294,7 +286,12 @@ class LatticePMF:
     @classmethod
     def from_json_dict(cls, doc):
         J, cap = int(doc["J"]), int(doc["cap"])
-        values = {tuple(row[:-1]): row[-1] for row in doc["entries"]}
+        rows = doc["entries"]
+        vecs = np.array([row[:-1] for row in rows], dtype=np.int64).reshape(len(rows), J)
+        if np.any(vecs < 0) or np.any(vecs.sum(axis=1) > cap):
+            raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")
+        values = np.zeros(len(simplex_index(J, cap)))
+        values[simplex_rank(vecs)] = [row[-1] for row in rows]
         meta = {k: doc[k] for k in ("t", "quadrature_nodes") if k in doc}
         return cls(J, cap, values, tail_mass=doc.get("tail_mass"), meta=meta)
 

@@ -43,10 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import check_pgf_argument
 from .compound import checked_rows, lattice_stack
 from .errors import ValidationError
 from .quadrature import QuadratureSpec, converged_elementwise, simpson_refine
-from .tables import LatticePMF, simplex_index
+from .tables import LatticePMF, simplex_index, simplex_rank
 
 DEFAULT_QUAD = QuadratureSpec()
 TAIL_WARNING = 0.01
@@ -56,15 +57,6 @@ def _check_time(t):
     if t < 0:
         raise ValidationError("time must be >= 0")
     return float(t)
-
-
-def _check_z(model, z):
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.J,):
-        raise ValidationError(f"PGF argument must have length {model.J}")
-    if np.any(z < 0.0) or np.any(z > 1.0 + 1e-3):
-        raise ValidationError("PGF argument entries must lie in [0, 1]")
-    return z
 
 
 def _gap_integrand(model, kernel, t, one_minus_z):
@@ -79,7 +71,7 @@ def _gap_integrand(model, kernel, t, one_minus_z):
 def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
     """E[prod z_k^{N_k(t)}] for z in the unit box."""
     t = _check_time(t)
-    z = _check_z(model, z)
+    z = check_pgf_argument(z, model.J)
     if t == 0.0:
         return 1.0
     exponent, _ = simpson_refine(_gap_integrand(model, kernel, t, 1.0 - z),
@@ -113,12 +105,13 @@ def _run_recursion(index, A, p0):
     return values
 
 
-def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
-                  tail_warning=TAIL_WARNING):
+def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
     """P(N(t) = n) for every n with sum(n) <= cap, as a :class:`LatticePMF`.
 
     The refinement loop doubles the shared quadrature rule until every
-    lattice entry moves by at most rtol * entry + atol.
+    lattice entry moves by at most rtol * entry + atol. ``meta`` carries
+    the displacement integrals A, aligned with the lattice's index, for
+    :func:`recompute_with_pivot`.
     """
     t = _check_time(t)
     if cap < 0:
@@ -128,8 +121,8 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
         values = np.zeros(len(index))
         values[0] = 1.0
         return LatticePMF(model.J, cap, values,
-                          meta={"_index": index, "t": 0.0, "quadrature_nodes": 0,
-                                "displacement_integrals": {},
+                          meta={"t": 0.0, "quadrature_nodes": 0,
+                                "displacement_integrals": np.zeros(len(index)),
                                 "series_tail_bound": 0.0})
 
     def integrand(tau):
@@ -150,16 +143,14 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD,
         return converged_elementwise(recursion(previous), recursion(current), spec)
 
     estimate, m = simpson_refine(integrand, 0.0, t, quad, "PMF quadrature", settled)
-    A, current = estimate[:-2], recursion(estimate)
-    integrals = {vec: float(a) for vec, a in zip(index.vectors, A)}
-    pmf = LatticePMF(model.J, cap, current,
-                     meta={"_index": index, "t": t, "quadrature_nodes": m,
-                           "displacement_integrals": integrals,
+    pmf = LatticePMF(model.J, cap, recursion(estimate),
+                     meta={"t": t, "quadrature_nodes": m,
+                           "displacement_integrals": estimate[:-2],
                            "series_tail_bound": float(estimate[-1])})
-    if pmf.tail_mass > tail_warning:
+    if pmf.tail_mass > TAIL_WARNING:
         warnings.warn(
             f"occupancy cap {cap} leaves tail mass {pmf.tail_mass:.3g} "
-            f"(> {tail_warning}); raise the cap for tighter coverage",
+            f"(> {TAIL_WARNING}); raise the cap for tighter coverage",
             stacklevel=2)
     return pmf
 
@@ -171,19 +162,16 @@ def recompute_with_pivot(pmf: LatticePMF, n, pivot):
     this should reproduce the stored entry to roundoff; it exists so that
     pivot invariance can be audited.
     """
-    integrals = pmf.meta.get("displacement_integrals")
-    if not integrals:
+    A = pmf.meta.get("displacement_integrals")
+    if A is None:
         raise ValidationError("this lattice carries no displacement integrals")
     index = pmf.index
     n = tuple(int(v) for v in n)
-    pos = index.position.get(n)
-    if pos is None:
+    if len(n) != index.J or min(n) < 0 or sum(n) > index.cap:
         raise ValidationError(f"{n} is outside the lattice")
     if n[pivot] < 1:
         raise ValidationError(f"pivot {pivot} needs n[pivot] >= 1")
-    A = np.zeros(len(index))
-    for vec, a in integrals.items():
-        A[index.position[vec]] = a
+    pos = int(simplex_rank([n])[0])
     pairs = index.pairs
     lo, hi = np.searchsorted(pairs.total, [pos, pos + 1])
     part, rest = pairs.part[lo:hi], pairs.rest[lo:hi]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -293,6 +294,31 @@ class TestBatchLaw:
         law = BatchLaw.iid_assignment(UnivariateLaw.zeta(1.5), [1.0])
         assert law.factorial_moments(1)[0] == math.inf
         assert not law.mean_is_finite()
+
+    def test_infinite_mean_leaves_unentered_queue_at_zero(self):
+        # inf * 0 would be nan and a RuntimeWarning
+        law = BatchLaw.iid_assignment(UnivariateLaw.zeta(1.5), [0.5, 0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.factorial_moments(1).tolist() == [math.inf, math.inf, 0.0]
+            assert law.factorial_moments(2)[2].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: BatchLaw.finite_table({(1.5, 0): 1.0}, 2),
+        lambda: BatchLaw.finite_table({(1, 0): 0.5, (0, 2.5): 0.5}, 2),
+        lambda: BatchLaw.finite_table({(1, math.nan): 1.0}, 2),
+        lambda: BatchLaw.constant([1.5, 0]),
+    ])
+    def test_non_integer_table_entries_rejected(self, make):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            make()
+
+    def test_one_row_table_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        draws = BatchLaw.constant([2, 0, 1]).sample_many(rng, 4)
+        assert draws.tolist() == [[2, 0, 1]] * 4
+        assert rng.bit_generator.state == before
 
     def test_dimension_mismatch(self):
         law = BatchLaw.constant([1, 2])

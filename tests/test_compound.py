@@ -161,7 +161,7 @@ class TestCompoundPMF:
         for _ in range(5):
             z = rng.uniform(0.0, 1.0, 2)
             total = sum(p * z[0] ** v[0] * z[1] ** v[1]
-                        for v, p in zip(idx.vectors, values))
+                        for v, p in zip(idx.array, values))
             assert total == pytest.approx(compound_pgf(snap, z), abs=1e-10)
 
     def test_mass_conservation_bounded(self):
@@ -271,7 +271,7 @@ class TestOneFormulaLattice:
             assert values[0] == 1.0 and not values[1:].any()
             return
         want = poisson_multinomial_pmf(np.repeat(rows, vector, axis=0))
-        expected = np.array([want.prob(v) for v in idx.vectors])
+        expected = np.array([want.prob(v) for v in idx.array])
         assert np.max(np.abs(values - expected)) <= 1e-15
 
     def test_independent_is_convolution_of_placements(self):
@@ -294,7 +294,7 @@ class TestOneFormulaLattice:
             warnings.simplefilter("error")
             (values,), (tail,) = _placement(law, np.array([[1.0, 0.0, 0.0]]), idx)
         assert tail == 0.0
-        want = [law.pmf(v[0]) if v[1] == 0 else 0.0 for v in idx.vectors]
+        want = [law.pmf(v[0]) if v[1] == 0 else 0.0 for v in idx.array]
         np.testing.assert_allclose(values, want, rtol=1e-13, atol=0.0)
 
 

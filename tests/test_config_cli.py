@@ -8,7 +8,7 @@ import pytest
 from bqnet import ValidationError, bundled_config_path, load_config
 from bqnet.cli import compare_outputs, main
 from bqnet.tables import (LatticePMF, canonical_json, read_occupancy_csv,
-                          write_occupancy_csv)
+                          simplex_rank, write_occupancy_csv)
 
 
 class TestConfigLoading:
@@ -16,7 +16,10 @@ class TestConfigLoading:
         model = load_config(bundled_config_path("mm_infty"))
         assert model.J == 1
         assert model.arrival.kind == "constant"
-        assert model.batch.variant == "constant"
+        # a constant batch is the finite table with one vector
+        assert model.batch.variant == "finite-table"
+        assert model.batch.vectors.tolist() == [[1]]
+        assert model.batch.probs.tolist() == [1.0]
 
     def test_bundled_vivax(self):
         model = load_config(bundled_config_path("vivax"))
@@ -25,7 +28,7 @@ class TestConfigLoading:
         assert kinds.count("absorbing") == 3
         kernel = model.build_kernel()
         # absorbing compartments hold their customers forever
-        assert kernel.survival(4, 100.0) == 1.0
+        assert kernel.survival_vectors([100.0])[0, 4] == 1.0
 
     def test_bundled_zeta(self):
         model = load_config(bundled_config_path("zeta_batch"))
@@ -92,13 +95,26 @@ class TestTables:
         assert extras == {}
 
     def test_lattice_json_roundtrip_byte_identical(self, tmp_path):
-        pmf = LatticePMF(2, 2, {(0, 0): 0.5, (1, 0): 0.25, (0, 1): 0.125,
-                                (1, 1): 0.0625})
+        values = np.zeros(6)
+        values[simplex_rank([(0, 0), (1, 0), (0, 1), (1, 1)])] = [0.5, 0.25, 0.125,
+                                                                  0.0625]
+        pmf = LatticePMF(2, 2, values)
         doc = pmf.to_json_dict()
         text = canonical_json(doc)
         again = canonical_json(LatticePMF.from_json_dict(
             json.loads(text)).to_json_dict())
         assert text == again
+
+    def test_lattice_vectors_outside_the_simplex(self):
+        pmf = LatticePMF(2, 2, np.full(6, 1.0 / 6.0))
+        # a negative entry would otherwise rank onto a vector inside
+        for vec in [(3, 0), (-1, 2), (1, 1, 0)]:
+            assert pmf.prob(vec) == 0.0
+        for vec in [[3, 0], [-1, 2]]:
+            doc = pmf.to_json_dict()
+            doc["entries"][-1] = [*vec, 0.0]
+            with pytest.raises(ValidationError, match="outside"):
+                LatticePMF.from_json_dict(doc)
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -116,6 +132,23 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["pmf", "--config", str(path), "--t", "1"]) == 2
+
+    @pytest.mark.parametrize("batch", [
+        # a batch-table row [n_1, prob] whose size is not an integer
+        {"variant": "finite-table", "table": [[1.5, 1.0]]},
+        # a univariate finite-table family, object and list forms
+        {"variant": "iid-assignment", "entry_probs": [1.0],
+         "family": {"name": "finite-table", "table": {"1.5": 1.0}}},
+        {"variant": "iid-assignment", "entry_probs": [1.0],
+         "family": {"name": "finite-table", "table": [[1.5, 1.0]]}},
+    ])
+    def test_non_integer_batch_size_exit_2(self, tmp_path, capsys, batch):
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = batch
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
+        assert "nonnegative integer" in capsys.readouterr().err
 
     def test_pmf_artifact_values(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

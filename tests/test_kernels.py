@@ -87,28 +87,25 @@ class TestArrivals:
 class TestMarkovKernel:
     def test_tandem_closed_form(self, tandem_kernel):
         # q^1_1(t) = e^-t and q^1_2(t) = e^-t - e^-2t for mu = (1, 2)
-        assert tandem_kernel.eval(0, 0, LN2) == pytest.approx(0.5, abs=1e-10)
-        assert tandem_kernel.eval(0, 1, LN2) == pytest.approx(0.25, abs=1e-10)
+        rows = tandem_kernel.placement_rows(LN2)
+        assert rows[0, 0] == pytest.approx(0.5, abs=1e-10)
+        assert rows[0, 1] == pytest.approx(0.25, abs=1e-10)
 
     def test_identity_at_zero(self, tandem_kernel):
-        np.testing.assert_array_equal(tandem_kernel.transition_matrix(0.0),
+        np.testing.assert_array_equal(tandem_kernel.placement_rows(0.0)[:, :2],
                                       np.eye(2))
 
     def test_single_node_decay(self, mm_kernel):
-        assert mm_kernel.eval(0, 0, 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
+        assert mm_kernel.placement_rows(1.0)[0, 0] == pytest.approx(math.exp(-1),
+                                                                   abs=1e-12)
 
     def test_survival_examples(self, tandem_kernel, mm_kernel):
-        assert tandem_kernel.survival(0, 0.0) == 1.0
-        assert tandem_kernel.survival(0, LN2) == pytest.approx(0.75, abs=1e-10)
+        assert tandem_kernel.survival_vectors([0.0])[0, 0] == 1.0
+        assert tandem_kernel.survival_vectors([LN2])[0, 0] == pytest.approx(0.75,
+                                                                            abs=1e-10)
         absorbing = MarkovKernel([ServiceNode(ServiceLaw.absorbing())], 1)
         for t in [0.0, 1.0, 50.0]:
-            assert absorbing.survival(0, t) == 1.0
-
-    def test_index_errors(self, mm_kernel):
-        with pytest.raises(IndexError):
-            mm_kernel.eval(1, 0, 1.0)
-        with pytest.raises(IndexError):
-            mm_kernel.survival(-1, 1.0)
+            assert absorbing.survival_vectors([t])[0, 0] == 1.0
 
     def test_rejects_non_exponential(self):
         node = ServiceNode(ServiceLaw.deterministic(1.0), [0.0, 1.0])
@@ -123,8 +120,9 @@ class TestMarkovKernel:
         rng = np.random.default_rng(7)
         for _ in range(6):
             s, t = rng.uniform(0.05, 3.0, 2)
-            left = tandem_kernel.augmented_matrix(s + t)
-            right = tandem_kernel.augmented_matrix(s) @ tandem_kernel.augmented_matrix(t)
+            left = tandem_kernel._transition_matrices([s + t])[0]
+            right = (tandem_kernel._transition_matrices([s])[0]
+                     @ tandem_kernel._transition_matrices([t])[0])
             assert np.max(np.abs(left - right)) <= 1e-9
 
     def test_row_substochastic_dense_grid(self, tandem_kernel):
@@ -137,7 +135,7 @@ class TestMarkovKernel:
     def test_large_time_matches_expm_crossover(self, tandem_kernel):
         from scipy.linalg import expm
         for t in [4900.0, 5100.0]:
-            got = tandem_kernel.augmented_matrix(t)
+            got = tandem_kernel._transition_matrices([t])[0]
             want = expm(tandem_kernel.generator * t)
             assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -171,9 +169,10 @@ class TestMarkovKernel:
         nodes = load_config(bundled_config_path(name)).nodes
         J = len(nodes)
         for t in (0.0, 0.01, 0.37, 1.0, 3.0, 10.0, 64.0):
-            alone = MarkovKernel(nodes, J).augmented_matrix(t)
+            alone = MarkovKernel(nodes, J)._transition_matrices([t])[0]
             stacked = MarkovKernel(nodes, J).placement_rows_many([t])[0]
             assert np.array_equal(alone[:J], stacked)
+            assert np.array_equal(MarkovKernel(nodes, J).placement_rows(t), stacked)
             assert np.array_equal(alone, scalar_uniformization(MarkovKernel(nodes, J), t))
 
     def test_poisson_truncation_and_weights_are_scipy_stats(self):
@@ -241,19 +240,19 @@ class TestRenewalKernel:
     def test_deterministic_step(self):
         node = ServiceNode(ServiceLaw.deterministic(1.0), [0.0, 1.0])
         kern = RenewalKernel([node], 1, TimeGrid(end=2.0, nodes=201))
-        assert kern.survival(0, 0.5) == 1.0
-        assert kern.survival(0, 1.5) == 0.0
+        assert kern.survival_vectors([0.5])[0, 0] == 1.0
+        assert kern.survival_vectors([1.5])[0, 0] == 0.0
 
     def test_exponential_matches_closed_form(self):
         node = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])
         kern = RenewalKernel([node], 1, TimeGrid(end=1.0, nodes=1001))
-        assert abs(kern.survival(0, 1.0) - math.exp(-1)) <= 1e-5
+        assert abs(kern.survival_vectors([1.0])[0, 0] - math.exp(-1)) <= 1e-5
 
     def test_agreement_with_uniformization(self, tandem_nodes, tandem_kernel):
         kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=3.0, nodes=3001))
         for t in np.linspace(0.0, 3.0, 31):
-            delta = np.abs(kern.transition_matrix(t)
-                           - tandem_kernel.transition_matrix(t))
+            delta = np.abs(kern.placement_rows(t)[:, :2]
+                           - tandem_kernel.placement_rows(t)[:, :2])
             assert np.max(delta) <= 1e-5
 
     def test_erlang_tandem_vs_trajectory_oracle(self):
@@ -267,7 +266,7 @@ class TestRenewalKernel:
         counts = _walk(nodes, 2, np.zeros(reps, dtype=np.int64), np.zeros(reps),
                        np.zeros(reps, dtype=np.int64), offsets, rng, 2)
         for col, t in enumerate(offsets):
-            want = kern.eval(0, 1, float(t))
+            want = kern.placement_rows(float(t))[0, 1]
             got = counts[col, 1] / reps
             se = math.sqrt(want * (1.0 - want) / reps)
             assert abs(got - want) <= 3.0 * se + 2e-4
@@ -280,11 +279,11 @@ class TestRenewalKernel:
     def test_lazy_extension(self):
         node = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])
         kern = RenewalKernel([node], 1, TimeGrid(end=2.0, nodes=257))
-        assert abs(kern.survival(0, 6.0) - math.exp(-6)) <= 1e-4
+        assert abs(kern.survival_vectors([6.0])[0, 0] - math.exp(-6)) <= 1e-4
 
     def test_identity_at_zero(self, tandem_nodes):
         kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=1.0, nodes=257))
-        np.testing.assert_array_equal(kern.transition_matrix(0.0), np.eye(2))
+        np.testing.assert_array_equal(kern.placement_rows(0.0)[:, :2], np.eye(2))
 
 
     @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
@@ -328,12 +327,12 @@ class TestTabulatedKernel:
         ts = np.linspace(0.0, 2.0, 41)
         lines = ["t,q_1_1"]
         for t in ts:
-            lines.append(f"{t},{mm_kernel.eval(0, 0, float(t))}")
+            lines.append(f"{t},{mm_kernel.placement_rows(float(t))[0, 0]}")
         path = tmp_path / "kernel.csv"
         self._write(path, lines)
         kern = load_tabulated_kernel_csv(path)
         assert kern.representation == "tabulated"
-        assert abs(kern.survival(0, 1.0) - math.exp(-1)) <= 1e-3
+        assert abs(kern.survival_vectors([1.0])[0, 0] - math.exp(-1)) <= 1e-3
 
     def test_rejects_decreasing_times(self, tmp_path):
         path = tmp_path / "bad.csv"

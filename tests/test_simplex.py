@@ -43,6 +43,11 @@ def oracle_vectors(J, cap):
     return out
 
 
+def vectors_of(idx):
+    """The index's vectors as tuples, in position order."""
+    return [tuple(v) for v in idx.array.tolist()]
+
+
 def oracle_convolve(x, y, vectors):
     position = {v: i for i, v in enumerate(vectors)}
     out = np.zeros(len(vectors))
@@ -88,9 +93,9 @@ def test_order_matches_recursive_graded_lex(J):
     for cap in range(7):
         idx = SimplexIndex(J, cap)
         want = oracle_vectors(J, cap)
-        assert list(idx.vectors) == want
+        assert vectors_of(idx) == want
         assert idx.array.tolist() == [list(v) for v in want]
-        assert np.array_equal(idx.rank(idx.array), np.arange(len(want)))
+        assert np.array_equal(simplex_rank(idx.array), np.arange(len(want)))
         totals = idx.array.sum(axis=1)
         for d in range(cap + 1):
             lo, hi = idx.degree_start[d], idx.degree_start[d + 1]
@@ -121,7 +126,7 @@ def test_convolution_matches_oracle(shape, data):
     y = draw_values(data, len(idx))
     assert len(idx.pairs) == math.comb(cap + 2 * J, 2 * J)
     np.testing.assert_allclose(idx.convolve(x, y),
-                               oracle_convolve(x, y, idx.vectors),
+                               oracle_convolve(x, y, vectors_of(idx)),
                                rtol=1e-13, atol=0.0)
 
 
@@ -133,7 +138,7 @@ def test_recursion_matches_oracle(shape, data):
     A = draw_values(data, len(idx))
     p0 = data.draw(st.floats(1e-3, 1.0))
     np.testing.assert_allclose(_run_recursion(idx, A, p0),
-                               oracle_recursion(idx.vectors, A, p0),
+                               oracle_recursion(vectors_of(idx), A, p0),
                                rtol=1e-13, atol=0.0)
 
 
@@ -147,13 +152,12 @@ def test_every_pivot_matches_oracle_entry(shape, data):
     A = draw_values(data, len(idx), top=0.5)
     A[0] = 0.0
     values = _run_recursion(idx, A, math.exp(-A.sum()))
-    pmf = LatticePMF(J, cap, values, meta={
-        "_index": idx,
-        "displacement_integrals": dict(zip(idx.vectors, A.tolist()))})
-    for n in idx.vectors[1:]:
+    pmf = LatticePMF(J, cap, values, meta={"displacement_integrals": A})
+    vectors = vectors_of(idx)
+    for n in vectors[1:]:
         for pivot in (k for k, c in enumerate(n) if c > 0):
             got = recompute_with_pivot(pmf, n, pivot)
-            want = oracle_entry(pmf.values, A, idx.vectors, n, pivot)
+            want = oracle_entry(pmf.values, A, vectors, n, pivot)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
             assert abs(got - pmf.prob(n)) <= 1e-12
 
@@ -166,7 +170,7 @@ def test_simplex_rank_is_the_position_at_every_cap(J, data):
     top = int(rows.sum(axis=1).max()) if len(rows) else 0
     ranks = simplex_rank(rows).tolist()
     for cap in (top, top + data.draw(st.integers(1, 3))):
-        position = SimplexIndex(J, cap).position
+        position = {v: i for i, v in enumerate(vectors_of(SimplexIndex(J, cap)))}
         assert ranks == [position[tuple(r)] for r in rows.tolist()]
 
 
@@ -198,7 +202,7 @@ def test_pivot_audit_j3_finite_table():
                          batch=batch, nodes=nodes)
     pmf = transient_pmf(model, model.build_kernel(), 2.0, 10)
     worst = 0.0
-    for n in pmf.index.vectors[1:]:
+    for n in vectors_of(pmf.index)[1:]:
         for pivot in (k for k, c in enumerate(n) if c > 0):
             worst = max(worst, abs(recompute_with_pivot(pmf, n, pivot)
                                    - pmf.prob(n)))
@@ -215,5 +219,5 @@ def test_vivax_lattice_matches_oracle_convolution(t):
     for j, law in enumerate(model.batch.laws):
         marginal, _ = oracle_iid_lattice(law, snap.rows[j, : model.J], idx.array)
         want = marginal if want is None else oracle_convolve(want, marginal,
-                                                             idx.vectors)
+                                                             vectors_of(idx))
     assert np.max(np.abs(values - want)) <= 1e-13
