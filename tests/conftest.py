@@ -213,8 +213,10 @@ def _oracle_series(law, qvec, idx_array):
                 break
             last = float(terms[-1])
             if last < 1e-18 * max(acc, 1e-300) and terms[-1] <= terms[0]:
-                # geometric-style bound on the rest of the series
-                ratio = float(terms[-1] / terms[0]) ** (1.0 / max(len(terms) - 1, 1))
+                # geometric-style bound on the rest of the series; a chunk
+                # that starts at zero (nobody leaves, qbar = 1) adds nothing
+                ratio = (float(terms[-1] / terms[0]) ** (1.0 / max(len(terms) - 1, 1))
+                         if terms[0] > 0 else 0.0)
                 tail_bound = max(tail_bound,
                                  last * ratio / max(1.0 - ratio, 1e-6))
                 break
