@@ -102,9 +102,9 @@ class UnivariateLaw:
             if not table:
                 raise ValidationError("finite table must be non-empty")
             for n, p in table.items():
-                if not float(n).is_integer() or n < 0 or p < 0:
+                if not float(n).is_integer() or n < 0 or not (math.isfinite(p) and p >= 0):
                     raise ValidationError("finite table needs nonnegative integer "
-                                          "support and probabilities")
+                                          "support and finite probabilities")
             total = float(sum(table.values()))
             if abs(total - 1.0) > 1e-10:
                 raise ValidationError(f"finite table probabilities sum to {total}, not 1")
@@ -534,8 +534,8 @@ class BatchLaw:
                 if len(vec) != J or any(v < 0 or not float(v).is_integer() for v in vec):
                     raise ValidationError(
                         f"batch table key {vec} is not a nonnegative integer {J}-vector")
-                if p < 0:
-                    raise ValidationError("batch table probabilities must be >= 0")
+                if not (math.isfinite(p) and p >= 0):
+                    raise ValidationError("batch table probabilities must be finite and >= 0")
                 vectors.append(tuple(int(v) for v in vec))
                 probs.append(float(p))
             total = math.fsum(probs)
@@ -548,8 +548,9 @@ class BatchLaw:
             law, probs = kwargs["law"], np.asarray(kwargs["entry_probs"], dtype=float)
             if probs.shape != (J,):
                 raise ValidationError("entry probabilities must have length J")
-            if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-                raise ValidationError("entry probabilities must be >= 0 and sum to 1")
+            if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
+                    or abs(probs.sum() - 1.0) > PROB_SUM_TOL):
+                raise ValidationError("entry probabilities must be finite, >= 0 and sum to 1")
             self.law = law
             self.entry_probs = probs
         elif variant == INDEPENDENT:
@@ -709,10 +710,6 @@ class BatchLaw:
         if np.any(totals > MAX_SAMPLE):
             raise SimulationBudgetError("batch draw exceeds the int64 tally range")
         return rng.multinomial(totals, self.entry_probs).astype(np.int64)
-
-    def sample(self, rng):
-        """Draw a single batch vector."""
-        return self.sample_many(rng, 1)[0]
 
     def __repr__(self):
         return f"BatchLaw({self.variant}, J={self.J})"

@@ -38,6 +38,8 @@ UNIFORMIZATION_MAX_A = 1e4
 # Bytes for the cached jump-matrix powers and for each weighted sum over them.
 UNIFORMIZATION_BUDGET = 1 << 23
 MAX_GRID_POINTS = 1 << 22
+# Leaf blocks of the renewal solve hold at most this many unknown rows (B J)
+LEAF_ROWS = 128
 _SINGULAR_LOOP = "instantaneous routing loop makes the renewal system singular"
 
 
@@ -222,15 +224,27 @@ class GridKernel(OccupancyKernel):
 class RenewalKernel(GridKernel):
     """Grid solution of the Markov-renewal equations for general service.
 
-    Forward time-stepping with trapezoidal Stieltjes convolution against
-    each node's service CDF; values between grid nodes are linearly
-    interpolated. With dF_j[n] = F_j(t_n+1) - F_j(t_n), step i weighs the
-    solved Q[s] by (dF_j[i-1-s] + dF_j[i-s]) / 2 and Q[0] by dF_j[i-1] / 2,
-    and solves for the Q[i] term, with any atom at 0, implicitly: one
-    (J, i) @ (i, J^2) product per step, O(m^2 J^3) for m points. Times
-    beyond the grid end double the horizon at the same spacing, up to a
-    hard point budget; the recursion is causal, so only the new points are
-    time-stepped and the rows already solved never change.
+    Trapezoidal Stieltjes convolution against each node's service CDF on
+    a uniform grid; values between grid nodes are linearly interpolated.
+    With dF_j[n] = F_j(t_n+1) - F_j(t_n), point i weighs the solved Q[s]
+    by the lag weight c_j(i-s) = (dF_j[i-1-s] + dF_j[i-s]) / 2 and Q[0] by
+    dF_j[i-1] / 2, and takes the Q[i] term, with any atom at 0, implicitly.
+
+    The weights depend only on the lag, so a leaf of B consecutive points
+    is one block lower-triangular Toeplitz system, the same for every
+    leaf: its (B J, B J) inverse is built once per solve and each leaf is
+    one (B J, B J) @ (B J, J) product, with B J <= ``LEAF_ROWS``. The
+    history of earlier leaves arrives by divide and conquer: each solved
+    half adds its terms to the next half's right-hand sides through one
+    FFT convolution over the lag axis, O(m log^2 m J^2) for m points plus
+    O(m B J^3) in the leaves. A second convolution of the 0/1 indicators
+    of the terms counts them, and a sum without any nonzero term is set to
+    exactly 0, as the direct sum leaves it, not to FFT round-off: kernels
+    with deterministic delays keep their exact zeros.
+
+    Times beyond the grid end double the horizon at the same spacing, up
+    to a hard point budget; the equations are causal, so the solved rows
+    enter the new ones as history and never change.
     """
 
     representation = "renewal-grid"
@@ -257,30 +271,25 @@ class RenewalKernel(GridKernel):
         cdf = np.array([node.service.cdf(times) for node in self.nodes])
         half = 0.5 * np.diff(cdf, axis=1)              # (J, m-1)
         atom0 = cdf[:, 0]                              # mass exactly at 0
-        surv = 1.0 - cdf                               # delta_jk factor
         R = routing_matrix(self.nodes, J)
-
-        def implicit_solver(coeff):
-            try:
-                return np.linalg.inv(np.eye(J) - coeff[:, None] * R)
-            except np.linalg.LinAlgError:
-                raise ValidationError(_SINGULAR_LOOP)
-
         Q = np.empty((m, J, J))
         if prefix is not None:
             Q[: len(prefix)] = prefix
         elif np.any(atom0 > 0):
-            Q[0] = implicit_solver(atom0) @ np.diag(1.0 - atom0)
+            Q[0] = _implicit_solver(R, atom0) @ np.diag(1.0 - atom0)
         else:
             Q[0] = np.eye(J)
-        step_solver = implicit_solver(atom0 + half[:, 0])
-        flat = Q.reshape(m, J * J)
-        # weights of Q[1..i-1] at step i: trap[:, m-1-i : m-2], reversed
-        trap = np.ascontiguousarray((half[:, :-1] + half[:, 1:])[:, ::-1])
-        for i in range(1 if prefix is None else len(prefix), m):
-            history = trap[:, m - 1 - i: m - 2] @ flat[1:i] + half[:, i - 1, None] * flat[0]
-            history = np.einsum("jl,jlk->jk", R, history.reshape(J, J, J))
-            Q[i] = step_solver @ (np.diag(surv[:, i]) + history)
+        # lags[l] weighs Q[i-l] at step i: the implicit Q[i] term with any
+        # atom at 0, then the trapezoid (dF_j[l-1] + dF_j[l]) / 2
+        lags = np.empty((m - 1, J))
+        lags[0] = atom0 + half[:, 0]
+        lags[1:] = (half[:, :-1] + half[:, 1:]).T
+        # Q[0] carries only half a trapezoid, dF_j[i-1] / 2, so it joins the
+        # right-hand side with the delta_jk survival term (row 0 is unused)
+        rhs = np.empty((m, J, J))
+        rhs[1:] = half.T[:, :, None] * (R @ Q[0])
+        rhs[1:, np.arange(J), np.arange(J)] += 1.0 - cdf[:, 1:].T
+        _solve_renewal_blocks(Q, 1 if prefix is None else len(prefix), lags, R, rhs)
         return np.clip(Q, 0.0, 1.0, out=Q)
 
     def _cover(self, t):
@@ -297,6 +306,95 @@ class RenewalKernel(GridKernel):
         # extend then swap; readers only ever see a consistent pair
         times = np.append(self._times, np.linspace(0.0, end, m)[self._times.size:])
         self._times, self._table = times, self._solve(times, self._table)
+
+
+def _implicit_solver(R, coeff):
+    """(I - diag(coeff) R)^-1, or the singular-loop ValidationError."""
+    J = R.shape[0]
+    try:
+        return np.linalg.inv(np.eye(J) - coeff[:, None] * R)
+    except np.linalg.LinAlgError:
+        raise ValidationError(_SINGULAR_LOOP)
+
+
+def _solve_renewal_blocks(Q, start, lags, R, rhs):
+    """Fill Q[start:] from the discrete renewal equations, given Q[:start].
+
+    Row i solves Q[i] = rhs[i] + sum_{1 <= s <= i} diag(lags[i-s]) R Q[s],
+    the s = i term implicitly. ``rhs`` is overwritten: it accumulates the
+    history. Rows are solved in leaf blocks of B points by one shared block
+    inverse; the history of every earlier block arrives by divide and
+    conquer, one FFT convolution per solved half.
+    """
+    m, J = Q.shape[0], R.shape[0]
+    B = 1 << max(0, (LEAF_ROWS // J).bit_length() - 1)    # B * J <= LEAF_ROWS
+    leaf = _leaf_inverse(lags[:min(B, m - start)], R)
+    P = np.empty_like(Q)                                   # R Q[s], s >= 1
+    np.matmul(R, Q[1:start], out=P[1:start])
+    spectra = {}
+    if start > 1:                                          # the given rows
+        _add_history(rhs, P, lags, 1, start, m, m - 1, spectra)
+
+    def blocks(lo, size):
+        hi = min(lo + size, m)
+        if size <= B:
+            n = (hi - lo) * J
+            Q[lo:hi] = (leaf[:n, :n] @ rhs[lo:hi].reshape(n, J)).reshape(-1, J, J)
+            np.matmul(R, Q[lo:hi], out=P[lo:hi])
+            return
+        mid = lo + size // 2
+        blocks(lo, size // 2)
+        if mid < m:
+            _add_history(rhs, P, lags, lo, mid, hi, size, spectra)
+            blocks(mid, size // 2)
+
+    size = B
+    while start + size < m:
+        size *= 2
+    blocks(start, size)
+
+
+def _leaf_inverse(lags, R):
+    """Inverse of one leaf's block lower-triangular Toeplitz system.
+
+    Block (a, b) of the system is delta_ab I - diag(lags[a-b]) R for a >= b;
+    its inverse is Toeplitz too, with blocks G[0] = (I - diag(lags[0]) R)^-1
+    and G[n] = G[0] sum_{1 <= l <= n} diag(lags[l]) R G[n-l]: the step
+    solve of a unit impulse, so a sum with only zero terms stays exactly 0.
+    Returns the (B J, B J) matrix for B = len(lags).
+    """
+    B, J = lags.shape
+    G = np.empty((B, J, J))
+    RG = np.empty((B, J, J))
+    G[0] = _implicit_solver(R, lags[0])
+    RG[0] = R @ G[0]
+    for n in range(1, B):
+        G[n] = G[0] @ np.einsum("lj,ljk->jk", lags[n:0:-1], RG[:n])
+        RG[n] = R @ G[n]
+    a, b = np.tril_indices(B)
+    inverse = np.zeros((B, B, J, J))
+    inverse[a, b] = G[a - b]
+    return inverse.transpose(0, 2, 1, 3).reshape(B * J, B * J)
+
+
+def _add_history(rhs, P, lags, lo, mid, hi, size, spectra):
+    """rhs[i] += sum_{lo <= s < mid} diag(lags[i-s]) P[s] for mid <= i < hi.
+
+    One length-``size`` FFT convolution over the lag axis (size >= hi - lo,
+    so no wrapped term lands on an output). A second convolution counts the
+    nonzero terms of each sum; sums without any are set to exactly 0, as a
+    direct sum would leave them, not to FFT round-off.
+    """
+    if size not in spectra:
+        window = lags[:size]
+        spectra[size] = (np.fft.rfft(window, size, axis=0)[:, :, None],
+                         np.fft.rfft(window != 0.0, size, axis=0)[:, :, None])
+    lag_f, lag_nz = spectra[size]
+    src = P[lo:mid]
+    part = np.fft.irfft(np.fft.rfft(src, size, axis=0) * lag_f, size, axis=0)
+    count = np.fft.irfft(np.fft.rfft(src != 0.0, size, axis=0) * lag_nz, size, axis=0)
+    out = slice(mid - lo, hi - lo)
+    rhs[mid:hi] += np.where(count[out] < 0.5, 0.0, part[out])
 
 
 class TabulatedKernel(GridKernel):

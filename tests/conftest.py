@@ -227,11 +227,13 @@ def _oracle_series(law, qvec, idx_array):
     return out, tail_bound
 
 
-# -- per-node renewal solve oracle -------------------------------------------------
+# -- renewal solve oracles ---------------------------------------------------------
 #
-# The Markov-renewal time-stepping that RenewalKernel's one-product-per-step
-# solve replaced, kept verbatim as its oracle: a pair of tensordot calls per
-# node and step over a reversed view of the history.
+# Two generations of the Markov-renewal time-stepping that RenewalKernel's
+# blocked solve (leaf block inverse, FFT history) replaced, kept verbatim
+# as its oracles: a pair of tensordot calls per node and step over a
+# reversed view of the history, and the one (J, i) @ (i, J^2) product per
+# step that followed it, which also continues a solved prefix.
 
 
 def oracle_renewal_solve(nodes, J, end, m):
@@ -268,6 +270,36 @@ def oracle_renewal_solve(nodes, J, end, m):
         Q[i] = step_solver @ rhs
     np.clip(Q, 0.0, 1.0, out=Q)
     return times, Q
+
+
+def oracle_renewal_step_solve(nodes, J, times, prefix=None):
+    """Q on ``times``, keeping ``prefix`` (Q on its leading points) as is."""
+    m = times.size
+    cdf = np.array([node.service.cdf(times) for node in nodes])
+    half = 0.5 * np.diff(cdf, axis=1)              # (J, m-1)
+    atom0 = cdf[:, 0]                              # mass exactly at 0
+    surv = 1.0 - cdf                               # delta_jk factor
+    R = routing_matrix(nodes, J)
+
+    def implicit_solver(coeff):
+        return np.linalg.inv(np.eye(J) - coeff[:, None] * R)
+
+    Q = np.empty((m, J, J))
+    if prefix is not None:
+        Q[: len(prefix)] = prefix
+    elif np.any(atom0 > 0):
+        Q[0] = implicit_solver(atom0) @ np.diag(1.0 - atom0)
+    else:
+        Q[0] = np.eye(J)
+    step_solver = implicit_solver(atom0 + half[:, 0])
+    flat = Q.reshape(m, J * J)
+    # weights of Q[1..i-1] at step i: trap[:, m-1-i : m-2], reversed
+    trap = np.ascontiguousarray((half[:, :-1] + half[:, 1:])[:, ::-1])
+    for i in range(1 if prefix is None else len(prefix), m):
+        history = trap[:, m - 1 - i: m - 2] @ flat[1:i] + half[:, i - 1, None] * flat[0]
+        history = np.einsum("jl,jlk->jk", R, history.reshape(J, J, J))
+        Q[i] = step_solver @ (np.diag(surv[:, i]) + history)
+    return np.clip(Q, 0.0, 1.0, out=Q)
 
 
 # -- per-term uniformization oracle ------------------------------------------------

@@ -150,6 +150,23 @@ class TestCli:
         assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
         assert "nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", [
+        # NaN compares false both with 0 and with a sum tolerance
+        {"variant": "finite-table", "table": [[1, math.nan]]},
+        {"variant": "iid-assignment", "entry_probs": [1.0],
+         "family": {"name": "finite-table", "table": [[1, math.nan]]}},
+        {"variant": "iid-assignment", "entry_probs": [math.nan],
+         "family": {"name": "poisson", "mean": 2.0}},
+    ])
+    def test_nan_probability_exit_2(self, tmp_path, capsys, batch):
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = batch
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert "NaN" in path.read_text()
+        assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_pmf_artifact_values(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["pmf", "--config", "mm_infty", "--t", "1", "--cap", "20"])

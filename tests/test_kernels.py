@@ -13,7 +13,8 @@ from bqnet import kernels as kernels_module
 from bqnet.batch import poisson_pmf
 from bqnet.kernels import POISSON_TAIL, _poisson_isf
 
-from conftest import oracle_renewal_solve, oracle_uniformization
+from conftest import (oracle_renewal_solve, oracle_renewal_step_solve,
+                      oracle_uniformization)
 
 BUNDLED_MARKOV = ["mm_infty", "tandem_batch", "zeta_batch", "vivax"]
 
@@ -50,6 +51,27 @@ RENEWAL_NETWORKS = {
                                               [0.3, 0.5, 0.9, 1.0]), [0.4, 0.3, 0.3]),
              ServiceNode(ServiceLaw.exponential(1.5), [0.5, 0.0, 0.5])],
 }
+
+
+def _chain(laws):
+    """Nodes in series, the last one leaving the network."""
+    J = len(laws)
+    return [ServiceNode(law, [0.0] * (j + 1) + [1.0] + [0.0] * (J - j - 1))
+            for j, law in enumerate(laws)]
+
+
+# the renewal networks plus sparse kernels, whose exact zeros the blocked
+# solve must keep, and a J = 8 chain, whose leaf blocks are shorter
+BLOCKED_NETWORKS = dict(RENEWAL_NETWORKS, **{
+    "deterministic-tandem": _chain([ServiceLaw.deterministic(0.5),
+                                    ServiceLaw.deterministic(0.3)]),
+    "deterministic-feedback": [
+        ServiceNode(ServiceLaw.deterministic(0.5), [0.0, 0.5, 0.5]),
+        ServiceNode(ServiceLaw.deterministic(0.3), [0.7, 0.0, 0.3])],
+    "chain8": _chain([ServiceLaw.erlang(2, 4.0), ServiceLaw.deterministic(0.25),
+                      ServiceLaw.exponential(3.0)] * 2
+                     + [ServiceLaw.erlang(3, 6.0), ServiceLaw.deterministic(0.1)]),
+})
 
 
 class TestArrivals:
@@ -308,6 +330,39 @@ class TestRenewalKernel:
         fresh = RenewalKernel(nodes, J, TimeGrid(end=8.0, nodes=1025))
         assert np.array_equal(kern._times, fresh._times)
         assert np.max(np.abs(kern._table - fresh._table)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1001, 3001])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_NETWORKS))
+    def test_blocked_solve_matches_step_oracle(self, name, m):
+        # m - 1 is not a multiple of any leaf size
+        nodes = BLOCKED_NETWORKS[name]
+        J = len(nodes)
+        kern = RenewalKernel(nodes, J, TimeGrid(end=2.0, nodes=m))
+        want = oracle_renewal_step_solve(nodes, J, kern._times)
+        assert np.max(np.abs(kern._table - want)) <= 1e-13
+        assert np.all(kern._table[want == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_NETWORKS))
+    def test_extension_off_a_block_boundary_matches_step_oracle(self, name):
+        nodes = BLOCKED_NETWORKS[name]
+        J = len(nodes)
+        kern = RenewalKernel(nodes, J, TimeGrid(end=2.0, nodes=1001))
+        prefix = kern._table.copy()
+        kern.placement_rows(3.5)                   # one doubling, to t = 4
+        assert kern._table.shape == (2001, J, J)
+        assert np.array_equal(kern._table[:1001], prefix)
+        want = oracle_renewal_step_solve(nodes, J, kern._times, prefix)
+        assert np.max(np.abs(kern._table - want)) <= 1e-13
+        assert np.all(kern._table[want == 0.0] == 0.0)
+
+    def test_long_extension_keeps_the_prefix(self):
+        nodes = RENEWAL_NETWORKS["tandem"]
+        kern = RenewalKernel(nodes, 2, TimeGrid(end=1.0, nodes=16385))
+        prefix = kern._table.copy()
+        kern.placement_rows(3.0)                   # two doublings, to t = 4
+        assert kern._table.shape == (65537, 2, 2)
+        assert np.array_equal(kern._table[:16385], prefix)
+        assert np.all(np.isfinite(kern._table))
 
     def test_zero_time_loop_fails_before_any_solve(self, monkeypatch):
         # a mixed three-node loop: the renewal system is singular, though

@@ -139,8 +139,7 @@ class TestBatchSampling:
     def test_constant(self):
         rng = np.random.default_rng(5)
         law = BatchLaw.constant([2, 1])
-        for _ in range(5):
-            np.testing.assert_array_equal(law.sample(rng), [2, 1])
+        np.testing.assert_array_equal(law.sample_many(rng, 5), [[2, 1]] * 5)
 
     def test_poisson_split_means(self):
         rng = np.random.default_rng(6)
