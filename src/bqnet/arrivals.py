@@ -1,8 +1,9 @@
 """Arrival-rate descriptions for the batch arrival stream.
 
-Three rate shapes are supported: constant, piecewise constant, and
-sinusoidal. Each exposes the instantaneous rate, the exact cumulative
-rate, and an exact finite upper bound usable as a thinning majorant.
+Two rate shapes are supported: piecewise constant (a constant rate is
+the one-piece rate, :meth:`ArrivalProcess.constant`) and sinusoidal. Each
+exposes the instantaneous rate, the exact cumulative rate, and an exact
+finite upper bound usable as a thinning majorant.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-CONSTANT = "constant"
 PIECEWISE = "piecewise-constant"
 SINUSOIDAL = "sinusoidal"
 
@@ -24,22 +24,19 @@ class ArrivalProcess:
     def __init__(self, kind, **params):
         self.kind = kind
         self.params = dict(params)
-        if kind == CONSTANT:
-            rate = params["rate"]
-            if rate < 0:
-                raise ValidationError("arrival rate must be >= 0")
-            self._rate = float(rate)
-        elif kind == PIECEWISE:
-            breaks = np.asarray(params["breakpoints"], dtype=float)
-            rates = np.asarray(params["rates"], dtype=float)
+        if kind == PIECEWISE:
+            breaks, rates = np.asarray(params["breakpoints"]), np.asarray(params["rates"])
+            if breaks.dtype.kind not in "iuf" or rates.dtype.kind not in "iuf":
+                raise ValidationError("breakpoints and rates must be numbers")
+            breaks, rates = breaks.astype(float), rates.astype(float)
             if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
                 raise ValidationError("breakpoints must start at 0")
-            if np.any(np.diff(breaks) <= 0):
-                raise ValidationError("breakpoints must be strictly increasing")
+            if not (np.all(np.diff(breaks) > 0) and np.isfinite(breaks[-1])):
+                raise ValidationError("breakpoints must be finite and strictly increasing")
             if rates.shape != breaks.shape:
                 raise ValidationError("need one rate per breakpoint")
-            if np.any(rates < 0):
-                raise ValidationError("piecewise rates must be >= 0")
+            if not np.all((rates >= 0) & np.isfinite(rates)):
+                raise ValidationError("arrival rates must be finite and >= 0")
             self._breaks = breaks
             self._rates = rates
             # Cumulative rate at each breakpoint, for O(log n) evaluation.
@@ -48,17 +45,20 @@ class ArrivalProcess:
         elif kind == SINUSOIDAL:
             a, b = float(params["base"]), float(params["amplitude"])
             w, phi = float(params["frequency"]), float(params.get("phase", 0.0))
-            if a <= 0:
-                raise ValidationError("sinusoidal base rate must be > 0")
-            if abs(b) > a:
+            if not (math.isfinite(a) and a > 0):
+                raise ValidationError("sinusoidal base rate must be finite and > 0")
+            if not abs(b) <= a:
                 raise ValidationError("sinusoidal amplitude must satisfy |b| <= a")
+            if not (math.isfinite(w) and math.isfinite(phi)):
+                raise ValidationError("sinusoidal frequency and phase must be finite")
             self._a, self._b, self._w, self._phi = a, b, w, phi
         else:
             raise ValidationError(f"unknown arrival kind {kind!r}")
 
     @classmethod
     def constant(cls, rate):
-        return cls(CONSTANT, rate=rate)
+        """The rate that is always ``rate``: one piece from time 0."""
+        return cls(PIECEWISE, breakpoints=[0.0], rates=[rate])
 
     @classmethod
     def piecewise(cls, breakpoints, rates):
@@ -72,9 +72,7 @@ class ArrivalProcess:
     def rate(self, t):
         """Instantaneous rate lambda(t); vectorised over ``t``."""
         t = np.asarray(t, dtype=float)
-        if self.kind == CONSTANT:
-            out = np.full_like(t, self._rate)
-        elif self.kind == PIECEWISE:
+        if self.kind == PIECEWISE:
             idx = np.clip(np.searchsorted(self._breaks, t, side="right") - 1,
                           0, self._rates.size - 1)
             out = self._rates[idx]
@@ -85,9 +83,7 @@ class ArrivalProcess:
     def cumulative(self, t):
         """Exact integrated rate Lambda(t) = int_0^t lambda."""
         t = np.asarray(t, dtype=float)
-        if self.kind == CONSTANT:
-            out = self._rate * t
-        elif self.kind == PIECEWISE:
+        if self.kind == PIECEWISE:
             idx = np.clip(np.searchsorted(self._breaks, t, side="right") - 1,
                           0, self._rates.size - 1)
             out = self._cum[idx] + self._rates[idx] * (t - self._breaks[idx])
@@ -103,27 +99,21 @@ class ArrivalProcess:
         """An exact finite upper bound for lambda on [0, horizon]."""
         if horizon < 0:
             raise DomainError("horizon must be >= 0")
-        if self.kind == CONSTANT:
-            return self._rate
         if self.kind == PIECEWISE:
             last = np.searchsorted(self._breaks, horizon, side="right")
             return float(np.max(self._rates[:max(last, 1)]))
         return self._a + abs(self._b)
 
     def is_homogeneous(self):
-        if self.kind == CONSTANT:
-            return True
         if self.kind == PIECEWISE:
-            return self._rates.size == 1 or bool(np.all(self._rates == self._rates[0]))
+            return bool(np.all(self._rates == self._rates[0]))
         return self._b == 0.0
 
     def segments(self, horizon):
         """(start, end, rate) segments covering [0, horizon] for exact sampling.
 
-        Only meaningful for constant / piecewise-constant processes.
+        Only meaningful for piecewise-constant processes.
         """
-        if self.kind == CONSTANT:
-            return [(0.0, horizon, self._rate)]
         if self.kind != PIECEWISE:
             raise DomainError("segments are only defined for piecewise-constant rates")
         out = []

@@ -9,12 +9,14 @@ the three shapes that each unlock a different fast path:
 * ``independent-marginals`` -- one univariate law per queue, independent
 
 A constant batch (:meth:`BatchLaw.constant`) is the finite table with one
-vector.
+vector, and a degenerate size (:meth:`UnivariateLaw.degenerate`) the
+finite table with one point. One formula, :func:`_finite_table_gap`, gives
+the PGF gap of every finite table, univariate or multivariate.
 
 Univariate families include the (a, b)-recursive class (binomial, Poisson,
-negative binomial, logarithmic, geometric) plus zeta, degenerate,
-finite-table, and a log-weighted-tail law c/(n log^2 n), n >= 2, whose
-logarithmic moment diverges. Moments that do not exist are reported as
+negative binomial, logarithmic, geometric) plus zeta, finite-table, and a
+log-weighted-tail law c/(n log^2 n), n >= 2, whose logarithmic moment
+diverges. Moments that do not exist are reported as
 ``math.inf`` -- a first-class signal, never an exception.
 
 Importing this module loads NumPy and ``scipy.special`` and nothing else
@@ -45,7 +47,6 @@ NEG_BINOMIAL = "negative-binomial"
 LOGARITHMIC = "logarithmic"
 GEOMETRIC = "geometric"
 ZETA = "zeta"
-DEGENERATE = "degenerate"
 FINITE = "finite-table"
 LOG_WEIGHTED_TAIL = "log-weighted-tail"
 
@@ -61,19 +62,19 @@ class UnivariateLaw:
         self.params = dict(params)
         if family == BINOMIAL:
             N, alpha = params["count"], params["prob"]
-            if int(N) != N or N < 1:
+            if not (float(N).is_integer() and N >= 1):
                 raise ValidationError("binomial count must be a positive integer")
             if not 0.0 <= alpha <= 1.0:
                 raise ValidationError("binomial probability must lie in [0, 1]")
             self.count, self.prob = int(N), float(alpha)
         elif family == POISSON:
-            if params["mean"] < 0:
-                raise ValidationError("poisson mean must be >= 0")
+            if not (math.isfinite(params["mean"]) and params["mean"] >= 0):
+                raise ValidationError("poisson mean must be finite and >= 0")
             self.mu = float(params["mean"])
         elif family == NEG_BINOMIAL:
             r, nu = params["shape"], params["scale"]
-            if r <= 0 or nu <= 0:
-                raise ValidationError("negative binomial needs shape > 0 and scale > 0")
+            if not (math.isfinite(r) and math.isfinite(nu) and r > 0 and nu > 0):
+                raise ValidationError("negative binomial needs finite shape > 0 and scale > 0")
             self.shape, self.scale = float(r), float(nu)
         elif family == LOGARITHMIC:
             rho = params["rho"]
@@ -87,24 +88,20 @@ class UnivariateLaw:
             self.beta = float(beta)
         elif family == ZETA:
             s = params["exponent"]
-            if s <= 1.0:
-                raise ValidationError("zeta exponent must be > 1")
+            if not (math.isfinite(s) and s > 1.0):
+                raise ValidationError("zeta exponent must be finite and > 1")
             self.exponent = float(s)
             self._zeta_norm = float(special.zeta(self.exponent))
             self._zeta_coeffs = None
-        elif family == DEGENERATE:
-            n = params["value"]
-            if int(n) != n or n < 0:
-                raise ValidationError("degenerate value must be a nonnegative integer")
-            self.value = int(n)
         elif family == FINITE:
             table = dict(params["table"])
             if not table:
                 raise ValidationError("finite table must be non-empty")
             for n, p in table.items():
-                if not float(n).is_integer() or n < 0 or not (math.isfinite(p) and p >= 0):
-                    raise ValidationError("finite table needs nonnegative integer "
-                                          "support and finite probabilities")
+                if not (float(n).is_integer() and 0 <= n <= MAX_SAMPLE
+                        and math.isfinite(p) and p >= 0):
+                    raise ValidationError("finite table needs nonnegative integer support "
+                                          "up to 2^62 and finite probabilities")
             total = float(sum(table.values()))
             if abs(total - 1.0) > 1e-10:
                 raise ValidationError(f"finite table probabilities sum to {total}, not 1")
@@ -143,7 +140,8 @@ class UnivariateLaw:
 
     @classmethod
     def degenerate(cls, value):
-        return cls(DEGENERATE, value=value)
+        """The size that is always ``value``: a finite table with one point."""
+        return cls(FINITE, table={value: 1.0})
 
     @classmethod
     def finite_table(cls, table):
@@ -185,8 +183,6 @@ class UnivariateLaw:
             out[pos] = np.power(1.0 - p, nn[pos] - 1) * p
         elif self.family == ZETA:
             out[pos] = nn[pos].astype(float) ** -self.exponent / self._zeta_norm
-        elif self.family == DEGENERATE:
-            out[valid & (nn == self.value)] = 1.0
         elif self.family == FINITE:
             idx = np.searchsorted(self.support, nn)
             idx = np.clip(idx, 0, self.support.size - 1)
@@ -219,21 +215,8 @@ class UnivariateLaw:
             out = -np.log1p(self.rho * eps / (1.0 - self.rho)) / math.log1p(-self.rho)
         elif self.family == GEOMETRIC:
             out = eps / (1.0 - self.beta + self.beta * eps)
-        elif self.family == DEGENERATE:
-            if self.value == 0:
-                out = np.zeros_like(eps)
-            else:
-                with np.errstate(divide="ignore"):
-                    logz = np.log1p(-np.minimum(eps, 1.0))
-                out = -np.expm1(self.value * logz)
         elif self.family == FINITE:
-            with np.errstate(divide="ignore"):
-                logz = np.log1p(-np.minimum(eps, 1.0))
-            safe = np.where(np.isfinite(logz), logz, 0.0)
-            pw = self.support[None, :] * safe[:, None]
-            pw = np.where(np.isfinite(logz)[:, None], pw,
-                          np.where(self.support[None, :] > 0, -np.inf, 0.0))
-            out = -np.expm1(pw) @ self.probs
+            out = _finite_table_gap(eps[:, None], self.support[:, None], self.probs)
         elif self.family == ZETA:
             out = np.array([self._zeta_gap(float(e)) for e in eps])
         else:
@@ -351,8 +334,6 @@ class UnivariateLaw:
             if self.exponent <= 2.0:
                 return math.inf
             return float(special.zeta(self.exponent - 1.0)) / self._zeta_norm
-        if self.family == DEGENERATE:
-            return float(self.value)
         if self.family == FINITE:
             return float(self.support @ self.probs)
         return math.inf
@@ -375,8 +356,6 @@ class UnivariateLaw:
             z = self._zeta_norm
             return (float(special.zeta(self.exponent - 2.0))
                     - float(special.zeta(self.exponent - 1.0))) / z
-        if self.family == DEGENERATE:
-            return float(self.value * (self.value - 1))
         if self.family == FINITE:
             return float((self.support * (self.support - 1)) @ self.probs)
         return math.inf
@@ -402,8 +381,6 @@ class UnivariateLaw:
             return 1
         if self.family == LOG_WEIGHTED_TAIL:
             return 2
-        if self.family == DEGENERATE:
-            return self.value
         if self.family == FINITE:
             return int(self.support[self.probs > 0][0])
         return 0
@@ -416,8 +393,6 @@ class UnivariateLaw:
         """
         if self.family == BINOMIAL:
             return self.count if self.prob > 0.0 else 0
-        if self.family == DEGENERATE:
-            return self.value
         if self.family == FINITE:
             return int(self.support[self.probs > 0][-1])
         if self.family == POISSON and self.mu == 0.0:
@@ -440,9 +415,10 @@ class UnivariateLaw:
             return rng.geometric(1.0 - self.beta, size).astype(np.int64)
         if self.family == ZETA:
             return rng.zipf(self.exponent, size).astype(np.int64)
-        if self.family == DEGENERATE:
-            return np.full(size, self.value, dtype=np.int64)
         if self.family == FINITE:
+            if self.support.size == 1:
+                # rng.choice would consume the stream even with one option
+                return np.full(size, self.support[0], dtype=np.int64)
             return rng.choice(self.support, p=self.probs, size=size)
         return self._lwt_sample(rng, size)
 
@@ -501,7 +477,7 @@ def check_pgf_argument(z, J):
     z = np.asarray(z, dtype=float)
     if z.shape != (J,):
         raise ValidationError(f"PGF argument must have length {J}")
-    if np.any(z < 0.0) or np.any(z > 1.0 + PGF_OVERSHOOT):
+    if not np.all((z >= 0.0) & (z <= 1.0 + PGF_OVERSHOOT)):
         raise ValidationError("PGF argument entries must lie in [0, 1]")
     return z
 
@@ -531,9 +507,10 @@ class BatchLaw:
             vectors, probs = [], []
             for vec, p in sorted(table.items()):
                 vec = tuple(vec)
-                if len(vec) != J or any(v < 0 or not float(v).is_integer() for v in vec):
-                    raise ValidationError(
-                        f"batch table key {vec} is not a nonnegative integer {J}-vector")
+                if len(vec) != J or not all(float(v).is_integer() and 0 <= v <= MAX_SAMPLE
+                                            for v in vec):
+                    raise ValidationError(f"batch table key {vec} is not a nonnegative "
+                                          f"integer {J}-vector with entries up to 2^62")
                 if not (math.isfinite(p) and p >= 0):
                     raise ValidationError("batch table probabilities must be finite and >= 0")
                 vectors.append(tuple(int(v) for v in vec))
@@ -606,13 +583,7 @@ class BatchLaw:
             with np.errstate(divide="ignore"):
                 log_keep = np.log1p(-np.minimum(gaps, 1.0)).sum(axis=1)
             return -np.expm1(log_keep)
-        with np.errstate(divide="ignore"):
-            logz = np.log1p(-np.minimum(eps, 1.0))
-        # sum_k s_k log z_k per table vector s, with 0 * log 0 = 0
-        bad = ~np.isfinite(logz)
-        pw = np.where(bad, 0.0, logz) @ self.vectors.T
-        hits = (bad[:, None, :] & (self.vectors[None, :, :] > 0)).any(axis=2)
-        return -np.expm1(np.where(hits, -np.inf, pw)) @ self.probs
+        return _finite_table_gap(eps, self.vectors, self.probs)
 
     # -- PMF -----------------------------------------------------------------
 
@@ -719,6 +690,18 @@ def poisson_pmf(n, mu):
     """``scipy.stats.poisson.pmf(n, mu)``, bit for bit, for integers n >= 0
     and mu >= 0; broadcasts."""
     return np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
+
+
+def _finite_table_gap(eps, vectors, probs):
+    """1 - sum_s p_s prod_k (1 - eps_k)^{s_k} for an (m, J) stack ``eps``,
+    table vectors ``vectors`` (K, J) and probabilities ``probs`` (K,)."""
+    with np.errstate(divide="ignore"):
+        logz = np.log1p(-np.minimum(eps, 1.0))
+    # sum_k s_k log z_k per table vector s, with 0 * log 0 = 0
+    bad = ~np.isfinite(logz)
+    pw = np.where(bad, 0.0, logz) @ vectors.T
+    hits = (bad[:, None, :] & (vectors[None, :, :] > 0)).any(axis=2)
+    return -np.expm1(np.where(hits, -np.inf, pw)) @ probs
 
 
 def _multinomial_weight(n, probs):

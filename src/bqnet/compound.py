@@ -18,8 +18,9 @@ space at every position of the simplex, for a stack of rows at once (one
 row per quadrature node). Only the log G_N^(m)(1 - qbar), m = 0..cap, one
 row of them per node, depend on the family of N:
 
-* the Poisson, binomial, negative-binomial, logarithmic and degenerate
-  PGFs are differentiated in closed form;
+* the Poisson, binomial, negative-binomial and logarithmic PGFs are
+  differentiated in closed form, and so is a one-point table, as the
+  binomial with alpha = 1;
 * for every other family, G_N^(m)(s) = sum_{n >= m} P(N = n) n!/(n - m)!
   s^(n - m) is summed once per degree m until its terms drop below a
   relative cutoff; a geometric bound on the rest is the tail bound. All
@@ -32,7 +33,7 @@ Every batch variant is built from such placements:
 * independent marginals: the convolution over queues of S_j placed by
   q^j(t);
 * finite tables: the mixture over table vectors s of the convolution over
-  queues of the degenerate size s_j placed by q^j(t);
+  queues of the one-point size s_j placed by q^j(t);
 * constant batches: the finite table with one vector.
 
 :func:`lattice_stack` is the one lattice routine. It takes the placement
@@ -73,8 +74,7 @@ LATTICE_BUDGET = 1 << 22
 _BYTES_PER_CELL = 24
 
 _CLOSED_FORM_FAMILIES = (batchmod.BINOMIAL, batchmod.POISSON,
-                         batchmod.NEG_BINOMIAL, batchmod.LOGARITHMIC,
-                         batchmod.DEGENERATE)
+                         batchmod.NEG_BINOMIAL, batchmod.LOGARITHMIC)
 
 
 class CompoundSnapshot:
@@ -217,7 +217,8 @@ def _placement(law, q, idx):
         log_power = np.where(idx.array > 0, idx.array * np.log(q)[:, None, :], 0.0)
     log_weight = log_power.sum(axis=2) - idx.log_factorial
     qbar = q.sum(axis=1)
-    if law.family in _CLOSED_FORM_FAMILIES:
+    one_point = law.family == batchmod.FINITE and law.support.size == 1
+    if law.family in _CLOSED_FORM_FAMILIES or one_point:
         log_g, tails = _closed_log_derivatives(law, qbar, idx.cap), np.zeros(len(q))
     else:
         # each degree's series is scaled by its largest log(q^i / i!)
@@ -231,7 +232,7 @@ def _placement(law, q, idx):
 
 def _closed_log_derivatives(law, qbar, cap):
     """log G^(m)(1 - qbar) as an (nodes, cap+1) array, for the closed-form
-    families; ``qbar`` holds one value per node."""
+    families and one-point tables; ``qbar`` holds one value per node."""
     m = np.arange(cap + 1.0)
     qbar = qbar[:, None]
     fam = law.family
@@ -252,13 +253,9 @@ def _closed_log_derivatives(law, qbar, cap):
                    - math.log(-math.log1p(-rho)))
             out[:, :1] = np.log(log_base / math.log1p(-rho))
             return out
-        # G(s) = (1 - alpha + alpha s)^count; degenerate is alpha = 1
-        if fam == batchmod.BINOMIAL:
-            count, alpha = law.count, law.prob
-        elif fam == batchmod.DEGENERATE:
-            count, alpha = law.value, 1.0
-        else:
-            raise DomainError(f"no closed form for family {fam}")
+        # G(s) = (1 - alpha + alpha s)^count; a one-point table is alpha = 1
+        count, alpha = ((law.count, law.prob) if fam == batchmod.BINOMIAL
+                        else (int(law.support[0]), 1.0))
         stay = np.maximum(1.0 - alpha * qbar, 0.0)
         out = (special.gammaln(count + 1.0) - special.gammaln(count - m + 1.0)
                + special.xlogy(m, alpha) + special.xlogy(count - m, stay))

@@ -97,6 +97,8 @@ def _build_univariate(block, path, collector):
     params = {k: block[k] for k in _FAMILY_KEYS[name]}
 
     def build():
+        if name == "degenerate":
+            return UnivariateLaw.degenerate(params["value"])
         if name == "finite-table":
             # object keys are strings; UnivariateLaw rejects non-integers
             table = params["table"]
@@ -238,8 +240,9 @@ def parse_config(raw, base_dir="."):
         required = allowed - {"phase"}
         if _check_keys(block, allowed, required, "arrival", collector):
             params = {k: block[k] for k in allowed if k in block}
-            arrival = collector.attempt("arrival",
-                                        lambda: ArrivalProcess(kind, **params))
+            arrival = collector.attempt(
+                "arrival", lambda: ArrivalProcess.constant(**params) if kind == "constant"
+                else ArrivalProcess(kind, **params))
 
     kernel_spec = raw.get("kernel", {"representation": "auto"})
     if not isinstance(kernel_spec, dict):

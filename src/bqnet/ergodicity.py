@@ -247,7 +247,7 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
         return StabilityVerdict(NON_ERGODIC, DIVERGENT_LOG_MOMENT, math.inf,
                                 diagnostics)
     if polynomial_tail_alpha is not None:
-        if polynomial_tail_alpha <= 1.0:
+        if not polynomial_tail_alpha > 1.0:
             raise DomainError("polynomial tail certificate needs alpha > 1")
         diagnostics["alpha"] = polynomial_tail_alpha
         if batch.fractional_moment_finite(polynomial_tail_alpha):

@@ -51,8 +51,8 @@ class TimeGrid:
     nodes: int
 
     def __post_init__(self):
-        if self.end <= 0:
-            raise ValidationError("grid end must be > 0")
+        if not (np.isfinite(self.end) and self.end > 0):
+            raise ValidationError("grid end must be finite and > 0")
         if self.nodes < 3 or self.nodes % 2 == 0:
             raise ValidationError("grid node count must be odd and >= 3")
 

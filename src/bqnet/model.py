@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .arrivals import ArrivalProcess
@@ -21,8 +22,8 @@ class AnalysisDefaults:
     def __post_init__(self):
         if self.cap < 0:
             raise ValidationError("analysis cap must be >= 0")
-        if self.rtol <= 0:
-            raise ValidationError("analysis rtol must be > 0")
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ValidationError("analysis rtol must be finite and > 0")
 
 
 @dataclass

@@ -33,30 +33,31 @@ class ServiceLaw:
         self.kind = kind
         self.params = dict(params)
         if kind == EXPONENTIAL:
-            if params["rate"] <= 0:
-                raise ValidationError("exponential rate must be > 0")
+            if not (math.isfinite(params["rate"]) and params["rate"] > 0):
+                raise ValidationError("exponential rate must be finite and > 0")
             self.rate = float(params["rate"])
         elif kind == ERLANG:
             shape, rate = params["shape"], params["rate"]
-            if int(shape) != shape or shape < 1:
+            if not (float(shape).is_integer() and shape >= 1):
                 raise ValidationError("erlang shape must be a positive integer")
-            if rate <= 0:
-                raise ValidationError("erlang rate must be > 0")
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValidationError("erlang rate must be finite and > 0")
             self.shape, self.rate = int(shape), float(rate)
         elif kind == DETERMINISTIC:
-            if params["duration"] < 0:
-                raise ValidationError("deterministic duration must be >= 0")
+            if not (math.isfinite(params["duration"]) and params["duration"] >= 0):
+                raise ValidationError("deterministic duration must be finite and >= 0")
             self.duration = float(params["duration"])
         elif kind == TABULATED:
             times = np.asarray(params["times"], dtype=float)
             values = np.asarray(params["values"], dtype=float)
             if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
                 raise ValidationError("tabulated CDF needs matching time/value arrays")
-            if times[0] < 0 or np.any(np.diff(times) <= 0):
-                raise ValidationError("tabulated CDF times must be strictly increasing and >= 0")
+            if not (times[0] >= 0 and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
+                raise ValidationError("tabulated CDF times must be finite, strictly "
+                                      "increasing and >= 0")
             if np.any(np.diff(values) < 0):
                 raise ValidationError("tabulated CDF must be nondecreasing")
-            if np.any(values < 0) or np.any(values > 1):
+            if not np.all((values >= 0) & (values <= 1)):
                 raise ValidationError("tabulated CDF values must lie in [0, 1]")
             self.times, self.values = times, values
         elif kind != ABSORBING:
@@ -156,9 +157,9 @@ class ServiceNode:
         row = np.asarray(routing, dtype=float)
         if row.ndim != 1 or row.size < 2:
             raise ValidationError("routing row must be a vector of length J+1")
-        if np.any(row < 0):
+        if not np.all(row >= 0):
             raise ValidationError("routing probabilities must be >= 0")
-        if abs(row.sum() - 1.0) > ROUTING_TOL:
+        if not abs(row.sum() - 1.0) <= ROUTING_TOL:
             raise ValidationError(
                 f"routing row must sum to 1 within {ROUTING_TOL} (got {row.sum()!r})")
         self.routing = row

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrivals import PIECEWISE
 from .errors import SimulationBudgetError, ValidationError
 from .service import zero_time_loop
 from .tables import dump_json, simplex_rank, write_occupancy_csv
@@ -66,14 +67,14 @@ def sample_arrival_times(process, horizon, rng, count=1):
     """Arrival epochs on [0, horizon) for ``count`` independent replications.
 
     Returns ``(times, reps)``: every epoch with the replication it belongs
-    to, in draw order (not sorted). Piecewise-constant (and constant)
-    rates are sampled exactly per segment; other shapes are thinned
-    against the exact majorant.
+    to, in draw order (not sorted). Piecewise-constant rates (a constant
+    rate is one piece) are sampled exactly per segment; other shapes are
+    thinned against the exact majorant.
     """
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
     chunks = [(np.empty(0), np.empty(0, dtype=np.int64))]
-    if horizon > 0 and process.kind in ("constant", "piecewise-constant"):
+    if horizon > 0 and process.kind == PIECEWISE:
         for start, end, rate in process.segments(horizon):
             if rate <= 0 or end <= start:
                 continue
@@ -252,13 +253,6 @@ class SimulationEstimate:
     J: int                  # queues per occupancy vector
     counts: list            # one {vector: count} per snapshot time
     overflow: list          # tallies with sum(n) > cap, per snapshot time
-
-    def probability(self, time_index, vector):
-        return self.counts[time_index].get(tuple(vector), 0) / self.replications
-
-    def stderr(self, time_index, vector):
-        p = self.probability(time_index, vector)
-        return math.sqrt(p * (1.0 - p) / self.replications)
 
     def table(self, time_index):
         """Sorted (vector, prob, stderr) rows for one snapshot."""

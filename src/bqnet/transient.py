@@ -54,8 +54,8 @@ TAIL_WARNING = 0.01
 
 
 def _check_time(t):
-    if t < 0:
-        raise ValidationError("time must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError("time must be finite and >= 0")
     return float(t)
 
 

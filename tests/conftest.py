@@ -6,8 +6,8 @@ from scipy import special, stats
 
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, SimulationBudgetError, UnivariateLaw)
-from bqnet.batch import (BINOMIAL, DEGENERATE, GEOMETRIC, LOGARITHMIC,
-                         NEG_BINOMIAL, POISSON, ZETA, poisson_pmf)
+from bqnet.batch import (BINOMIAL, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
+                         POISSON, ZETA, poisson_pmf)
 from bqnet.kernels import POISSON_TAIL, _poisson_isf
 from bqnet.service import routing_matrix
 from bqnet.simulate import EXITED, MAX_CUSTOMER_EVENTS
@@ -106,7 +106,7 @@ def brute_force_iid_compound(law, qvec, i, n_top):
 
 def oracle_iid_lattice(law, qvec, idx_array):
     """(P(C = i) for each row i of ``idx_array``, series tail bound)."""
-    if law.family in (BINOMIAL, POISSON, NEG_BINOMIAL, LOGARITHMIC, DEGENERATE):
+    if law.family in (BINOMIAL, POISSON, NEG_BINOMIAL, LOGARITHMIC):
         return _oracle_closed(law, qvec, idx_array), 0.0
     return _oracle_series(law, qvec, idx_array)
 
@@ -161,14 +161,6 @@ def _oracle_closed(law, qvec, idx_array):
             out = np.where(m >= 1, np.exp(logp), 0.0)
             zero = math.log(base) / math.log1p(-rho)
             out[m == 0] = zero
-        elif fam == DEGENERATE:
-            n = law.value
-            leave = 1.0 - qbar
-            log_leave = math.log(leave) if leave > 0 else -math.inf
-            tail_pow = np.where(n - m > 0, (n - m) * log_leave, 0.0)
-            logp = (special.gammaln(n + 1.0) - special.gammaln(n - m + 1.0)
-                    - logfact + logqpow + tail_pow)
-            out = np.where(m <= n, np.exp(logp), 0.0)
         else:
             raise AssertionError(fam)
     return np.where(np.isfinite(out), out, 0.0)

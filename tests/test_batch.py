@@ -134,6 +134,31 @@ class TestUnivariate:
         with pytest.raises(ValidationError):
             UnivariateLaw.binomial(0, 0.5)
 
+    @pytest.mark.parametrize("law", [UnivariateLaw.finite_table({3: 1.0}),
+                                     UnivariateLaw.degenerate(3)],
+                             ids=["one-point-table", "degenerate"])
+    def test_one_point_law_draws_nothing(self, law):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        draws = law.sample(rng, 5)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [3] * 5
+        assert rng.bit_generator.state == before
+
+    def test_two_point_table_draws(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        UnivariateLaw.finite_table({3: 0.5, 4: 0.5}).sample(rng, 5)
+        assert rng.bit_generator.state != before
+
+    @pytest.mark.parametrize("table", [{3: 1.0}, {0: 0.2, 2: 0.5, 5: 0.3}])
+    def test_finite_gap_is_the_one_row_batch_gap(self, table):
+        # one formula serves univariate and multivariate finite tables
+        eps = np.array([0.0, 1e-300, 0.3, 1.0])
+        law = UnivariateLaw.finite_table(table)
+        batch = BatchLaw.finite_table({(n,): p for n, p in table.items()}, 1)
+        assert np.array_equal(law.pgf_gap(eps), batch.pgf_gap(eps[:, None]))
+
 
 class TestScipyStatsClosedForms:
     """The pmfs and samplers are the formulas and Generator calls that

@@ -15,7 +15,9 @@ class TestConfigLoading:
     def test_bundled_mm_infty(self):
         model = load_config(bundled_config_path("mm_infty"))
         assert model.J == 1
-        assert model.arrival.kind == "constant"
+        # a constant rate is the piecewise-constant rate with one piece
+        assert model.arrival.kind == "piecewise-constant"
+        assert model.arrival.params == {"breakpoints": [0.0], "rates": [1.0]}
         # a constant batch is the finite table with one vector
         assert model.batch.variant == "finite-table"
         assert model.batch.vectors.tolist() == [[1]]
@@ -123,6 +125,27 @@ class TestTables:
             read_occupancy_csv(path)
 
 
+NAN = math.nan
+ZERO_PROB = ["zero-prob", "--t", "1"]
+
+
+def _family(**law):
+    """A one-queue batch whose size has the univariate ``law``."""
+    return "batch", {"variant": "iid-assignment", "entry_probs": [1.0], "family": law}, ZERO_PROB
+
+
+def _service(**service):
+    """A single node with the given service law."""
+    return "nodes", [{"service": service, "routing": [0.0, 1.0]}], ZERO_PROB
+
+
+def _sinusoid(**params):
+    """A sinusoidal arrival rate with ``params`` overriding 1 + 0.5 sin(t)."""
+    rate = {"kind": "sinusoidal", "base": 1.0, "amplitude": 0.5, "frequency": 1.0,
+            "phase": 0.0}
+    return "arrival", {**rate, **params}, ZERO_PROB
+
+
 class TestCli:
     def test_missing_config_exit_66(self, capsys):
         assert main(["pmf", "--config", "no-such-file.json",
@@ -166,6 +189,51 @@ class TestCli:
         assert "NaN" in path.read_text()
         assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, value, command", [
+        _family(name="poisson", mean=NAN),
+        _family(name="poisson", mean=math.inf),
+        _family(name="negative-binomial", shape=NAN, scale=1.0),
+        _family(name="negative-binomial", shape=1.0, scale=NAN),
+        _family(name="zeta", exponent=NAN),
+        _service(kind="exponential", rate=NAN),
+        _service(kind="erlang", shape=2, rate=NAN),
+        _service(kind="deterministic", duration=NAN),
+        _service(kind="tabulated", times=[0.0, NAN], values=[0.0, 1.0]),
+        _service(kind="tabulated", times=[0.0, 1.0], values=[0.0, NAN]),
+        ("nodes", [{"service": {"kind": "exponential", "rate": 1.0},
+                    "routing": [NAN, 1.0]}], ZERO_PROB),
+        ("arrival", {"kind": "constant", "rate": NAN}, ZERO_PROB),
+        ("arrival", {"kind": "constant", "rate": math.inf}, ZERO_PROB),
+        ("arrival", {"kind": "piecewise-constant", "breakpoints": [0.0, NAN],
+                     "rates": [1.0, 1.0]}, ZERO_PROB),
+        ("arrival", {"kind": "piecewise-constant", "breakpoints": [0.0, 1.0],
+                     "rates": [1.0, NAN]}, ZERO_PROB),
+        _sinusoid(base=NAN, amplitude=0.0),
+        _sinusoid(amplitude=NAN),
+        _sinusoid(frequency=NAN),
+        _sinusoid(phase=NAN),
+        ("analysis", {"rtol": NAN}, ZERO_PROB),
+        ("kernel", {"representation": "renewal-grid", "end": NAN}, ZERO_PROB),
+        (None, None, ["zero-prob", "--t", "nan"]),
+        (None, None, ["zero-prob", "--t", "inf"]),
+        (None, None, ["pgf", "--t", "1", "--z", "nan"]),
+        # batch sizes beyond the int64 tallies
+        _family(name="degenerate", value=1e30),
+        ("batch", {"variant": "constant", "vector": [1e30]}, ZERO_PROB),
+        # a rate that is not a number
+        ("arrival", {"kind": "constant", "rate": "2"}, ZERO_PROB),
+    ])
+    def test_bad_numeric_parameter_exit_2(self, tmp_path, capsys, block, value, command):
+        # NaN compares false with every bound, so each check must ask for
+        # the value it accepts rather than reject the values it does not
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        if block is not None:
+            raw[block] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(command + ["--config", str(path)]) == 2
+        assert "validation failed" in capsys.readouterr().err
 
     def test_pmf_artifact_values(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

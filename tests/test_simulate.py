@@ -261,7 +261,7 @@ class TestRunSimulation:
                               replications=1_000_000, seed=20240901, cap=30)
         est = run_simulation(plan, workers=4)
         want = math.exp(-(1.0 - math.exp(-1.0)))
-        p_hat = est.probability(0, (0,))
+        p_hat = est.counts[0].get((0,), 0) / plan.replications
         se = math.sqrt(want * (1 - want) / plan.replications)
         assert abs(p_hat - want) <= 3.0 * se
         assert sum(est.counts[0].values()) + est.overflow[0] == plan.replications
