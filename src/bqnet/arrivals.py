@@ -2,8 +2,9 @@
 
 Two rate shapes are supported: piecewise constant (a constant rate is
 the one-piece rate, :meth:`ArrivalProcess.constant`) and sinusoidal. Each
-exposes the instantaneous rate, the exact cumulative rate, and an exact
-finite upper bound usable as a thinning majorant.
+exposes the instantaneous rate, the exact cumulative rate, and pieces
+covering [0, horizon] with an exact finite rate bound on each, the
+simulator's thinning majorant (:meth:`ArrivalProcess.segments`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 PIECEWISE = "piecewise-constant"
 SINUSOIDAL = "sinusoidal"
@@ -95,27 +96,19 @@ class ArrivalProcess:
                 out = a * t - (b / w) * (np.cos(w * t + phi) - math.cos(phi))
         return out if out.shape else float(out)
 
-    def max_rate(self, horizon):
-        """An exact finite upper bound for lambda on [0, horizon]."""
-        if horizon < 0:
-            raise DomainError("horizon must be >= 0")
-        if self.kind == PIECEWISE:
-            last = np.searchsorted(self._breaks, horizon, side="right")
-            return float(np.max(self._rates[:max(last, 1)]))
-        return self._a + abs(self._b)
-
     def is_homogeneous(self):
         if self.kind == PIECEWISE:
             return bool(np.all(self._rates == self._rates[0]))
         return self._b == 0.0
 
     def segments(self, horizon):
-        """(start, end, rate) segments covering [0, horizon] for exact sampling.
+        """(start, end, bound) pieces covering [0, horizon], lambda <= bound on each.
 
-        Only meaningful for piecewise-constant processes.
+        A piecewise-constant rate returns its own pieces, each bounded by its
+        own rate; a sinusoidal rate is one piece bounded by a + |b|.
         """
-        if self.kind != PIECEWISE:
-            raise DomainError("segments are only defined for piecewise-constant rates")
+        if self.kind == SINUSOIDAL:
+            return [(0.0, horizon, self._a + abs(self._b))]
         out = []
         for i, start in enumerate(self._breaks):
             if start >= horizon:

@@ -14,7 +14,7 @@ from pathlib import Path
 from .arrivals import ArrivalProcess
 from .batch import BatchLaw, UnivariateLaw
 from .errors import ValidationError
-from .model import AnalysisDefaults, NetworkModel
+from .model import AnalysisDefaults, NetworkModel, renewal_grid
 from .service import ServiceLaw, ServiceNode
 from .tables import read_occupancy_csv
 
@@ -33,6 +33,13 @@ _FAMILY_KEYS = {
     "degenerate": {"value"},
     "finite-table": {"table"},
     "log-weighted-tail": set(),
+}
+# the grid keys are optional; a tabulated kernel needs its path
+_KERNEL_KEYS = {
+    "auto": set(),
+    "markov-uniformization": set(),
+    "renewal-grid": {"end", "nodes"},
+    "tabulated": {"path"},
 }
 _SERVICE_KEYS = {
     "exponential": {"rate"},
@@ -249,16 +256,17 @@ def parse_config(raw, base_dir="."):
         collector.error("kernel", "expected an object")
         kernel_spec = {"representation": "auto"}
     representation = kernel_spec.get("representation", "auto")
-    if representation not in ("auto", "markov-uniformization", "renewal-grid",
-                              "tabulated"):
+    if not isinstance(representation, str) or representation not in _KERNEL_KEYS:
         collector.error("kernel.representation",
                         f"unknown representation {representation!r}")
-    if representation == "tabulated":
-        if "path" not in kernel_spec:
-            collector.error("kernel.path", "tabulated kernels need a CSV path")
-        else:
+    elif _check_keys(kernel_spec, _KERNEL_KEYS[representation] | {"representation"},
+                     _KERNEL_KEYS[representation] & {"path"}, "kernel", collector):
+        if representation == "renewal-grid":
+            collector.attempt("kernel", lambda: renewal_grid(kernel_spec))
+        elif representation == "tabulated":
             kernel_spec = dict(kernel_spec)
-            kernel_spec["path"] = str(Path(base_dir) / kernel_spec["path"])
+            kernel_spec["path"] = collector.attempt(
+                "kernel.path", lambda: str(Path(base_dir) / kernel_spec["path"]))
 
     batch = None
     if "batch" in raw:

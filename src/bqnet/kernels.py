@@ -13,7 +13,8 @@ Three interchangeable constructions are provided: uniformization of the
 customer-path CTMC (all-exponential networks), a Markov-renewal grid
 solver (general service laws), and tabulated values loaded from CSV.
 Kernels are immutable after construction and safe to evaluate
-concurrently; internal caches only ever grow.
+concurrently; the uniformization kernel's cache of jump-matrix powers
+only ever grows, and a renewal grid only ever extends.
 """
 
 from __future__ import annotations
@@ -51,10 +52,14 @@ class TimeGrid:
     nodes: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.end) and self.end > 0):
-            raise ValidationError("grid end must be finite and > 0")
-        if self.nodes < 3 or self.nodes % 2 == 0:
-            raise ValidationError("grid node count must be odd and >= 3")
+        end, nodes = np.asarray(self.end), np.asarray(self.nodes)
+        if not (end.dtype.kind in "iuf" and end.ndim == 0 and np.isfinite(end) and end > 0):
+            raise ValidationError("grid end must be a finite number > 0")
+        if not (nodes.dtype.kind in "iuf" and nodes.ndim == 0 and float(nodes).is_integer()
+                and nodes >= 3 and nodes % 2 == 1):
+            raise ValidationError("grid node count must be an odd integer >= 3")
+        object.__setattr__(self, "end", float(end))
+        object.__setattr__(self, "nodes", int(nodes))
 
     @property
     def spacing(self):
@@ -112,7 +117,7 @@ class MarkovKernel(OccupancyKernel):
     themselves exceed that budget, or beyond r t = ``UNIFORMIZATION_MAX_A``,
     a scaling-and-squaring matrix exponential takes over (the two agree to
     roundoff where they meet); ``scipy.linalg`` is imported only when a
-    time first needs it. Matrices are cached per time.
+    time first needs it.
     """
 
     representation = "markov-uniformization"
@@ -133,44 +138,35 @@ class MarkovKernel(OccupancyKernel):
         else:
             self._jump_matrix = np.eye(J + 1)
         self._powers = np.empty((0, J + 1, J + 1))
-        self._cache = {}
 
     def placement_rows_many(self, ts):
-        mats = self._transition_matrices(ts)
-        return np.array(mats).reshape(len(mats), self.J + 1, self.J + 1)[:, : self.J, :]
+        return self._transition_matrices(ts)[:, : self.J, :]
 
     def _transition_matrices(self, ts):
-        """Read-only (J+1, J+1) transition matrices, one per time in ``ts``."""
+        """(len(ts), J+1, J+1) transition matrices, one per time in ``ts``."""
         ts = np.asarray(ts, dtype=float).ravel().tolist()
         if any(t < 0 for t in ts):
             raise KernelDomainError("kernel evaluated at negative time")
-        pending = [t for t in dict.fromkeys(ts) if t not in self._cache]
-        small = [t for t in pending if self.uniformization_rate * t <= UNIFORMIZATION_MAX_A]
-        a_max = self.uniformization_rate * max(small, default=0.0)
+        r = self.uniformization_rate
+        small = [i for i, t in enumerate(ts) if r * t <= UNIFORMIZATION_MAX_A]
+        a_max = r * max([ts[i] for i in small], default=0.0)
         n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
         if (n_max + 1) * (self.J + 1) ** 2 * 8 > UNIFORMIZATION_BUDGET:
             small = []   # the powers alone would not fit the budget
-        series = set(small)
-        beyond = [t for t in pending if t not in series]
-        fresh = {}
-        if beyond:
+        out = np.empty((len(ts), self.J + 1, self.J + 1))
+        for i in set(range(len(ts))).difference(small):
             from scipy.linalg import expm
-
-            fresh = {t: expm(self.generator * t) for t in beyond}
+            out[i] = expm(self.generator * ts[i])
         if small:
-            a = self.uniformization_rate * np.array(small)
+            a = r * np.array([ts[i] for i in small])
             weights = poisson_pmf(np.arange(n_max + 1)[:, None], a)
             weights /= weights.sum(axis=0, keepdims=True)   # fold the tail back in
             powers = self._jump_powers(n_max)[:, None]
             step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
             for lo in range(0, len(small), step):
-                acc = (weights[:, lo:lo + step, None, None] * powers).sum(axis=0)
-                fresh.update(zip(small[lo:lo + step], acc))
-        for t, out in fresh.items():
-            out = np.clip(out, 0.0, 1.0)
-            out.setflags(write=False)
-            self._cache[t] = out
-        return [self._cache[t] for t in ts]
+                out[small[lo:lo + step]] = (weights[:, lo:lo + step, None, None]
+                                            * powers).sum(axis=0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def _jump_powers(self, n):
         """P^0 .. P^n as an (n+1, J+1, J+1) array, extending the cache as needed."""

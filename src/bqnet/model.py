@@ -13,6 +13,11 @@ from .kernels import (MarkovKernel, RenewalKernel, TimeGrid,
 from .service import EXPONENTIAL, ServiceNode, validate_nodes
 
 
+def renewal_grid(kernel_spec):
+    """The renewal grid a kernel block names: [0, 8] with 1025 nodes by default."""
+    return TimeGrid(end=kernel_spec.get("end", 8.0), nodes=kernel_spec.get("nodes", 1025))
+
+
 @dataclass
 class AnalysisDefaults:
     cap: int = 20
@@ -58,7 +63,5 @@ class NetworkModel:
         if rep == "markov-uniformization":
             return MarkovKernel(self.nodes, self.J)
         if rep == "renewal-grid":
-            grid = TimeGrid(end=float(self.kernel_spec.get("end", 8.0)),
-                            nodes=int(self.kernel_spec.get("nodes", 1025)))
-            return RenewalKernel(self.nodes, self.J, grid)
+            return RenewalKernel(self.nodes, self.J, renewal_grid(self.kernel_spec))
         raise ValidationError(f"unknown kernel representation {rep!r}")

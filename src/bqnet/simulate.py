@@ -67,29 +67,24 @@ def sample_arrival_times(process, horizon, rng, count=1):
     """Arrival epochs on [0, horizon) for ``count`` independent replications.
 
     Returns ``(times, reps)``: every epoch with the replication it belongs
-    to, in draw order (not sorted). Piecewise-constant rates (a constant
-    rate is one piece) are sampled exactly per segment; other shapes are
-    thinned against the exact majorant.
+    to, in draw order (not sorted). Each piece of ``process.segments`` is
+    thinned against its bound; a piecewise-constant rate is its own bound,
+    so its epochs are all kept and draw no acceptance uniforms.
     """
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValidationError("horizon must be finite and >= 0")
     chunks = [(np.empty(0), np.empty(0, dtype=np.int64))]
-    if horizon > 0 and process.kind == PIECEWISE:
-        for start, end, rate in process.segments(horizon):
-            if rate <= 0 or end <= start:
-                continue
-            per_rep = rng.poisson(rate * (end - start), count)
-            chunks.append((rng.uniform(start, end, int(per_rep.sum())),
-                           np.repeat(np.arange(count), per_rep)))
-    elif horizon > 0:
-        lam_max = process.max_rate(horizon)
-        if lam_max > 0:
-            per_rep = rng.poisson(lam_max * horizon, count)
-            total = int(per_rep.sum())
-            t = rng.uniform(0.0, horizon, total)
-            rep = np.repeat(np.arange(count), per_rep)
-            keep = rng.uniform(size=total) * lam_max < process.rate(t)
-            chunks.append((t[keep], rep[keep]))
+    for start, end, bound in process.segments(horizon):
+        if bound <= 0 or end <= start:
+            continue
+        per_rep = rng.poisson(bound * (end - start), count)
+        total = int(per_rep.sum())
+        t = rng.uniform(start, end, total)
+        rep = np.repeat(np.arange(count), per_rep)
+        if process.kind != PIECEWISE:
+            keep = rng.uniform(size=total) * bound < process.rate(t)
+            t, rep = t[keep], rep[keep]
+        chunks.append((t, rep))
     times, reps = zip(*chunks)
     return np.concatenate(times), np.concatenate(reps)
 

@@ -2,7 +2,8 @@
 
 The occupancy vector N(t) is a Poisson-random sum of independent batch
 displacements, so its PGF is the exponential of a time integral of the
-single-batch displacement PGF. The PMF follows from a multivariate
+single-batch displacement PGF; P(N = 0) is that PGF at z = 0
+(:func:`transient_zero_prob`). The PMF follows from a multivariate
 Panjer recursion over the occupancy simplex (Sundt 1999). With the
 displacement integrals
 
@@ -59,35 +60,26 @@ def _check_time(t):
     return float(t)
 
 
-def _gap_integrand(model, kernel, t, one_minus_z):
-    """tau -> lambda(tau) [1 - G_C(t-tau)(z)], the PGF exponent's integrand."""
-    def integrand(tau):
-        rows = kernel.placement_rows_many(t - tau)
-        gaps = model.batch.pgf_gap(rows[:, :, : model.J] @ one_minus_z)
-        return np.asarray(model.arrival.rate(tau), dtype=float) * gaps
-    return integrand
-
-
 def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
     """E[prod z_k^{N_k(t)}] for z in the unit box."""
     t = _check_time(t)
-    z = check_pgf_argument(z, model.J)
+    one_minus_z = 1.0 - check_pgf_argument(z, model.J)
     if t == 0.0:
         return 1.0
-    exponent, _ = simpson_refine(_gap_integrand(model, kernel, t, 1.0 - z),
-                                 0.0, t, quad, "transient PGF quadrature")
+
+    def integrand(tau):
+        # lambda(tau) [1 - G_C(t - tau)(z)], the exponent's integrand
+        rows = kernel.placement_rows_many(t - tau)
+        gaps = model.batch.pgf_gap(rows[:, :, : model.J] @ one_minus_z)
+        return np.asarray(model.arrival.rate(tau), dtype=float) * gaps
+
+    exponent, _ = simpson_refine(integrand, 0.0, t, quad, "transient PGF quadrature")
     return math.exp(-exponent)
 
 
 def transient_zero_prob(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
-    """P(N(t) = 0) = transient PGF at z = 0."""
-    t = _check_time(t)
-    if t == 0.0:
-        return 1.0
-    exponent, _ = simpson_refine(_gap_integrand(model, kernel, t, np.ones(model.J)),
-                                 0.0, t, quad,
-                                 "empty-network probability quadrature")
-    return math.exp(-exponent)
+    """P(N(t) = 0): the transient PGF at z = 0."""
+    return transient_pgf(model, kernel, t, np.zeros(model.J), quad)
 
 
 def _run_recursion(index, A, p0):

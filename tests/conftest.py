@@ -6,6 +6,7 @@ from scipy import special, stats
 
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, SimulationBudgetError, UnivariateLaw)
+from bqnet.arrivals import PIECEWISE
 from bqnet.batch import (BINOMIAL, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
                          POISSON, ZETA, poisson_pmf)
 from bqnet.kernels import POISSON_TAIL, _poisson_isf
@@ -314,6 +315,36 @@ def oracle_uniformization(kernel, ts):
         power = power @ kernel._jump_matrix
         acc += weights[n][:, None, None] * power
     return np.clip(acc, 0.0, 1.0)
+
+
+# -- two-branch arrival sampler oracle ---------------------------------------------
+#
+# The arrival sampler that one loop over rate pieces replaced, kept verbatim
+# as its oracle: piecewise-constant rates drawn exactly per piece, any other
+# shape thinned once on [0, horizon) against a + |b|.
+
+
+def oracle_arrival_times(process, horizon, rng, count=1):
+    """``(times, reps)`` as the two-branch sampler drew them."""
+    chunks = [(np.empty(0), np.empty(0, dtype=np.int64))]
+    if horizon > 0 and process.kind == PIECEWISE:
+        for start, end, rate in process.segments(horizon):
+            if rate <= 0 or end <= start:
+                continue
+            per_rep = rng.poisson(rate * (end - start), count)
+            chunks.append((rng.uniform(start, end, int(per_rep.sum())),
+                           np.repeat(np.arange(count), per_rep)))
+    elif horizon > 0:
+        lam_max = process._a + abs(process._b)
+        if lam_max > 0:
+            per_rep = rng.poisson(lam_max * horizon, count)
+            total = int(per_rep.sum())
+            t = rng.uniform(0.0, horizon, total)
+            rep = np.repeat(np.arange(count), per_rep)
+            keep = rng.uniform(size=total) * lam_max < process.rate(t)
+            chunks.append((t[keep], rep[keep]))
+    times, reps = zip(*chunks)
+    return np.concatenate(times), np.concatenate(reps)
 
 
 # -- per-node trajectory oracle ----------------------------------------------------

@@ -223,6 +223,16 @@ class TestCli:
         ("batch", {"variant": "constant", "vector": [1e30]}, ZERO_PROB),
         # a rate that is not a number
         ("arrival", {"kind": "constant", "rate": "2"}, ZERO_PROB),
+        # kernel blocks: keys per representation, a numeric grid end and an
+        # odd integer node count (appended, so earlier case ids keep their index)
+        ("kernel", {"representation": "renewal-grid", "end": "x"}, ZERO_PROB),
+        ("kernel", {"representation": "renewal-grid", "end": True}, ZERO_PROB),
+        ("kernel", {"representation": "renewal-grid", "nodes": NAN}, ZERO_PROB),
+        ("kernel", {"representation": "renewal-grid", "nodes": "abc"}, ZERO_PROB),
+        ("kernel", {"representation": "renewal-grid", "nodes": 1025.5}, ZERO_PROB),
+        ("kernel", {"representation": "renewal-grid", "nodez": 5}, ZERO_PROB),
+        ("kernel", {"representation": "markov-uniformization", "nodes": 1025}, ZERO_PROB),
+        ("kernel", {"representation": "tabulated", "path": 5}, ZERO_PROB),
     ])
     def test_bad_numeric_parameter_exit_2(self, tmp_path, capsys, block, value, command):
         # NaN compares false with every bound, so each check must ask for

@@ -11,7 +11,7 @@ from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
                    load_tabulated_kernel_csv)
 from bqnet import kernels as kernels_module
 from bqnet.batch import poisson_pmf
-from bqnet.kernels import POISSON_TAIL, _poisson_isf
+from bqnet.kernels import POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_isf
 
 from conftest import (oracle_renewal_solve, oracle_renewal_step_solve,
                       oracle_uniformization)
@@ -79,7 +79,7 @@ class TestArrivals:
         p = ArrivalProcess.constant(1.5)
         assert p.rate(3.0) == 1.5
         assert p.cumulative(2.0) == 3.0
-        assert p.max_rate(10.0) == 1.5
+        assert p.segments(10.0) == [(0.0, 10.0, 1.5)]
 
     def test_piecewise(self):
         p = ArrivalProcess.piecewise([0.0, 1.0, 2.5], [1.0, 3.0, 0.5])
@@ -87,14 +87,14 @@ class TestArrivals:
         assert p.rate(1.7) == 3.0
         assert p.rate(5.0) == 0.5
         assert p.cumulative(2.0) == pytest.approx(1.0 + 3.0)
-        assert p.max_rate(0.5) == 1.0
-        assert p.max_rate(2.0) == 3.0
+        assert p.segments(0.5) == [(0.0, 0.5, 1.0)]
+        assert p.segments(2.0) == [(0.0, 1.0, 1.0), (1.0, 2.0, 3.0)]
 
     def test_sinusoidal(self):
         p = ArrivalProcess.sinusoidal(1.0, 0.5, 1.0)
         assert p.rate(math.pi / 2) == pytest.approx(1.5)
         assert p.cumulative(2.0) == pytest.approx(2.0 - 0.5 * (math.cos(2.0) - 1.0))
-        assert p.max_rate(100.0) == 1.5
+        assert p.segments(100.0) == [(0.0, 100.0, 1.5)]
         assert not p.is_homogeneous()
 
     def test_validation(self):
@@ -160,6 +160,25 @@ class TestMarkovKernel:
             got = tandem_kernel._transition_matrices([t])[0]
             want = expm(tandem_kernel.generator * t)
             assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("name", BUNDLED_MARKOV)
+    def test_mixed_stack_is_each_part_alone(self, name):
+        # times on both sides of the expm crossover, one of them twice: each
+        # side computes the same bits as it would alone
+        from scipy.linalg import expm
+        nodes = load_config(bundled_config_path(name)).nodes
+        J = len(nodes)
+        kernel = MarkovKernel(nodes, J)
+        crossover = UNIFORMIZATION_MAX_A / kernel.uniformization_rate
+        ts = [0.3, 1.5 * crossover, 2.0, 0.3, 1.1 * crossover]
+        small, large = [0, 2, 3], [1, 4]
+        got = kernel._transition_matrices(ts)
+        alone = MarkovKernel(nodes, J)._transition_matrices([ts[i] for i in small])
+        assert np.array_equal(got[small], alone)
+        assert np.array_equal(got[0], got[3])
+        for i in large:
+            assert np.array_equal(got[i], np.clip(expm(kernel.generator * ts[i]), 0.0, 1.0))
+            assert np.array_equal(got[i], MarkovKernel(nodes, J)._transition_matrices([ts[i]])[0])
 
     def test_generator_matches_entrywise_formula(self):
         from bqnet.ergodicity import _service_certificates

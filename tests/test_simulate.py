@@ -13,7 +13,7 @@ from bqnet import (ArrivalProcess, BatchLaw, NetworkModel, ServiceLaw,
 from bqnet.batch import _LWT_BODY_MAX
 from bqnet.simulate import BLOCK_SIZE, EXITED, _block_rng, _router, _walk
 from bqnet.tables import read_occupancy_csv
-from conftest import oracle_trajectory_locations
+from conftest import oracle_arrival_times, oracle_trajectory_locations
 
 LN2 = math.log(2.0)
 
@@ -127,6 +127,33 @@ class TestArrivalSampling:
             want = process.cumulative(t)
             se = obs.std(ddof=1) / math.sqrt(reps)
             assert abs(obs.mean() - want) <= 3.0 * se
+
+    @pytest.mark.parametrize("process", [
+        ArrivalProcess.constant(1.5),
+        ArrivalProcess.piecewise([0.0, 1.0, 2.5], [2.0, 0.0, 3.0]),
+        ArrivalProcess.sinusoidal(1.0, 0.5, 2.0, 0.3),
+        ArrivalProcess.sinusoidal(2.0, 0.0, 1.0),
+    ], ids=["constant", "piecewise", "sinusoidal", "flat-sinusoid"])
+    @pytest.mark.parametrize("horizon", [0.0, 0.5, 1.0, 1.7, 2.5, 4.0])
+    def test_matches_two_branch_oracle(self, process, horizon):
+        # the same epochs, replications and generator state as the sampler
+        # with a separate thinning branch for non-piecewise rates
+        rng, oracle_rng = _block_rng(5, 0), _block_rng(5, 0)
+        times, reps = sample_arrival_times(process, horizon, rng, 64)
+        want_times, want_reps = oracle_arrival_times(process, horizon, oracle_rng, 64)
+        assert times.dtype == want_times.dtype and reps.dtype == want_reps.dtype
+        assert np.array_equal(times, want_times) and np.array_equal(reps, want_reps)
+        np.testing.assert_equal(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("process", [
+        ArrivalProcess.constant(1.5),
+        ArrivalProcess.piecewise([0.0, 1.0], [2.0, 3.0]),
+        ArrivalProcess.sinusoidal(1.0, 0.5, 2.0),
+    ])
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_non_finite_horizon_rejected(self, process, horizon):
+        with pytest.raises(ValidationError, match="finite"):
+            sample_arrival_times(process, horizon, np.random.default_rng(0), 3)
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    transient_zero_prob)
 
 MM_MEAN = 1.0 - math.exp(-1.0)
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 class TestTransientPGF:
@@ -153,6 +155,17 @@ class TestZeroProb:
         kernel = MarkovKernel([single_exp_node], 1)
         got = transient_zero_prob(model, kernel, 40.0)
         assert abs(got - math.exp(-1.5)) <= 1e-4
+
+    @pytest.mark.parametrize("config, t", [
+        ("mm_infty", 1.0), ("tandem_batch", 3.0), ("zeta_batch", 3.0), ("vivax", 10.0),
+        ("renewal_tandem", 4.0)])
+    def test_is_the_pgf_at_zero(self, config, t):
+        path = BENCH_CONFIGS / f"{config}.json"
+        model = load_config(path if path.exists() else bundled_config_path(config))
+        kernel = model.build_kernel()
+        quad = QuadratureSpec(rtol=model.analysis.rtol)
+        assert (transient_zero_prob(model, kernel, t, quad)
+                == transient_pgf(model, kernel, t, np.zeros(model.J), quad))
 
 
 class TestMoments:
