@@ -23,9 +23,10 @@ Importing this module loads NumPy and ``scipy.special`` and nothing else
 from SciPy. The pmfs are the closed forms that ``scipy.stats`` evaluates
 (Poisson, geometric and logarithmic bit for bit, binomial and negative
 binomial through its log-pmf formulas), and the samplers are the
-``numpy.random.Generator`` methods its ``rvs`` calls. ``mpmath`` is
-imported only by the zeta PGF, and ``scipy.integrate`` only by the
-log-weighted-tail PGF, the first time either is evaluated.
+``numpy.random.Generator`` methods its ``rvs`` calls. The zeta PGF is a
+float64 series in ``scipy.special.zeta`` values, and ``scipy.integrate``
+is imported only by the log-weighted-tail PGF, the first time it is
+evaluated.
 """
 
 from __future__ import annotations
@@ -91,8 +92,7 @@ class UnivariateLaw:
             if not (math.isfinite(s) and s > 1.0):
                 raise ValidationError("zeta exponent must be finite and > 1")
             self.exponent = float(s)
-            self._zeta_norm = float(special.zeta(self.exponent))
-            self._zeta_coeffs = None
+            self._zeta_init()
         elif family == FINITE:
             table = dict(params["table"])
             if not table:
@@ -218,48 +218,58 @@ class UnivariateLaw:
         elif self.family == FINITE:
             out = _finite_table_gap(eps[:, None], self.support[:, None], self.probs)
         elif self.family == ZETA:
-            out = np.array([self._zeta_gap(float(e)) for e in eps])
+            out = self._zeta_gap(eps)
         else:
             out = np.array([self._lwt_gap(float(e)) for e in eps])
         return float(out[0]) if scalar else out
 
-    def _zeta_series_coeffs(self):
-        if self._zeta_coeffs is None:
-            import mpmath
+    # -- zeta internals -----------------------------------------------------
 
-            s = self.exponent
-            with mpmath.workdps(40):
-                coeffs = [float(mpmath.zeta(s - k))
-                          for k in range(1, _ZETA_SERIES_TERMS + 1)]
-            self._zeta_coeffs = (float(special.gamma(1.0 - s)), coeffs)
-        return self._zeta_coeffs
+    def _zeta_init(self):
+        """The coefficients of Li_s(e^-x) = Gamma(1 - s) x^(s-1)
+        + sum_k zeta(s - k) (-x)^k / k!, k >= 0 (DLMF 25.12.12).
+
+        For integer s the Gamma term and the k = s - 1 coefficient are both
+        poles; their sum is (-x)^(s-1)/(s-1)! (H_(s-1) - ln x) (Wood 1992,
+        *The computation of polylogarithms*, sec. 9), so that coefficient
+        becomes H_(s-1) - ln x and the Gamma term goes. A term past the
+        truncation is dropped with the rest.
+        """
+        s = self.exponent
+        self._zeta_norm = float(special.zeta(s))
+        self._zeta_direct = np.arange(1, 60) ** s
+        k = np.arange(1, _ZETA_SERIES_TERMS + 1)
+        self._zeta_coeffs = special.zeta(s - k)
+        if s.is_integer():
+            self._zeta_gamma = 0.0
+            self._zeta_log_k = int(s) - 1
+            self._zeta_harmonic = math.fsum(1.0 / j for j in range(1, int(s)))
+        else:
+            self._zeta_gamma = float(special.gamma(1.0 - s))
+            self._zeta_log_k = None
 
     def _zeta_gap(self, eps):
-        s = self.exponent
-        if eps < 0:
+        if np.any(eps < 0):
             raise DomainError("zeta PGF is not evaluable above z = 1")
-        if eps == 0.0:
-            return 0.0
-        if eps >= 0.5:
-            # direct series at z = 1 - eps <= 0.5: geometric convergence
-            z = 1.0 - eps
-            n = np.arange(1, 60)
-            return 1.0 - float(np.sum(z ** n / n ** s)) / self._zeta_norm
-        if float(s).is_integer():
-            import mpmath
-
-            digits = max(30, int(1.2 * (s - 1) * -math.log10(eps)) + 20)
-            with mpmath.workdps(digits):
-                gap = 1 - mpmath.polylog(int(s), 1 - mpmath.mpf(eps)) / mpmath.zeta(s)
-                return float(gap)
-        gamma_term, coeffs = self._zeta_series_coeffs()
-        x = -math.log1p(-eps)
-        acc = -gamma_term * x ** (s - 1.0)
-        term = 1.0
-        for k, zk in enumerate(coeffs, start=1):
-            term *= -x / k
-            acc -= zk * term
-        return acc / self._zeta_norm
+        out = np.zeros(eps.shape)
+        # direct series at z = 1 - eps <= 0.5: geometric convergence
+        direct = eps >= 0.5
+        if direct.any():
+            z = 1.0 - eps[direct]
+            power_sums = (z[:, None] ** np.arange(1, 60) / self._zeta_direct).sum(axis=1)
+            out[direct] = 1.0 - power_sums / self._zeta_norm
+        series = ~direct & (eps != 0.0)
+        if series.any():
+            x = -np.log1p(-eps[series])
+            acc = -self._zeta_gamma * x ** (self.exponent - 1.0)
+            term = np.ones(x.shape)
+            for k, zk in enumerate(self._zeta_coeffs, start=1):
+                term *= -x / k
+                if k == self._zeta_log_k:
+                    zk = self._zeta_harmonic - np.log(x)
+                acc -= zk * term
+            out[series] = acc / self._zeta_norm
+        return out
 
     # -- log-weighted tail internals ----------------------------------------
 
@@ -579,7 +589,9 @@ class BatchLaw:
         if self.variant == IID_ASSIGNMENT:
             return self.law.pgf_gap(eps @ self.entry_probs)
         if self.variant == INDEPENDENT:
-            gaps = np.stack([law.pgf_gap(e) for law, e in zip(self.laws, eps.T)], axis=1)
+            # a marginal whose support is {0} has a gap of exactly 0
+            gaps = np.stack([law.pgf_gap(e) for law, e in zip(self.laws, eps.T)
+                             if law.support_max() != 0] or [np.zeros(len(eps))], axis=1)
             with np.errstate(divide="ignore"):
                 log_keep = np.log1p(-np.minimum(gaps, 1.0)).sum(axis=1)
             return -np.expm1(log_keep)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bqnet import BatchLaw, UnivariateLaw, ValidationError
+from bqnet import BatchLaw, DomainError, UnivariateLaw, ValidationError
 
 from conftest import truncation_support
 
@@ -19,6 +19,17 @@ AB_FAMILIES = [
     UnivariateLaw.logarithmic(0.5),
     UnivariateLaw.geometric(0.5),
 ]
+
+
+ZETA_GAP_EPS = [1e-300, 1e-100, 1e-12, 1e-6, 0.01, 0.3, 0.4999, 0.5, 0.9, 1.0]
+
+
+def _polylog_gap(s, eps):
+    """1 - Li_s(1 - eps) / zeta(s) with enough digits to hold 1 - eps."""
+    if eps == 0.0:
+        return 0.0
+    with mpmath.workdps(60 + max(0, int(-math.log10(eps)))):
+        return float(1 - mpmath.polylog(s, 1 - mpmath.mpf(eps)) / mpmath.zeta(s))
 
 
 def _ab_recursion_pmf(law, n_max):
@@ -103,6 +114,27 @@ class TestUnivariate:
                 want = float(1 - mpmath.polylog(1.5, 1 - mpmath.mpf(eps))
                              / mpmath.zeta(1.5))
             assert law.pgf_gap(eps) == pytest.approx(want, rel=1e-9)
+
+    # 2, 3, 4, 7: integer exponents take the harmonic/log term; 45 is an
+    # integer above the series' term count, whose log term is dropped
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0, 12.5, 45.0])
+    def test_zeta_gap_matches_polylog_grid(self, s):
+        eps = [e for e in ZETA_GAP_EPS if s != 45.0 or e >= 1e-6]
+        law = UnivariateLaw.zeta(s)
+        want = [_polylog_gap(s, e) for e in eps]
+        np.testing.assert_allclose(law.pgf_gap(np.array(eps)), want, rtol=1e-13, atol=0.0)
+        assert law.pgf_gap(0.0) == 0.0
+
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    def test_zeta_gap_stack_is_each_entry_alone(self, s):
+        law = UnivariateLaw.zeta(s)
+        eps = np.array([0.3, 0.0, 1e-300, 0.75, 0.4999, 1e-8, 0.5, 1.0, 0.0, 1e-3])
+        assert law.pgf_gap(eps).tolist() == [law.pgf_gap(float(e)) for e in eps]
+
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    def test_zeta_gap_rejects_a_negative_entry(self, s):
+        with pytest.raises(DomainError):
+            UnivariateLaw.zeta(s).pgf_gap(np.array([0.2, 0.0, -1e-300, 0.7]))
 
     def test_log_weighted_tail_normaliser(self):
         # frozen against a direct sum to n = 1e9 plus the exact integral tail
@@ -282,6 +314,11 @@ class TestBatchLaw:
         assert law.pgf_gap(eps[:0]).shape == (0,)
         with pytest.raises(ValidationError):
             law.pgf_gap(eps[:, :2])
+
+    def test_independent_gap_of_zero_marginals_is_zero(self):
+        law = BatchLaw.independent([UnivariateLaw.degenerate(0),
+                                    UnivariateLaw.poisson(0.0)])
+        assert law.pgf_gap(np.array([[0.3, 1.0], [0.0, 0.5]])).tolist() == [0.0, 0.0]
 
     def test_constant_monomial(self):
         law = BatchLaw.constant([2, 1])

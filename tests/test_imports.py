@@ -111,3 +111,27 @@ def test_cli_ops_on_bundled_configs_load_no_on_demand_module(tmp_path):
             # call fails fast with DomainError's exit code
             "assert codes.count(0) == len(codes) - 1, codes")
     assert loaded_after(body, ON_DEMAND, tmp_path) == []
+
+
+def test_cli_ops_on_zeta_configs_load_no_on_demand_module(tmp_path):
+    # the zeta PGF gap, non-integer and integer exponent alike, is a
+    # float64 series: no op of a zeta model loads mpmath
+    config = json.loads((PACKAGE / "configs" / "zeta_batch.json").read_text())
+    config["batch"]["family"]["exponent"] = 3
+    (tmp_path / "zeta3.json").write_text(json.dumps(config))
+    calls = [["pmf", "--config", "zeta_batch", "--t", "3", "--cap", "2"],
+             ["pgf", "--config", "zeta_batch", "--t", "3", "--z", "0.5"],
+             ["zero-prob", "--config", "zeta_batch", "--t", "3"],
+             ["moments", "--config", "zeta_batch", "--t", "3"],
+             ["ergodicity", "--config", "zeta_batch"],
+             ["simulate", "--config", "zeta_batch", "--t", "3", "--reps", "200",
+              "--seed", "1", "--cap", "2"],
+             ["pmf", "--config", "zeta3.json", "--t", "3", "--cap", "2"],
+             ["zero-prob", "--config", "zeta3.json", "--t", "3"]]
+    calls = [argv + ["-o", f"{k}.out"] for k, argv in enumerate(calls)]
+    body = ("from bqnet import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            # an infinite-mean batch exceeds any per-block customer budget:
+            # the simulate call fails fast with SimulationBudgetError's code
+            "assert codes == [0, 0, 0, 0, 0, 1, 0, 0], codes")
+    assert loaded_after(body, ON_DEMAND, tmp_path) == []
