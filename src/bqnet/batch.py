@@ -19,14 +19,15 @@ log-weighted-tail law c/(n log^2 n), n >= 2, whose logarithmic moment
 diverges. Moments that do not exist are reported as
 ``math.inf`` -- a first-class signal, never an exception.
 
-Importing this module loads NumPy and ``scipy.special`` and nothing else
-from SciPy. The pmfs are the closed forms that ``scipy.stats`` evaluates
-(Poisson, geometric and logarithmic bit for bit, binomial and negative
-binomial through its log-pmf formulas), and the samplers are the
-``numpy.random.Generator`` methods its ``rvs`` calls. The zeta PGF is a
-float64 series in ``scipy.special.zeta`` values, and ``scipy.integrate``
-is imported only by the log-weighted-tail PGF, the first time it is
-evaluated.
+Importing this module loads NumPy and nothing from SciPy. The pmfs are
+the closed forms that ``scipy.stats`` evaluates (Poisson, geometric and
+logarithmic bit for bit, binomial and negative binomial through its
+log-pmf formulas), and those that need ``scipy.special`` import it when
+called; the samplers are the ``numpy.random.Generator`` methods its
+``rvs`` calls. A zeta law imports ``scipy.special`` when it is built, for
+its normalising constant and the ``zeta`` values of its float64 PGF
+series, and ``scipy.integrate`` is imported only by the log-weighted-tail
+PGF, the first time it is evaluated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, SimulationBudgetError, ValidationError
 
@@ -161,6 +161,8 @@ class UnivariateLaw:
         nn = n.astype(np.int64, copy=False)
         valid = nn >= 0
         pos = nn >= 1
+        if self.family in (BINOMIAL, NEG_BINOMIAL, LOGARITHMIC):
+            from scipy import special
         if self.family == BINOMIAL:
             inside = valid & (nn <= self.count)
             k, N, p = nn[inside], self.count, self.prob
@@ -235,6 +237,8 @@ class UnivariateLaw:
         becomes H_(s-1) - ln x and the Gamma term goes. A term past the
         truncation is dropped with the rest.
         """
+        from scipy import special
+
         s = self.exponent
         self._zeta_norm = float(special.zeta(s))
         self._zeta_direct = np.arange(1, 60) ** s
@@ -343,6 +347,8 @@ class UnivariateLaw:
         if self.family == ZETA:
             if self.exponent <= 2.0:
                 return math.inf
+            from scipy import special
+
             return float(special.zeta(self.exponent - 1.0)) / self._zeta_norm
         if self.family == FINITE:
             return float(self.support @ self.probs)
@@ -363,6 +369,8 @@ class UnivariateLaw:
         if self.family == ZETA:
             if self.exponent <= 3.0:
                 return math.inf
+            from scipy import special
+
             z = self._zeta_norm
             return (float(special.zeta(self.exponent - 2.0))
                     - float(special.zeta(self.exponent - 1.0))) / z
@@ -701,6 +709,8 @@ class BatchLaw:
 def poisson_pmf(n, mu):
     """``scipy.stats.poisson.pmf(n, mu)``, bit for bit, for integers n >= 0
     and mu >= 0; broadcasts."""
+    from scipy import special
+
     return np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
 
 
@@ -721,6 +731,8 @@ def _multinomial_weight(n, probs):
     n = np.asarray(n, dtype=np.int64)
     if np.any((probs == 0.0) & (n > 0)):
         return 0.0
+    from scipy import special
+
     total = int(n.sum())
     log_coeff = special.gammaln(total + 1) - special.gammaln(n + 1).sum()
     with np.errstate(divide="ignore"):

@@ -54,10 +54,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from . import batch as batchmod
 from .errors import DomainError, ResourceBudgetError, ValidationError
+from .logmath import log_factorial, xlogy
 from .tables import LatticePMF, simplex_index, simplex_rank
 
 ROW_TOL = 1e-12
@@ -239,17 +239,17 @@ def _closed_log_derivatives(law, qbar, cap):
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam == batchmod.POISSON:
             # G(s) = exp(mu (s - 1))
-            return special.xlogy(m, law.mu) - law.mu * qbar
+            return xlogy(m, law.mu) - law.mu * qbar
         if fam == batchmod.NEG_BINOMIAL:
             # G(s) = (1 + nu (1 - s))^-r
             r, nu = law.shape, law.scale
-            return (special.gammaln(r + m) - special.gammaln(r) + m * math.log(nu)
-                    - (r + m) * np.log1p(nu * qbar))
+            log_rising = np.array([math.lgamma(v) for v in (r + m).tolist()]) - math.lgamma(r)
+            return log_rising + m * math.log(nu) - (r + m) * np.log1p(nu * qbar)
         if fam == batchmod.LOGARITHMIC:
             # G(s) = log(1 - rho s) / log(1 - rho)
             rho = law.rho
             log_base = np.log(1.0 - rho * (1.0 - qbar))
-            out = (special.gammaln(m) + m * math.log(rho) - m * log_base
+            out = (log_factorial(m - 1.0) + m * math.log(rho) - m * log_base
                    - math.log(-math.log1p(-rho)))
             out[:, :1] = np.log(log_base / math.log1p(-rho))
             return out
@@ -257,8 +257,8 @@ def _closed_log_derivatives(law, qbar, cap):
         count, alpha = ((law.count, law.prob) if fam == batchmod.BINOMIAL
                         else (int(law.support[0]), 1.0))
         stay = np.maximum(1.0 - alpha * qbar, 0.0)
-        out = (special.gammaln(count + 1.0) - special.gammaln(count - m + 1.0)
-               + special.xlogy(m, alpha) + special.xlogy(count - m, stay))
+        out = (log_factorial(count) - log_factorial(count - m)
+               + xlogy(m, alpha) + xlogy(count - m, stay))
         return np.where(m <= count, out, -np.inf)
 
 
@@ -292,7 +292,7 @@ def _series_log_derivatives(law, qbar, offset):
             ns = np.arange(n, end, dtype=float)
             pmf = law.pmf(ns.astype(np.int64))
             with np.errstate(divide="ignore", invalid="ignore"):
-                lw = (special.gammaln(ns + 1.0) - special.gammaln(ns - m + 1.0)
+                lw = (log_factorial(ns) - log_factorial(ns - m)
                       + offset[live, m][:, None]
                       + np.where(ns - m > 0, (ns - m) * log_leave[live][:, None], 0.0))
             terms = pmf * np.exp(lw)

@@ -20,15 +20,15 @@ only ever grows, and a renewal grid only ever extends.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .batch import poisson_pmf
 from .errors import (KernelDomainError, RefinementRequiredError,
                      UnsupportedRepresentationError, ValidationError)
+from .logmath import log_factorial_table, xlogy
 from .service import (EXPONENTIAL, generator, routing_matrix, validate_nodes,
                       zero_time_loop)
 
@@ -103,10 +103,9 @@ class MarkovKernel(OccupancyKernel):
     and routes by its routing row, exit being absorbing. With uniformization
     rate r and jump matrix P, the transition matrix at time t is
     sum_n Pois(n; r t) P^n, the Poisson series truncated so the neglected
-    tail is below ``POISSON_TAIL`` and renormalised. The truncation point
-    and the weights are ``scipy.stats.poisson``'s ``isf`` and ``pmf``,
-    bit for bit, evaluated straight from ``scipy.special``. All the times of
-    one call share one series, truncated for the largest of them.
+    tail is below ``POISSON_TAIL`` and renormalised (:func:`_poisson_head`,
+    :func:`_poisson_weights`). All the times of one call share one series,
+    truncated for the largest of them.
 
     The jump-matrix powers P^0, P^1, ... are computed once, on first use,
     and cached, so each call is one weighted sum over the cached powers:
@@ -149,8 +148,8 @@ class MarkovKernel(OccupancyKernel):
             raise KernelDomainError("kernel evaluated at negative time")
         r = self.uniformization_rate
         small = [i for i, t in enumerate(ts) if r * t <= UNIFORMIZATION_MAX_A]
-        a_max = r * max([ts[i] for i in small], default=0.0)
-        n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
+        head = _poisson_head(r * max([ts[i] for i in small], default=0.0))
+        n_max = len(head) - 1
         if (n_max + 1) * (self.J + 1) ** 2 * 8 > UNIFORMIZATION_BUDGET:
             small = []   # the powers alone would not fit the budget
         out = np.empty((len(ts), self.J + 1, self.J + 1))
@@ -158,9 +157,9 @@ class MarkovKernel(OccupancyKernel):
             from scipy.linalg import expm
             out[i] = expm(self.generator * ts[i])
         if small:
-            a = r * np.array([ts[i] for i in small])
-            weights = poisson_pmf(np.arange(n_max + 1)[:, None], a)
-            weights /= weights.sum(axis=0, keepdims=True)   # fold the tail back in
+            # one time's column is the head it truncated, renormalised
+            weights = ((head / head.sum())[:, None] if len(small) == 1 else
+                       _poisson_weights(r * np.array([ts[i] for i in small]), n_max))
             powers = self._jump_powers(n_max)[:, None]
             step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
             for lo in range(0, len(small), step):
@@ -183,11 +182,36 @@ class MarkovKernel(OccupancyKernel):
         return powers[: n + 1]
 
 
-def _poisson_isf(q, a):
-    """``scipy.stats.poisson.isf(q, a)`` for 0 < q < 1 and a > 0."""
-    n = np.ceil(special.pdtrik(1.0 - q, a))
-    below = max(n - 1.0, 0.0)
-    return below if special.pdtr(below, a) >= 1.0 - q else n
+def _poisson_head(a):
+    """Poisson(a) probabilities of n = 0 .. n_max, a >= 0, unnormalised.
+
+    n_max is one past the truncation point, the least n whose tail
+    P(N > n) <= ``POISSON_TAIL`` (Fox & Glynn 1988, *Comm. ACM* 31(4)).
+    The probabilities are one ``exp`` over the log-factorial table up to
+    a + 10 sqrt(a) + 40, beyond which the Poisson tail is below e^-50
+    (Bernstein's bound); the tails are their sums from the top.
+    """
+    if a == 0.0:
+        return np.ones(1)
+    top = int(a + 10.0 * math.sqrt(a)) + 40
+    probs = np.exp(np.arange(top + 1.0) * math.log(a)
+                   - log_factorial_table(top)[: top + 1] - a)
+    # tails[k] = P(N >= top - k), ascending; the cut is top - #{tails <= q}
+    tails = probs[::-1].cumsum()
+    cut = top - int(tails.searchsorted(POISSON_TAIL, side="right"))
+    return probs[: cut + 2]
+
+
+def _poisson_weights(a, n_max):
+    """Uniformization weights for the rates * times ``a``, (n_max + 1, len(a)).
+
+    Column i is Poisson(a_i) over n = 0 .. n_max, renormalised to fold
+    the tail back in.
+    """
+    a = np.asarray(a, dtype=float)
+    weights = np.exp(xlogy(np.arange(n_max + 1.0)[:, None], a)
+                     - log_factorial_table(n_max)[: n_max + 1, None] - a)
+    return weights / weights.sum(axis=0)
 
 
 class GridKernel(OccupancyKernel):

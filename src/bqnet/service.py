@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
@@ -89,7 +88,7 @@ class ServiceLaw:
         if self.kind == EXPONENTIAL:
             out = -np.expm1(-self.rate * np.maximum(t, 0.0))
         elif self.kind == ERLANG:
-            out = special.gammainc(self.shape, self.rate * np.maximum(t, 0.0))
+            out = _erlang_cdf(self.shape, self.rate * np.maximum(t, 0.0))
         elif self.kind == DETERMINISTIC:
             out = (t >= self.duration).astype(float)
         elif self.kind == TABULATED:
@@ -136,6 +135,44 @@ class ServiceLaw:
 
     def __repr__(self):
         return f"ServiceLaw({self.kind}, {self.params})"
+
+
+# Largest Erlang shape whose CDF is the float64 sum below. The sum starts
+# from e^-x, which is subnormal past x = 708 and 0 past 745; up to this shape
+# what it then drops, P(Poisson(708) < 400) < 1e-34 by Chernoff's bound, is
+# below rounding. Larger shapes take scipy.special.gammainc, on demand.
+ERLANG_SUM_MAX_SHAPE = 400
+
+
+def _erlang_cdf(shape, x):
+    """P(shape, x) = e^-x sum_{k >= shape} x^k / k! for integer shape, x >= 0.
+
+    The regularised incomplete gamma function of integer order is a finite
+    sum (DLMF 8.4.10): P = 1 - e^-x sum_{k < shape} x^k / k!. That form
+    serves x >= shape; below, where the difference would cancel, the
+    complementary series is summed until its terms, whose ratio x / k is
+    below 1, fall under 2^-60 of the sum. NaN stays NaN and +inf gives 1.
+    Past ``ERLANG_SUM_MAX_SHAPE`` it is ``scipy.special.gammainc``.
+    """
+    x = np.asarray(x, dtype=float)
+    if shape > ERLANG_SUM_MAX_SHAPE:
+        from scipy import special
+        return special.gammainc(shape, x)
+    finite = np.isfinite(x)
+    xs = np.where(finite, x, 0.0)
+    term = np.exp(-xs)                  # e^-x x^k / k!, from k = 0
+    head = np.zeros(xs.shape)
+    for k in range(1, shape + 1):
+        head += term
+        term = term * xs / k
+    low = xs < shape
+    tail, k = np.zeros(xs.shape), shape
+    while np.any(low & (term > 2.0 ** -60 * tail)):
+        tail += term
+        k += 1
+        term = term * xs / k
+    out = np.where(low, tail, 1.0 - head)
+    return np.where(finite, out, np.where(x > 0, 1.0, x))
 
 
 class ServiceNode:

@@ -23,8 +23,8 @@ import math
 import weakref
 
 import numpy as np
-from scipy import special
 
+from . import logmath
 from .errors import ResourceBudgetError, ValidationError
 
 ENTRY_CLAMP = -1e-12
@@ -151,7 +151,7 @@ class SimplexIndex:
     @functools.cached_property
     def log_factorial(self):
         """log(i_1! ... i_J!) for every vector i, built on first use."""
-        out = special.gammaln(self.array + 1.0).sum(axis=1)
+        out = logmath.log_factorial(self.array).sum(axis=1)
         out.flags.writeable = False
         return out
 

@@ -8,8 +8,8 @@ from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, SimulationBudgetError, UnivariateLaw)
 from bqnet.arrivals import PIECEWISE
 from bqnet.batch import (BINOMIAL, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
-                         POISSON, ZETA, poisson_pmf)
-from bqnet.kernels import POISSON_TAIL, _poisson_isf
+                         POISSON, ZETA)
+from bqnet.kernels import _poisson_head, _poisson_weights
 from bqnet.service import routing_matrix
 from bqnet.simulate import EXITED, MAX_CUSTOMER_EVENTS
 
@@ -298,20 +298,20 @@ def oracle_renewal_step_solve(nodes, J, times, prefix=None):
 # -- per-term uniformization oracle ------------------------------------------------
 #
 # The Poisson-series accumulation that MarkovKernel's cached jump-matrix
-# powers replaced, kept verbatim as its oracle: one matrix product and one
-# weighted add per term, all times of a call sharing one truncation.
+# powers replaced, kept as its oracle: one matrix product and one weighted
+# add per term, all times of a call sharing one truncation. The weights are
+# the kernel's own, so the comparison is of the summation alone.
 
 
 def oracle_uniformization(kernel, ts):
     """(len(ts), J+1, J+1) transition matrices of ``kernel`` at ``ts``."""
     a = kernel.uniformization_rate * np.asarray(ts, dtype=float)
-    a_max = float(np.max(a))
-    n_max = 0 if a_max == 0.0 else int(_poisson_isf(POISSON_TAIL, a_max)) + 1
-    weights = poisson_pmf(np.arange(n_max + 1)[:, None], a)
-    weights /= weights.sum(axis=0, keepdims=True)
+    head = _poisson_head(float(np.max(a)))
+    weights = ((head / head.sum())[:, None] if len(a) == 1 else
+               _poisson_weights(a, len(head) - 1))
     power = np.eye(kernel.J + 1)
     acc = weights[0][:, None, None] * power
-    for n in range(1, n_max + 1):
+    for n in range(1, len(weights)):
         power = power @ kernel._jump_matrix
         acc += weights[n][:, None, None] * power
     return np.clip(acc, 0.0, 1.0)

@@ -12,6 +12,7 @@ from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
                    UnivariateLaw, compound_lattice, compound_pgf,
                    compound_pmf, poisson_multinomial_pmf)
 from bqnet import compound as compound_module
+from bqnet import logmath
 from bqnet import transient as transient_module
 from bqnet.compound import _placement, checked_rows, lattice_stack
 from bqnet.quadrature import QuadratureSpec
@@ -296,6 +297,39 @@ class TestOneFormulaLattice:
         assert tail == 0.0
         want = [law.pmf(v[0]) if v[1] == 0 else 0.0 for v in idx.array]
         np.testing.assert_allclose(values, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("law,count", [(UnivariateLaw.binomial(3, 0.4), 3),
+                                           (UnivariateLaw.degenerate(2), 2),
+                                           (UnivariateLaw.degenerate(0), 0)],
+                             ids=["binomial", "one-point", "one-point-zero"])
+    def test_closed_form_is_exactly_zero_above_count(self, law, count):
+        # log (count - m)! is +inf for every degree m > count: those
+        # positions are exact zeros, the rest hold all the mass, and no
+        # warning leaks, also when nobody leaves (qbar = 1) or all do
+        idx = simplex_index(2, 6)
+        rows = np.array([[0.3, 0.5, 0.2], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, tails = _placement(law, rows, idx)
+        degree = idx.array.sum(axis=1)
+        assert np.all(values[:, degree > count] == 0.0)
+        assert not tails.any()
+        np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=1e-14)
+
+    def test_count_past_the_factorial_table_leaves_it_alone(self):
+        # log n! past the shared table is Stirling's series: a binomial
+        # count of 10^7 neither grows the table nor moves the law off its
+        # Poisson limit by more than the O(cap^2 / count) they differ by
+        count, cap = 10 ** 7, 5
+        assert count > logmath.LOG_FACTORIAL_TABLE_MAX
+        rows = np.array([[0.3, 0.5, 0.2]])
+        idx = simplex_index(2, cap)
+        idx.log_factorial   # the simplex's own factorials come from the table
+        before = len(logmath.log_factorial_table(0))
+        values, _ = _placement(UnivariateLaw.binomial(count, 1.0 / count), rows, idx)
+        assert len(logmath.log_factorial_table(0)) == before
+        limit, _ = _placement(UnivariateLaw.poisson(1.0), rows, idx)
+        np.testing.assert_allclose(values, limit, rtol=cap ** 2 / count)
 
 
 @st.composite

@@ -70,6 +70,23 @@ def test_package_exports_resolve():
 # Modules that cold start must not pay for: each is imported on demand by
 # the one branch that needs it.
 ON_DEMAND = ("scipy.stats", "scipy.integrate", "scipy.linalg", "mpmath")
+# scipy.special too, outside the zeta family and the pmfs pinned to
+# scipy.stats: the default path takes its log-factorials, Poisson weights
+# and Erlang CDF from NumPy and math
+DEFAULT_PATH = ON_DEMAND + ("scipy.special",)
+
+RENEWAL_TANDEM = {
+    "J": 2,
+    "arrival": {"kind": "constant", "rate": 1.0},
+    "batch": {"variant": "iid-assignment", "entry_probs": [1.0, 0.0],
+              "family": {"name": "poisson", "mean": 2.0}},
+    "nodes": [
+        {"service": {"kind": "erlang", "shape": 2, "rate": 2.0}, "routing": [0.0, 1.0, 0.0]},
+        {"service": {"kind": "deterministic", "duration": 0.5}, "routing": [0.0, 0.0, 1.0]},
+    ],
+    "kernel": {"representation": "renewal-grid"},
+    "analysis": {"cap": 10, "rtol": 1e-08, "seed": 1},
+}
 
 _LOADED = """
 import json, sys
@@ -90,7 +107,7 @@ def loaded_after(body, modules, cwd):
 
 
 def test_import_loads_no_on_demand_module(tmp_path):
-    assert loaded_after("import bqnet", ON_DEMAND, tmp_path) == []
+    assert loaded_after("import bqnet", DEFAULT_PATH, tmp_path) == []
 
 
 def test_cli_ops_on_bundled_configs_load_no_on_demand_module(tmp_path):
@@ -110,12 +127,26 @@ def test_cli_ops_on_bundled_configs_load_no_on_demand_module(tmp_path):
             # tandem_batch's arrivals are not homogeneous: its ergodicity
             # call fails fast with DomainError's exit code
             "assert codes.count(0) == len(codes) - 1, codes")
-    assert loaded_after(body, ON_DEMAND, tmp_path) == []
+    assert loaded_after(body, DEFAULT_PATH, tmp_path) == []
+
+
+def test_renewal_ops_load_no_on_demand_module(tmp_path):
+    # the Erlang CDF of the renewal grid is a finite sum
+    (tmp_path / "renewal.json").write_text(json.dumps(RENEWAL_TANDEM))
+    calls = [["pmf", "--config", "renewal.json", "--t", "2", "--cap", "3"],
+             ["zero-prob", "--config", "renewal.json", "--t", "2"],
+             ["moments", "--config", "renewal.json", "--t", "2"]]
+    calls = [argv + ["-o", f"{k}.out"] for k, argv in enumerate(calls)]
+    body = ("from bqnet import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            "assert codes == [0, 0, 0], codes")
+    assert loaded_after(body, DEFAULT_PATH, tmp_path) == []
 
 
 def test_cli_ops_on_zeta_configs_load_no_on_demand_module(tmp_path):
     # the zeta PGF gap, non-integer and integer exponent alike, is a
-    # float64 series: no op of a zeta model loads mpmath
+    # float64 series: no op of a zeta model loads mpmath. Its coefficients
+    # are scipy.special.zeta values, so scipy.special may load here.
     config = json.loads((PACKAGE / "configs" / "zeta_batch.json").read_text())
     config["batch"]["family"]["exponent"] = 3
     (tmp_path / "zeta3.json").write_text(json.dumps(config))

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
                    RefinementRequiredError, RenewalKernel, ServiceLaw,
@@ -10,8 +11,9 @@ from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
                    ValidationError, bundled_config_path, load_config,
                    load_tabulated_kernel_csv)
 from bqnet import kernels as kernels_module
-from bqnet.batch import poisson_pmf
-from bqnet.kernels import POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_isf
+from bqnet.kernels import (POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_head,
+                           _poisson_weights)
+from bqnet.service import ERLANG_SUM_MAX_SHAPE
 
 from conftest import (oracle_renewal_solve, oracle_renewal_step_solve,
                       oracle_uniformization)
@@ -22,16 +24,16 @@ LN2 = math.log(2.0)
 
 
 def scalar_uniformization(kernel, t):
-    """The transition matrix at one time, one Poisson term at a time."""
+    """The transition matrix at one time, one Poisson term at a time, on
+    the kernel's own weights."""
     a = kernel.uniformization_rate * t
     if a == 0.0:
         return np.eye(kernel.J + 1)
-    n_max = int(stats.poisson.isf(POISSON_TAIL, a)) + 1
-    weights = stats.poisson.pmf(np.arange(n_max + 1), a)
-    weights /= weights.sum()
+    head = _poisson_head(a)
+    weights = head / head.sum()
     power = np.eye(kernel.J + 1)
     out = weights[0] * power
-    for n in range(1, n_max + 1):
+    for n in range(1, len(weights)):
         power = power @ kernel._jump_matrix
         out = out + weights[n] * power
     return np.clip(out, 0.0, 1.0)
@@ -217,12 +219,25 @@ class TestMarkovKernel:
             assert np.array_equal(alone, scalar_uniformization(MarkovKernel(nodes, J), t))
 
     def test_poisson_truncation_and_weights_are_scipy_stats(self):
+        # the cut, read off the tail summed from the top, is poisson.isf's;
+        # the weights, exp(n log a - log n! - a), carry the rounding of their
+        # three terms: a few ulps of their magnitudes, relative to the weight
         a = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 241)])
-        for a_k in a[1:]:
-            want = stats.poisson.isf(POISSON_TAIL, a_k)
-            assert _poisson_isf(POISSON_TAIL, float(a_k)) == want
+        eps = np.finfo(float).eps
         n = np.arange(int(stats.poisson.isf(POISSON_TAIL, a[-1])) + 2)[:, None]
-        assert np.array_equal(poisson_pmf(n, a), stats.poisson.pmf(n, a[None, :]))
+        log_terms = np.abs(n * np.log(np.where(a > 0, a, 1.0))) + special.gammaln(n + 1) + a
+        want = stats.poisson.pmf(n, a)
+        assert _poisson_head(0.0).tolist() == [1.0]
+        for k, a_k in enumerate(a[1:], start=1):
+            head = _poisson_head(float(a_k))
+            assert len(head) - 2 == stats.poisson.isf(POISSON_TAIL, a_k)
+            assert np.all(np.abs(head - want[: len(head), k])
+                          <= 4 * eps * log_terms[: len(head), k] * want[: len(head), k]
+                          + 1e-300)
+        weights = _poisson_weights(a, len(_poisson_head(float(a[-1]))) - 1)
+        assert weights.shape == n.shape[:1] + a.shape
+        assert np.all(np.abs(weights - want / want.sum(axis=0))
+                      <= 8 * eps * log_terms * want + 1e-300)
 
     @pytest.mark.parametrize("name", BUNDLED_MARKOV)
     def test_cached_powers_match_per_term_series(self, name):
@@ -242,7 +257,7 @@ class TestMarkovKernel:
         J = len(nodes)
         kernel = MarkovKernel(nodes, J)
         ts = np.linspace(0.0, 5.0, 40)
-        n_max = int(_poisson_isf(POISSON_TAIL, kernel.uniformization_rate * 5.0)) + 1
+        n_max = len(_poisson_head(kernel.uniformization_rate * 5.0)) - 1
         # room for the powers and three times' products at once
         monkeypatch.setattr(kernels_module, "UNIFORMIZATION_BUDGET",
                             3 * (n_max + 1) * (J + 1) ** 2 * 8)
@@ -275,6 +290,45 @@ class TestMarkovKernel:
         for pos, t in enumerate(ts):
             single = tandem_kernel.placement_rows(float(t))
             assert np.max(np.abs(many[pos] - single)) <= 1e-13
+
+
+def test_erlang_cdf_is_the_regularised_incomplete_gamma():
+    # the finite sum, and below x = shape its complementary series, within
+    # 1e-15 absolute and 1e-13 relative of scipy.special.gammainc and of
+    # 30-digit mpmath. gammainc is itself off the exact values by up to
+    # 1.4e-13 relative on this grid (shape 30, x near 3e-8), so its
+    # relative bound is doubled.
+    x = np.concatenate([[0.0], np.geomspace(1e-8, 500.0, 241)])
+    for shape in range(1, 31):
+        got = ServiceLaw.erlang(shape, 1.0).cdf(x)
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.gammainc(shape, 0, mpmath.mpf(v),
+                                                    regularized=True)) for v in x])
+        for want, rel in ((exact, 1e-13), (special.gammainc(shape, x), 2e-13)):
+            err = np.abs(got - want)
+            assert np.all(err <= 1e-15)
+            normal = want >= 1e-290
+            assert np.all(err[normal] <= rel * want[normal])
+        assert got[0] == 0.0
+    law = ServiceLaw.erlang(3, 2.0)
+    assert law.cdf(-1.0) == 0.0 and law.cdf(math.inf) == 1.0
+    assert math.isnan(law.cdf(math.nan))
+
+
+@pytest.mark.parametrize("shape", [100, ERLANG_SUM_MAX_SHAPE, ERLANG_SUM_MAX_SHAPE + 1, 1000])
+def test_erlang_cdf_large_shapes(shape):
+    # on both sides of the float64 sum's largest shape: near the mean, where
+    # the CDF is ~1/2, and past x = 708, where e^-x is subnormal or 0
+    x = np.concatenate([shape + math.sqrt(shape) * np.linspace(-6.0, 6.0, 13),
+                        [700.0, 710.0, 750.0, 2000.0]])
+    got = ServiceLaw.erlang(shape, 1.0).cdf(x)
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.gammainc(shape, 0, mpmath.mpf(v),
+                                                regularized=True)) for v in x])
+    err = np.abs(got - exact)
+    assert np.all(err <= 4e-15)
+    normal = exact >= 1e-290
+    assert np.all(err[normal] <= 1e-12 * exact[normal])
 
 
 class TestRenewalKernel:
