@@ -253,12 +253,20 @@ def _closed_log_derivatives(law, qbar, cap):
                    - math.log(-math.log1p(-rho)))
             out[:, :1] = np.log(log_base / math.log1p(-rho))
             return out
-        # G(s) = (1 - alpha + alpha s)^count; a one-point table is alpha = 1
-        count, alpha = ((law.count, law.prob) if fam == batchmod.BINOMIAL
-                        else (int(law.support[0]), 1.0))
-        stay = np.maximum(1.0 - alpha * qbar, 0.0)
-        out = (log_factorial(count) - log_factorial(count - m)
-               + xlogy(m, alpha) + xlogy(count - m, stay))
+        # G(s) = (1 - alpha + alpha s)^count; a one-point table is alpha = 1.
+        # log count!/(count - m)! is summed term by term and a small alpha's
+        # log(1 - alpha qbar) taken by log1p: both differences of nearby
+        # numbers would cancel the digits a large count needs
+        if fam == batchmod.BINOMIAL:
+            count, alpha = law.count, law.prob
+            log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
+        else:
+            count, alpha = int(law.support[0]), 1.0
+            log_stay = np.log(np.maximum(1.0 - qbar, 0.0))
+        falling = np.log(np.maximum(count - m + 1.0, 1.0))
+        falling[0] = 0.0
+        out = (np.cumsum(falling) + xlogy(m, alpha)
+               + np.where(m == count, 0.0, (count - m) * log_stay))
         return np.where(m <= count, out, -np.inf)
 
 

@@ -91,17 +91,27 @@ def _check_keys(block, allowed, required, path, collector):
     return not missing
 
 
+def _read_kind(block, key, table, noun, path, collector, optional=frozenset()):
+    """``(kind, params)`` of a block whose ``key`` names a kind in ``table``,
+    a map from kind to parameter keys; ``(None, None)`` once the failures
+    are recorded.
+    """
+    if not isinstance(block, dict) or key not in block:
+        collector.error(path, f"expected an object with a {key!r} key")
+        return None, None
+    kind = block[key]
+    if not isinstance(kind, str) or kind not in table:
+        collector.error(path, f"unknown {noun} {kind!r}")
+        return None, None
+    if not _check_keys(block, table[kind], table[kind] - optional, path, collector):
+        return None, None
+    return kind, {k: block[k] for k in table[kind] if k in block}
+
+
 def _build_univariate(block, path, collector):
-    if not isinstance(block, dict) or "name" not in block:
-        collector.error(path, "expected an object with a 'name' key")
+    name, params = _read_kind(block, "name", _FAMILY_KEYS, "family", path, collector)
+    if name is None:
         return None
-    name = block["name"]
-    if name not in _FAMILY_KEYS:
-        collector.error(path, f"unknown family {name!r}")
-        return None
-    if not _check_keys(block, _FAMILY_KEYS[name], _FAMILY_KEYS[name], path, collector):
-        return None
-    params = {k: block[k] for k in _FAMILY_KEYS[name]}
 
     def build():
         if name == "degenerate":
@@ -188,24 +198,13 @@ def _build_nodes(block, J, collector):
     nodes = []
     for i, spec in enumerate(block):
         path = f"nodes[{i}]"
-        service_block = spec.get("service") if isinstance(spec, dict) else None
-        if not isinstance(service_block, dict) or "kind" not in service_block:
-            collector.error(f"{path}.service", "expected an object with a 'kind' key")
+        service = spec.get("service") if isinstance(spec, dict) else None
+        kind, params = _read_kind(service, "kind", _SERVICE_KEYS, "service kind",
+                                  f"{path}.service", collector)
+        if kind is None:
             nodes.append(None)
             continue
-        kind = service_block["kind"]
-        if kind not in _SERVICE_KEYS:
-            collector.error(f"{path}.service", f"unknown service kind {kind!r}")
-            nodes.append(None)
-            continue
-        if not _check_keys(service_block, _SERVICE_KEYS[kind], _SERVICE_KEYS[kind],
-                           f"{path}.service", collector):
-            nodes.append(None)
-            continue
-        law = collector.attempt(
-            f"{path}.service",
-            lambda: ServiceLaw(kind, **{k: service_block[k]
-                                        for k in _SERVICE_KEYS[kind]}))
+        law = collector.attempt(f"{path}.service", lambda: ServiceLaw(kind, **params))
         if law is None:
             nodes.append(None)
             continue
@@ -236,20 +235,12 @@ def parse_config(raw, base_dir="."):
         collector.raise_if_failed()
 
     arrival = None
-    block = raw.get("arrival")
-    if not isinstance(block, dict) or "kind" not in block:
-        collector.error("arrival", "expected an object with a 'kind' key")
-    elif block["kind"] not in _ARRIVAL_KEYS:
-        collector.error("arrival", f"unknown arrival kind {block['kind']!r}")
-    else:
-        kind = block["kind"]
-        allowed = _ARRIVAL_KEYS[kind]
-        required = allowed - {"phase"}
-        if _check_keys(block, allowed, required, "arrival", collector):
-            params = {k: block[k] for k in allowed if k in block}
-            arrival = collector.attempt(
-                "arrival", lambda: ArrivalProcess.constant(**params) if kind == "constant"
-                else ArrivalProcess(kind, **params))
+    kind, params = _read_kind(raw.get("arrival"), "kind", _ARRIVAL_KEYS, "arrival kind",
+                              "arrival", collector, optional={"phase"})
+    if kind is not None:
+        arrival = collector.attempt(
+            "arrival", lambda: ArrivalProcess.constant(**params) if kind == "constant"
+            else ArrivalProcess(kind, **params))
 
     kernel_spec = raw.get("kernel", {"representation": "auto"})
     if not isinstance(kernel_spec, dict):

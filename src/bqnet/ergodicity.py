@@ -89,68 +89,59 @@ def expected_batch_occupancy(model, kernel):
     def point(tau):
         return float(integrand(np.array([tau]))[0])
 
+    # one decay exponent per doubling, inf where it was too small to measure
+    horizon, total, partials, exponents = _HORIZON_START, math.nan, [], []
+
+    def result(status, exponent, detail=""):
+        value = {"finite": total, "infinite": math.inf}.get(status, math.nan)
+        return BatchOccupancyIntegral(value, status, horizon, exponent, partials, detail)
+
     try:
-        horizon = _HORIZON_START
         total, _ = simpson_refine(integrand, 0.0, horizon, _PANEL_QUAD,
                                   "batch occupancy panel")
-        partials = [total]
+        partials.append(total)
         g_prev = point(horizon)
-        exponents = []
-        measured = []
         for _ in range(_HORIZON_DOUBLINGS):
-            new_horizon = horizon * 2.0
-            g_new = point(new_horizon)
-            if (g_new == 0.0 and g_prev > 0.0
-                    and measured and measured[-1] < 2.0):
+            g_new = point(2.0 * horizon)
+            last = next((b for b in reversed(exponents) if b < math.inf), math.inf)
+            if g_new == 0.0 and g_prev > 0.0 and last < 2.0:
                 # survival underflowed to exact zero while the integrand was
                 # still decaying slowly; the remaining tail is invisible to
                 # float64 (and the panel now holds a spurious jump), so
                 # neither verdict can be certified
-                return BatchOccupancyIntegral(
-                    math.nan, "inconclusive", new_horizon,
-                    measured[-1], partials,
-                    "integrand underflowed while decaying slowly")
-            panel, _ = simpson_refine(integrand, horizon, new_horizon,
+                horizon *= 2.0
+                return result("inconclusive", last,
+                              "integrand underflowed while decaying slowly")
+            panel, _ = simpson_refine(integrand, horizon, 2.0 * horizon,
                                       _PANEL_QUAD, "batch occupancy panel")
+            horizon *= 2.0
             total += panel
             partials.append(total)
             # decay exponents are only meaningful well above the noise floor
             measurable = 100.0 * _INTEGRAND_FLOOR
-            if g_prev > measurable and g_new > measurable:
-                beta = math.log2(g_prev / g_new)
-                if beta < -0.05:
-                    return BatchOccupancyIntegral(
-                        math.nan, "inconclusive", new_horizon, beta, partials,
-                        "integrand grew between doublings")
-                exponents.append(beta)
-                measured.append(beta)
-            else:
-                exponents.append(math.inf)
-            horizon, g_prev = new_horizon, g_new
+            beta = (math.log2(g_prev / g_new)
+                    if g_prev > measurable and g_new > measurable else math.inf)
+            if beta < -0.05:
+                return result("inconclusive", beta, "integrand grew between doublings")
+            exponents.append(beta)
+            g_prev = g_new
             if (g_new < _INTEGRAND_FLOOR
                     and panel <= _RELATIVE_CHANGE * max(total, 1e-300)):
-                return BatchOccupancyIntegral(total, "finite", horizon,
-                                              exponents[-1] if exponents else None,
-                                              partials)
+                return result("finite", beta)
             recent = exponents[-_SLOW_DECAY_RUNS:]
             if (len(recent) == _SLOW_DECAY_RUNS
                     and all(b < 1.0 + _SLOW_DECAY_MARGIN for b in recent)):
-                return BatchOccupancyIntegral(
-                    math.inf, "infinite", horizon,
-                    float(np.mean(recent)), partials,
-                    "integrand decay slower than the stability threshold")
-        return BatchOccupancyIntegral(
-            math.nan, "inconclusive", horizon,
-            exponents[-1] if exponents else None, partials,
-            "horizon budget exhausted without a verdict")
-    except KernelDomainError as exc:
-        return BatchOccupancyIntegral(math.nan, "inconclusive", horizon, None,
-                                      [], f"kernel horizon exhausted: {exc}")
-    except ConvergenceError as exc:
-        # a panel refused to settle (a jump in the integrand, e.g. from a
-        # deterministic service law); report that instead of a bad number
-        return BatchOccupancyIntegral(math.nan, "inconclusive", horizon, None,
-                                      [], f"panel quadrature stalled: {exc}")
+                return result("infinite", float(np.mean(recent)),
+                              "integrand decay slower than the stability threshold")
+        return result("inconclusive", exponents[-1],
+                      "horizon budget exhausted without a verdict")
+    except (KernelDomainError, ConvergenceError) as exc:
+        # a kernel too short for the horizon, or a panel that refused to settle
+        # (a jump, e.g. from a deterministic service law): no bad number
+        partials = []
+        cause = ("kernel horizon exhausted" if isinstance(exc, KernelDomainError)
+                 else "panel quadrature stalled")
+        return result("inconclusive", None, f"{cause}: {exc}")
 
 
 @dataclass

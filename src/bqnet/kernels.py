@@ -441,6 +441,9 @@ class TabulatedKernel(GridKernel):
             raise ValidationError("kernel row sums must not exceed 1")
         table = table.copy()
         table[0] = np.eye(J)
+        # rows within the tolerance above 1 are scaled to sum 1, so that every
+        # placement row passes the compound layer's tighter check
+        table /= np.maximum(table.sum(axis=2, keepdims=True), 1.0)
         self._times, self._table = times, table
 
     def _cover(self, t):

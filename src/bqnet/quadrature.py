@@ -5,7 +5,8 @@ Every time integral in the analytic modules runs through
 determinism) is uniform: a rule with M nodes is refined to 2M-1 nodes.
 The finer rule's even nodes are the coarser rule's nodes bit for bit, so
 each doubling evaluates the integrand only at the M-1 new midpoints and
-reuses the values it already has.
+reuses the values it already has. An empty interval is integrated like
+any other: its integral is zero, in the integrand's shape, from no nodes.
 """
 
 from __future__ import annotations
@@ -73,13 +74,15 @@ def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
     |current - previous| <= rtol * |current| + atol.
 
     Returns ``(value, nodes_used)``, the value a float for a scalar
-    integrand and an array otherwise. Raises :class:`ConvergenceError`
+    integrand and an array otherwise. On an empty interval (``b == a``)
+    the integrand is evaluated once at ``a`` for its shape, and the result
+    is zeros of that shape from 0 nodes. Raises :class:`ConvergenceError`
     carrying the last two estimates if doubling never settles.
     """
     if b < a:
         raise ValidationError("integration interval is reversed")
     if b == a:
-        return 0.0, spec.initial_nodes
+        return _estimate(np.zeros(0), np.asarray(f(np.array([a], dtype=float)))[:0]), 0
     m = spec.initial_nodes
     x, w = simpson_nodes(a, b, m)
     values = np.asarray(f(x), dtype=float)

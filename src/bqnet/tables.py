@@ -30,6 +30,11 @@ from .errors import ResourceBudgetError, ValidationError
 ENTRY_CLAMP = -1e-12
 MASS_TOL = 1e-9
 PAIR_TABLE_BUDGET = 1 << 23
+# Coordinates (vectors times J) of one simplex index. Building one takes
+# ~80 bytes per vector at J=1 and ~20 per coordinate at J=8, so an index at
+# the budget stays under ~170 MiB. A bigger one at J <= 8 has a pair table
+# above PAIR_TABLE_BUDGET, so no occupancy recursion could use it anyway.
+SIMPLEX_BUDGET = 1 << 21
 RANK_LIMIT = 1 << 63
 
 
@@ -118,13 +123,20 @@ class SimplexIndex:
     into one ``np.add.reduceat`` (:meth:`convolve`) and drives the
     degree-by-degree recursion of :mod:`bqnet.transient`. It holds C(cap + 2J, 2J) rows, is built on
     first use and raises :class:`ResourceBudgetError` above
-    ``PAIR_TABLE_BUDGET`` rows.
+    ``PAIR_TABLE_BUDGET`` rows. The index itself raises it, before any
+    array is built, above ``SIMPLEX_BUDGET`` coordinates.
 
     Build indexes through :func:`simplex_index`, which shares one per
     ``(J, cap)`` among its live users; their arrays are read-only.
     """
 
     def __init__(self, J, cap):
+        # C(cap + J, J) vectors; min(J, cap) > 20 means more than C(42, 21),
+        # about 5e11, told without a huge integer from outside input
+        if min(J, cap) > 20 or J * math.comb(cap + J, J) > SIMPLEX_BUDGET:
+            raise ResourceBudgetError(
+                f"the simplex index for J={J}, cap={cap} would hold more than "
+                f"{SIMPLEX_BUDGET} coordinates; lower the cap")
         self.J, self.cap = J, cap
         # vectors of total < d number C(d - 1 + J, J) = _multisets(J, cap + 1)[d, J]
         self.degree_start = _multisets(J, cap + 1)[:, J]
@@ -286,11 +298,13 @@ class LatticePMF:
     @classmethod
     def from_json_dict(cls, doc):
         J, cap = int(doc["J"]), int(doc["cap"])
+        # the size budget comes before anything is built from the document
+        index = simplex_index(J, cap)
         rows = doc["entries"]
         vecs = np.array([row[:-1] for row in rows], dtype=np.int64).reshape(len(rows), J)
         if np.any(vecs < 0) or np.any(vecs.sum(axis=1) > cap):
             raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")
-        values = np.zeros(len(simplex_index(J, cap)))
+        values = np.zeros(len(index))
         values[simplex_rank(vecs)] = [row[-1] for row in rows]
         meta = {k: doc[k] for k in ("t", "quadrature_nodes") if k in doc}
         return cls(J, cap, values, tail_mass=doc.get("tail_mass"), meta=meta)

@@ -25,6 +25,8 @@ Terms are added in a fixed order, and every time integral (the PGF
 exponent, the displacement integrals and the moments) runs through
 :func:`bqnet.quadrature.simpson_refine`, whose nested doubling evaluates
 each node once, so results are bit-deterministic for a fixed node count.
+At t = 0 each integral is the empty one: zero from 0 nodes, so the PGF is
+1, the PMF is the point mass at n = 0 and both moments are 0.
 
 The PMF's integrand takes each doubling's new nodes as one stack: it
 checks their placement rows once and calls
@@ -64,8 +66,6 @@ def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
     """E[prod z_k^{N_k(t)}] for z in the unit box."""
     t = _check_time(t)
     one_minus_z = 1.0 - check_pgf_argument(z, model.J)
-    if t == 0.0:
-        return 1.0
 
     def integrand(tau):
         # lambda(tau) [1 - G_C(t - tau)(z)], the exponent's integrand
@@ -109,13 +109,6 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
     if cap < 0:
         raise ValidationError("cap must be >= 0")
     index = simplex_index(model.J, cap)
-    if t == 0.0:
-        values = np.zeros(len(index))
-        values[0] = 1.0
-        return LatticePMF(model.J, cap, values,
-                          meta={"t": 0.0, "quadrature_nodes": 0,
-                                "displacement_integrals": np.zeros(len(index)),
-                                "series_tail_bound": 0.0})
 
     def integrand(tau):
         # per node: lambda * lattice, lambda * P[C(t - tau) != 0] and
@@ -191,11 +184,6 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
                                 "batch first moment is infinite")
     f2 = model.batch.factorial_moments(2)
     cov_defined = bool(np.all(np.isfinite(f2)))
-    if t == 0.0:
-        zero = np.zeros(J)
-        return TransientMoments(zero, np.zeros((J, J)) if cov_defined else None,
-                                None if cov_defined else
-                                "batch second moment is infinite")
 
     def integrand(tau):
         rows = kernel.placement_rows_many(t - tau)

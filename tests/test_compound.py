@@ -317,19 +317,22 @@ class TestOneFormulaLattice:
         np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=1e-14)
 
     def test_count_past_the_factorial_table_leaves_it_alone(self):
-        # log n! past the shared table is Stirling's series: a binomial
-        # count of 10^7 neither grows the table nor moves the law off its
-        # Poisson limit by more than the O(cap^2 / count) they differ by
-        count, cap = 10 ** 7, 5
-        assert count > logmath.LOG_FACTORIAL_TABLE_MAX
+        # a binomial count far past the shared log-factorial table neither
+        # grows the table nor moves the law off its Poisson limit by more
+        # than the O(cap^2 / count) they differ by; at 10^9 and 10^12 a
+        # difference of two log-factorials, or log(1 - qbar / count), would
+        # cancel the digits that difference needs
+        cap = 5
         rows = np.array([[0.3, 0.5, 0.2]])
         idx = simplex_index(2, cap)
         idx.log_factorial   # the simplex's own factorials come from the table
-        before = len(logmath.log_factorial_table(0))
-        values, _ = _placement(UnivariateLaw.binomial(count, 1.0 / count), rows, idx)
-        assert len(logmath.log_factorial_table(0)) == before
         limit, _ = _placement(UnivariateLaw.poisson(1.0), rows, idx)
-        np.testing.assert_allclose(values, limit, rtol=cap ** 2 / count)
+        for count in (10 ** 7, 10 ** 9, 10 ** 12):
+            assert count > logmath.LOG_FACTORIAL_TABLE_MAX
+            before = len(logmath.log_factorial_table(0))
+            values, _ = _placement(UnivariateLaw.binomial(count, 1.0 / count), rows, idx)
+            assert len(logmath.log_factorial_table(0)) == before
+            np.testing.assert_allclose(values, limit, rtol=cap ** 2 / count)
 
 
 @st.composite

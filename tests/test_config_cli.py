@@ -245,6 +245,23 @@ class TestCli:
         assert main(command + ["--config", str(path)]) == 2
         assert "validation failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["constant"], {"kind": "constant"}],
+                             ids=["list", "dict"])
+    @pytest.mark.parametrize("block, value, message", [
+        ("arrival", lambda kind: {"kind": kind, "rate": 1.0}, "unknown arrival kind"),
+        ("batch", lambda kind: _family(name=kind, mean=1.0)[1], "unknown family"),
+        ("nodes", lambda kind: _service(kind=kind, rate=1.0)[1], "unknown service kind"),
+    ], ids=["arrival", "family", "service"])
+    def test_unhashable_kind_exit_2(self, tmp_path, capsys, kind, block, value, message):
+        # a kind that is not a string is an unknown kind, not a lookup crash
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw[block] = value(kind)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(ZERO_PROB + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "validation failed" in err and f"{message} {kind!r}" in err
+
     def test_pmf_artifact_values(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["pmf", "--config", "mm_infty", "--t", "1", "--cap", "20"])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bqnet import (ArrivalProcess, BatchLaw, DomainError, MarkovKernel,
-                   NetworkModel, ServiceLaw, ServiceNode, UnivariateLaw,
-                   bundled_config_path, classify_ergodicity,
+                   NetworkModel, ServiceLaw, ServiceNode, TabulatedKernel,
+                   UnivariateLaw, bundled_config_path, classify_ergodicity,
                    expected_batch_occupancy, load_config, transient_zero_prob)
 
 from conftest import truncation_support
@@ -95,6 +95,82 @@ class TestExpectedBatchOccupancy:
         assert growth[-1] >= 0.6 * growth[0]
 
 
+def tabulated_occupancy(times, survival):
+    """E[W] of one customer on a one-queue tabulated kernel with this
+    survival curve, linear between the knots."""
+    times = np.asarray(times, dtype=float)
+    kernel = TabulatedKernel(times, np.asarray(survival, dtype=float)[:, None, None])
+    model = NetworkModel(J=1, arrival=ArrivalProcess.constant(1.0),
+                         batch=BatchLaw.constant([1]), nodes=None,
+                         kernel_spec={"representation": "tabulated"})
+    return expected_batch_occupancy(model, kernel)
+
+
+def trapezoid_partials(times, survival, horizons):
+    """The integral of the linear interpolant up to each horizon, which
+    composite Simpson gets exactly on panels between knots."""
+    cumulative = np.concatenate(([0.0], np.cumsum(
+        np.diff(times) * (np.asarray(survival[:-1]) + np.asarray(survival[1:])) / 2)))
+    return [float(cumulative[list(times).index(h)]) for h in horizons]
+
+
+class TestOccupancyExits:
+    """Every field of each inconclusive exit of the E[W] quadrature."""
+
+    def test_underflow_while_decaying_slowly(self):
+        # tau^-1.5 at the powers of two up to 64, then exactly 0 at 128
+        times = [0.0] + [2.0 ** k for k in range(8)]
+        survival = [1.0] + [2.0 ** (-1.5 * k) for k in range(7)] + [0.0]
+        ew = tabulated_occupancy(times, survival)
+        assert ew.status == "inconclusive" and math.isnan(ew.value)
+        assert ew.horizon == 128.0
+        assert ew.decay_exponent == pytest.approx(1.5, rel=1e-12)
+        want = trapezoid_partials(times, survival, [2.0 ** k for k in range(7)])
+        assert ew.partials == pytest.approx(want, rel=1e-12)
+        assert ew.detail == "integrand underflowed while decaying slowly"
+
+    def test_growth_between_horizons(self):
+        times, survival = [0.0, 1.0, 2.0, 4.0], [1.0, 0.5, 0.25, 0.5]
+        ew = tabulated_occupancy(times, survival)
+        assert ew.status == "inconclusive" and math.isnan(ew.value)
+        assert ew.horizon == 4.0
+        assert ew.decay_exponent == pytest.approx(-1.0, rel=1e-12)
+        assert ew.partials == pytest.approx([0.75, 1.125, 1.875], rel=1e-12)
+        assert ew.detail == "integrand grew between doublings"
+
+    def test_horizon_budget_exhausted(self):
+        # tau^-1.2 converges, but too slowly for the panels to settle by
+        # 2^48, and is unmeasurably small long before
+        times = [0.0] + [2.0 ** k for k in range(50)]
+        survival = [1.0] + [2.0 ** (-1.2 * k) for k in range(50)]
+        ew = tabulated_occupancy(times, survival)
+        assert ew.status == "inconclusive" and math.isnan(ew.value)
+        assert ew.horizon == 2.0 ** 48
+        assert ew.decay_exponent == math.inf
+        want = trapezoid_partials(times, survival, [2.0 ** k for k in range(49)])
+        assert ew.partials == pytest.approx(want, rel=1e-12)
+        assert ew.detail == "horizon budget exhausted without a verdict"
+
+    def test_kernel_horizon_exhausted(self):
+        ew = tabulated_occupancy([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.4, 0.3])
+        assert ew.status == "inconclusive" and math.isnan(ew.value)
+        assert ew.horizon == 2.0
+        assert ew.decay_exponent is None
+        assert ew.partials == []
+        assert ew.detail == ("kernel horizon exhausted: tabulated kernel covers "
+                             "[0, 3.0]; asked for 4.0")
+
+    def test_stalled_panel(self):
+        # a drop from 1 to 0 within 1e-12 of tau = 0.3 is a jump to every rule
+        ew = tabulated_occupancy([0.0, 0.3, 0.3 + 1e-12, 1.0], [1.0, 1.0, 0.0, 0.0])
+        assert ew.status == "inconclusive" and math.isnan(ew.value)
+        assert ew.horizon == 1.0
+        assert ew.decay_exponent is None
+        assert ew.partials == []
+        assert ew.detail == ("panel quadrature stalled: batch occupancy panel did "
+                             "not converge after 12 doublings")
+
+
 class TestClassification:
     def test_finite_mean_batch(self, exp_kernel):
         verdict = classify_ergodicity(model_for(BatchLaw.constant([1])), exp_kernel)
@@ -134,7 +210,6 @@ class TestClassification:
     def test_quadrature_fallback(self):
         # a tabulated kernel carries no certificates, so even a trivially
         # stable model can only be classified through the E[W] quadrature
-        from bqnet import TabulatedKernel
         times = np.linspace(0.0, 64.0, 1 << 15)
         table = np.exp(-times)[:, None, None]
         kernel = TabulatedKernel(times, table)

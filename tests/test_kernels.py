@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bqnet import (ArrivalProcess, KernelDomainError, MarkovKernel,
-                   RefinementRequiredError, RenewalKernel, ServiceLaw,
-                   ServiceNode, TimeGrid, UnsupportedRepresentationError,
-                   ValidationError, bundled_config_path, load_config,
-                   load_tabulated_kernel_csv)
+from bqnet import (ArrivalProcess, BatchLaw, KernelDomainError, MarkovKernel,
+                   NetworkModel, RefinementRequiredError, RenewalKernel,
+                   ServiceLaw, ServiceNode, TabulatedKernel, TimeGrid,
+                   UnsupportedRepresentationError, ValidationError,
+                   bundled_config_path, load_config, load_tabulated_kernel_csv,
+                   transient_pgf, transient_pmf)
 from bqnet import kernels as kernels_module
 from bqnet.kernels import (POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_head,
                            _poisson_weights)
@@ -480,3 +481,24 @@ class TestTabulatedKernel:
         kern = load_tabulated_kernel_csv(path)
         with pytest.raises(KernelDomainError):
             kern.placement_rows(2.0)
+
+    def test_rows_just_above_one_serve_every_transient_law(self):
+        # row sums of 1 + 5e-11 pass the kernel's 1e-10 check; the PMF's
+        # placement rows are checked to 1e-12 and must pass too
+        times = np.linspace(0.0, 4.0, 41)
+        table = np.zeros((41, 2, 2))
+        table[:, 0, 0] = np.exp(-times)
+        table[:, 0, 1] = 1.0 - np.exp(-times) + 5e-11
+        table[:, 1, 1] = 1.0
+        table[0] = np.eye(2)
+        kernel = TabulatedKernel(times, table)
+        assert np.max(np.abs(kernel.placement_rows_many(times).sum(axis=2) - 1)) <= 1e-15
+        model = NetworkModel(J=2, arrival=ArrivalProcess.constant(1.0),
+                             batch=BatchLaw.constant([1, 0]), nodes=None,
+                             kernel_spec={"representation": "tabulated"})
+        pmf = transient_pmf(model, kernel, 2.0, 12)
+        for z in ([0.0, 0.0], [0.5, 0.7]):
+            series = sum(p * z[0] ** n[0] * z[1] ** n[1] for n, p in pmf.items())
+            # the lattice leaves out the tail, where every z^n is below 0.7^13
+            assert abs(series - transient_pgf(model, kernel, 2.0, z)) <= (
+                1e-12 + pmf.tail_mass * 0.7 ** 13)

@@ -85,3 +85,23 @@ def test_convergence_error_carries_last_two_estimates():
         x, w = simpson_nodes(0.0, 3.0, m)
         assert estimate == float(w @ step(x))
     assert previous != current
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["scalar", "vector"])
+def test_empty_interval_is_zero_in_the_integrand_shape(shape):
+    seen = []
+
+    def integrand(x):
+        seen.append(np.array(x))
+        return -np.ones(x.shape + shape)
+
+    value, m = simpson_refine(integrand, 1.5, 1.5, QuadratureSpec())
+    assert m == 0
+    # one evaluation, at the interval's point, for the shape alone
+    assert len(seen) == 1 and seen[0].tolist() == [1.5]
+    if shape:
+        assert isinstance(value, np.ndarray) and value.shape == shape
+    else:
+        assert isinstance(value, float)
+    # +0.0 everywhere, not the -0.0 a product with the values could give
+    assert np.all(value == 0.0) and not np.any(np.signbit(value))

@@ -8,6 +8,8 @@ split of every vector, and one Panjer entry summed over the box below it.
 import gc
 import itertools
 import math
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +22,8 @@ from bqnet import (ArrivalProcess, BatchLaw, CompoundSnapshot, LatticePMF,
                    NetworkModel, ResourceBudgetError, ServiceLaw, ServiceNode,
                    bundled_config_path, compound_lattice, load_config,
                    recompute_with_pivot, transient_pmf)
-from bqnet.tables import SimplexIndex, simplex_index, simplex_rank
+from bqnet.cli import main
+from bqnet.tables import SIMPLEX_BUDGET, SimplexIndex, simplex_index, simplex_rank
 from bqnet.transient import _run_recursion
 
 from conftest import oracle_iid_lattice
@@ -190,6 +193,33 @@ def test_simplex_rank_budget_at_int64():
 def test_pair_table_budget():
     with pytest.raises(ResourceBudgetError):
         SimplexIndex(1, 5000).pairs
+
+
+def test_simplex_budget_fails_fast(tmp_path, monkeypatch):
+    # cap 40000 at J=2 is 800,060,001 vectors, 5.96 GiB for the index alone;
+    # the document asks for 10^9 queues
+    model = load_config(bundled_config_path("tandem_batch"))
+    kernel = model.build_kernel()
+    monkeypatch.chdir(tmp_path)
+    huge = {"kind": "occupancy-pmf", "J": 10 ** 9, "cap": 10 ** 12,
+            "tail_mass": 0.0, "entries": []}
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="lower the cap"):
+        transient_pmf(model, kernel, 1.0, 40000)
+    with pytest.raises(ResourceBudgetError, match="lower the cap"):
+        LatticePMF.from_json_dict(huge)
+    assert main(["pmf", "--config", "tandem_batch", "--t", "1", "--cap", "40000"]) == 1
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert seconds < 0.5 and peak < 1 << 20
+    # the budget counts coordinates, J C(cap + J, J): J (J + 1) at cap 1
+    wide = next(J for J in itertools.count(1) if (J + 1) * (J + 2) > SIMPLEX_BUDGET)
+    assert len(SimplexIndex(wide, 1)) == wide + 1
+    for J, cap in [(wide + 1, 1), (1, SIMPLEX_BUDGET), (20, 20), (21, 21)]:
+        with pytest.raises(ResourceBudgetError):
+            SimplexIndex(J, cap)
 
 
 def test_pivot_audit_j3_finite_table():
