@@ -24,10 +24,10 @@ the closed forms that ``scipy.stats`` evaluates (Poisson, geometric and
 logarithmic bit for bit, binomial and negative binomial through its
 log-pmf formulas), and those that need ``scipy.special`` import it when
 called; the samplers are the ``numpy.random.Generator`` methods its
-``rvs`` calls. A zeta law imports ``scipy.special`` when it is built, for
-its normalising constant and the ``zeta`` values of its float64 PGF
-series, and ``scipy.integrate`` is imported only by the log-weighted-tail
-PGF, the first time it is evaluated.
+``rvs`` calls. A zeta law takes its normalising constant, the ``zeta``
+values of its float64 PGF series and its moments from
+:func:`bqnet.logmath.zeta`, and ``scipy.integrate`` is imported only by
+the log-weighted-tail PGF, the first time it is evaluated.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SimulationBudgetError, ValidationError
+from .logmath import zeta
 
 PROB_SUM_TOL = 1e-12
 #: Largest batch size representable in simulation tallies.
@@ -236,20 +237,23 @@ class UnivariateLaw:
         *The computation of polylogarithms*, sec. 9), so that coefficient
         becomes H_(s-1) - ln x and the Gamma term goes. A term past the
         truncation is dropped with the rest.
-        """
-        from scipy import special
 
+        Every zeta value, the normalising constant zeta(s) included, is
+        :func:`bqnet.logmath.zeta`, which is +inf at the pole s - k = 1,
+        and the Gamma term is ``math.gamma``: building the law imports
+        nothing from SciPy.
+        """
         s = self.exponent
-        self._zeta_norm = float(special.zeta(s))
+        values = zeta(s - np.arange(_ZETA_SERIES_TERMS + 1))
+        self._zeta_norm = float(values[0])
+        self._zeta_coeffs = values[1:]
         self._zeta_direct = np.arange(1, 60) ** s
-        k = np.arange(1, _ZETA_SERIES_TERMS + 1)
-        self._zeta_coeffs = special.zeta(s - k)
         if s.is_integer():
             self._zeta_gamma = 0.0
             self._zeta_log_k = int(s) - 1
             self._zeta_harmonic = math.fsum(1.0 / j for j in range(1, int(s)))
         else:
-            self._zeta_gamma = float(special.gamma(1.0 - s))
+            self._zeta_gamma = math.gamma(1.0 - s)
             self._zeta_log_k = None
 
     def _zeta_gap(self, eps):
@@ -347,9 +351,7 @@ class UnivariateLaw:
         if self.family == ZETA:
             if self.exponent <= 2.0:
                 return math.inf
-            from scipy import special
-
-            return float(special.zeta(self.exponent - 1.0)) / self._zeta_norm
+            return float(zeta(self.exponent - 1.0)) / self._zeta_norm
         if self.family == FINITE:
             return float(self.support @ self.probs)
         return math.inf
@@ -369,11 +371,8 @@ class UnivariateLaw:
         if self.family == ZETA:
             if self.exponent <= 3.0:
                 return math.inf
-            from scipy import special
-
-            z = self._zeta_norm
-            return (float(special.zeta(self.exponent - 2.0))
-                    - float(special.zeta(self.exponent - 1.0))) / z
+            return (float(zeta(self.exponent - 2.0))
+                    - float(zeta(self.exponent - 1.0))) / self._zeta_norm
         if self.family == FINITE:
             return float((self.support * (self.support - 1)) @ self.probs)
         return math.inf

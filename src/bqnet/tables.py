@@ -298,9 +298,13 @@ class LatticePMF:
     @classmethod
     def from_json_dict(cls, doc):
         J, cap = int(doc["J"]), int(doc["cap"])
+        if J < 1 or cap < 0:
+            raise ValidationError(f"a lattice needs J >= 1 and cap >= 0, not J={J}, cap={cap}")
         # the size budget comes before anything is built from the document
         index = simplex_index(J, cap)
         rows = doc["entries"]
+        if any(len(row) != J + 1 for row in rows):
+            raise ValidationError(f"every entry of a J={J} lattice holds {J + 1} numbers")
         vecs = np.array([row[:-1] for row in rows], dtype=np.int64).reshape(len(rows), J)
         if np.any(vecs < 0) or np.any(vecs.sum(axis=1) > cap):
             raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")

@@ -158,6 +158,14 @@ class TestUnivariate:
         assert not UnivariateLaw.zeta(1.5).fractional_moment_finite(1.5)
         assert not UnivariateLaw.log_weighted_tail().fractional_moment_finite(2.0)
 
+    def test_zeta_moments_match_mpmath(self):
+        with mpmath.workdps(40):
+            mean = float(mpmath.zeta(1.5) / mpmath.zeta(2.5))
+            second = float((mpmath.zeta(2.5) - mpmath.zeta(3.5)) / mpmath.zeta(4.5))
+        assert UnivariateLaw.zeta(2.5).mean() == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert UnivariateLaw.zeta(4.5).second_factorial() == pytest.approx(
+            second, rel=1e-14, abs=0.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             UnivariateLaw.logarithmic(1.2)

@@ -118,6 +118,25 @@ class TestTables:
             with pytest.raises(ValidationError, match="outside"):
                 LatticePMF.from_json_dict(doc)
 
+    def test_lattice_json_without_queues(self):
+        doc = LatticePMF(1, 2, np.full(3, 0.25)).to_json_dict()
+        doc.update(J=0, entries=[[0.25], [0.25]])
+        with pytest.raises(ValidationError, match="J >= 1"):
+            LatticePMF.from_json_dict(doc)
+
+    def test_lattice_json_negative_cap(self):
+        doc = LatticePMF(2, 0, np.array([0.5])).to_json_dict()
+        doc["cap"] = -1
+        with pytest.raises(ValidationError, match="cap >= 0"):
+            LatticePMF.from_json_dict(doc)
+
+    def test_lattice_json_entry_of_the_wrong_width(self):
+        for entry in ([1, 0.125], [1, 0, 0, 0.125], [0.125]):
+            doc = LatticePMF(2, 2, np.full(6, 0.125)).to_json_dict()
+            doc["entries"][-1] = entry
+            with pytest.raises(ValidationError, match="holds 3 numbers"):
+                LatticePMF.from_json_dict(doc)
+
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

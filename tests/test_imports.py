@@ -70,9 +70,9 @@ def test_package_exports_resolve():
 # Modules that cold start must not pay for: each is imported on demand by
 # the one branch that needs it.
 ON_DEMAND = ("scipy.stats", "scipy.integrate", "scipy.linalg", "mpmath")
-# scipy.special too, outside the zeta family and the pmfs pinned to
-# scipy.stats: the default path takes its log-factorials, Poisson weights
-# and Erlang CDF from NumPy and math
+# scipy.special too, outside the pmfs pinned to scipy.stats: the default
+# path takes its log-factorials, Poisson weights, Erlang CDF and zeta
+# values from NumPy and math
 DEFAULT_PATH = ON_DEMAND + ("scipy.special",)
 
 RENEWAL_TANDEM = {
@@ -145,8 +145,7 @@ def test_renewal_ops_load_no_on_demand_module(tmp_path):
 
 def test_cli_ops_on_zeta_configs_load_no_on_demand_module(tmp_path):
     # the zeta PGF gap, non-integer and integer exponent alike, is a
-    # float64 series: no op of a zeta model loads mpmath. Its coefficients
-    # are scipy.special.zeta values, so scipy.special may load here.
+    # float64 series whose coefficients come from bqnet.logmath.zeta
     config = json.loads((PACKAGE / "configs" / "zeta_batch.json").read_text())
     config["batch"]["family"]["exponent"] = 3
     (tmp_path / "zeta3.json").write_text(json.dumps(config))
@@ -165,4 +164,4 @@ def test_cli_ops_on_zeta_configs_load_no_on_demand_module(tmp_path):
             # an infinite-mean batch exceeds any per-block customer budget:
             # the simulate call fails fast with SimulationBudgetError's code
             "assert codes == [0, 0, 0, 0, 0, 1, 0, 0], codes")
-    assert loaded_after(body, ON_DEMAND, tmp_path) == []
+    assert loaded_after(body, DEFAULT_PATH, tmp_path) == []
