@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SimulationBudgetError, ValidationError
-from .logmath import zeta
+from .logmath import zeta, zeta_minus_one
 
 PROB_SUM_TOL = 1e-12
 #: Largest batch size representable in simulation tallies.
@@ -53,6 +53,7 @@ FINITE = "finite-table"
 LOG_WEIGHTED_TAIL = "log-weighted-tail"
 
 _ZETA_SERIES_TERMS = 40
+_ZETA_ORDERS = np.arange(1.0, _ZETA_SERIES_TERMS + 1.0)
 _LWT_BODY_MAX = 100_000
 
 
@@ -236,7 +237,9 @@ class UnivariateLaw:
         poles; their sum is (-x)^(s-1)/(s-1)! (H_(s-1) - ln x) (Wood 1992,
         *The computation of polylogarithms*, sec. 9), so that coefficient
         becomes H_(s-1) - ln x and the Gamma term goes. A term past the
-        truncation is dropped with the rest.
+        truncation is dropped with the rest. The gap takes the k >= 1
+        terms as one product of (-x)^k / k! with these coefficients, the
+        pole's set to 0, and adds the log term as a column of its own.
 
         Every zeta value, the normalising constant zeta(s) included, is
         :func:`bqnet.logmath.zeta`, which is +inf at the pole s - k = 1,
@@ -248,13 +251,15 @@ class UnivariateLaw:
         self._zeta_norm = float(values[0])
         self._zeta_coeffs = values[1:]
         self._zeta_direct = np.arange(1, 60) ** s
+        self._zeta_log_k = None
         if s.is_integer():
             self._zeta_gamma = 0.0
-            self._zeta_log_k = int(s) - 1
-            self._zeta_harmonic = math.fsum(1.0 / j for j in range(1, int(s)))
+            if s - 1 <= _ZETA_SERIES_TERMS:
+                self._zeta_log_k = int(s) - 1
+                self._zeta_harmonic = math.fsum(1.0 / j for j in range(1, int(s)))
+                self._zeta_coeffs[self._zeta_log_k - 1] = 0.0
         else:
             self._zeta_gamma = math.gamma(1.0 - s)
-            self._zeta_log_k = None
 
     def _zeta_gap(self, eps):
         if np.any(eps < 0):
@@ -269,13 +274,15 @@ class UnivariateLaw:
         series = ~direct & (eps != 0.0)
         if series.any():
             x = -np.log1p(-eps[series])
-            acc = -self._zeta_gamma * x ** (self.exponent - 1.0)
-            term = np.ones(x.shape)
-            for k, zk in enumerate(self._zeta_coeffs, start=1):
-                term *= -x / k
-                if k == self._zeta_log_k:
-                    zk = self._zeta_harmonic - np.log(x)
-                acc -= zk * term
+            # (-x)^k / k! for k = 1..40, the products taken in order of k
+            terms = np.cumprod(-x[:, None] / _ZETA_ORDERS, axis=1)
+            # one (1, 40) @ (40,) product per node, so no node's value
+            # depends on the others in its stack
+            acc = (-self._zeta_gamma * x ** (self.exponent - 1.0)
+                   - (terms[:, None, :] @ self._zeta_coeffs)[:, 0])
+            if self._zeta_log_k is not None:
+                k = self._zeta_log_k
+                acc -= (self._zeta_harmonic - np.log(x)) * terms[:, k - 1]
             out[series] = acc / self._zeta_norm
         return out
 
@@ -371,8 +378,11 @@ class UnivariateLaw:
         if self.family == ZETA:
             if self.exponent <= 3.0:
                 return math.inf
-            return (float(zeta(self.exponent - 2.0))
-                    - float(zeta(self.exponent - 1.0))) / self._zeta_norm
+            # sum_(n >= 2) n^(1-s) (n - 1) as (zeta(s - 2) - 1) - (zeta(s - 1) - 1):
+            # the difference of the two zetas, both near 1, would cancel
+            # about s bits
+            tails = zeta_minus_one([self.exponent - 2.0, self.exponent - 1.0])
+            return float(tails[0] - tails[1]) / self._zeta_norm
         if self.family == FINITE:
             return float((self.support * (self.support - 1)) @ self.probs)
         return math.inf

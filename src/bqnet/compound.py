@@ -22,10 +22,14 @@ row of them per node, depend on the family of N:
   differentiated in closed form, and so is a one-point table, as the
   binomial with alpha = 1;
 * for every other family, G_N^(m)(s) = sum_{n >= m} P(N = n) n!/(n - m)!
-  s^(n - m) is summed once per degree m until its terms drop below a
-  relative cutoff; a geometric bound on the rest is the tail bound. All
-  nodes share each chunk of batch probabilities, and each node stops at
-  its own cutoff.
+  s^(n - m) is summed in chunks of terms until they drop below a
+  relative cutoff; a geometric bound on the rest is the tail bound. A
+  chunk's terms factor into P(N = n) n!/(n - m)!, a Hankel-like table of
+  degree by term shared by every node, times s^kappa for the term's place
+  kappa in the chunk, one row per node: one round of chunks, every degree
+  at once, is one matrix product per node
+  (:func:`_series_log_derivatives`). Each node stops each degree at its
+  own cutoff.
 
 Every batch variant is built from such placements:
 
@@ -277,54 +281,101 @@ def _series_log_derivatives(law, qbar, offset):
     Node k's degree-m series is scaled by ``offset[k, m]``, that degree's
     largest log(q^i / i!), so its terms are those of P(C = i) at the
     degree's largest position: the cutoff is relative and the tail bound
-    is that position's. Every node shares each chunk of terms' batch
-    probabilities and stops at its own cutoff; degrees with no possible
-    position are skipped. Returns the (nodes, cap+1) logs and the (nodes,)
-    tail bounds.
+    is that position's. Degree m's terms n = s_m, s_m + 1, ...,
+    s_m = max(m, support_min), are summed in chunks of ``_SERIES_CHUNK``;
+    each node stops a degree at its own cutoff, and degrees with no
+    possible position are skipped. Returns the (nodes, cap+1) logs and
+    the (nodes,) tail bounds.
+
+    The chunks are taken in rounds, every degree's chunk j in round j,
+    and a round is one matrix product per node. With L = 1 - qbar and
+    n = s_m + 256 j + kappa, kappa = 0..255, a term of degree m factors as
+
+        H[m, kappa] * L^kappa * exp(offset + (s_m - m + 256 j) log L),
+        H[m, kappa] = P(N = n) n!/(n - m)!
+
+    H is the same for every node; where s_m = m its P(N = n) factor
+    depends on m + kappa alone, a Hankel table. Each row of H is divided
+    by its largest entry, so a degree whose terms span hundreds of orders
+    of magnitude across the chunk neither overflows nor underflows; the
+    scale goes into the last factor, one log per node and degree. L^kappa is one row per node,
+    exactly 1 at kappa = 0 (also when L = 0). A round's chunk sums are then
+    a (1, 256) @ (256, degrees) product per node, not one product over the
+    node stack: its shape depends on no other node, so neither do a node's
+    values. Each degree's sum is kept as a log peak times a partial sum,
+    so neither a huge G^(m) nor a tiny P(C = i) leaves the float range.
+    The chunk boundaries, cutoff, stops and tail bound are those of a
+    degree-by-degree loop.
     """
-    leave = 1.0 - qbar
+    nodes, degrees = offset.shape
     with np.errstate(divide="ignore"):
-        log_leave = np.log(np.maximum(leave, 0.0))
+        log_leave = np.log(np.maximum(1.0 - qbar, 0.0))
         out = np.full(offset.shape, -np.inf)
         out[:, 0] = np.log(1.0 - law.pgf_gap(qbar))
-    tails = np.zeros(len(qbar))
+    tails = np.zeros(nodes)
     top = law.support_max()
-    for m in range(1, offset.shape[1]):
-        started = live = np.flatnonzero(np.isfinite(offset[:, m]))
-        start = n = max(m, law.support_min())
-        acc = np.zeros(len(qbar))
-        while live.size:
-            end = n + _SERIES_CHUNK if top is None else min(n + _SERIES_CHUNK, top + 1)
-            if end <= n:
+    m = np.arange(degrees)
+    start = np.maximum(m, law.support_min())
+    kappa = np.arange(_SERIES_CHUNK)
+    live = np.isfinite(offset)
+    live[:, 0] = False
+    # degree m's series so far is exp(peak) * part, peak the log of its
+    # largest chunk: the result is peak + log(part), with no offset added
+    # and taken away
+    peak = np.full(offset.shape, -np.inf)
+    part = np.zeros(offset.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp(kappa * log_leave[:, None])
+        powers[:, 0] = 1.0
+        for j in range(_SERIES_MAX_TERMS // _SERIES_CHUNK + 1):
+            # the degrees a chunk j can reach; which ones depends on no node
+            first_n = start + _SERIES_CHUNK * j
+            cols = np.flatnonzero((m > 0) if top is None else (m > 0) & (first_n <= top))
+            rows = np.flatnonzero(live[:, cols].any(axis=1))
+            if not rows.size:
                 break
-            ns = np.arange(n, end, dtype=float)
-            pmf = law.pmf(ns.astype(np.int64))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lw = (log_factorial(ns) - log_factorial(ns - m)
-                      + offset[live, m][:, None]
-                      + np.where(ns - m > 0, (ns - m) * log_leave[live][:, None], 0.0))
-            terms = pmf * np.exp(lw)
-            acc[live] += terms.sum(axis=1)
-            n = end
-            if top is not None and n > top:
-                break
-            first, last = terms[:, 0], terms[:, -1]
-            done = (last < _SERIES_CUTOFF * np.maximum(acc[live], 1e-300)) & (last <= first)
+            block = np.ix_(rows, cols)
+            n = first_n[cols, None] + kappa
+            lo, hi = _SERIES_CHUNK * j, int(n[-1, -1]) + 1
+            log_p = np.log(law.pmf(np.arange(lo, hi)))
+            log_f = log_factorial(np.arange(lo, hi))
+            log_h = log_p[n - lo] + (log_f[n - lo] - log_f[n - lo - m[cols, None]])
+            scale = log_h.max(axis=1)
+            scale[~np.isfinite(scale)] = 0.0
+            log_h -= scale[:, None]
+            sums = (powers[rows, None, :] @ np.exp(log_h).T)[:, 0]
+            leave = log_leave[rows, None]
+            shift = first_n[cols] - m[cols]
+            # the log of the chunk's common factor, in the units of G^(m)
+            g_unit = scale + np.where(shift > 0, shift * leave, 0.0)
+            here = live[block]
+            chunk = np.where(here, g_unit + np.log(sums), -np.inf)
+            new_peak = np.maximum(peak[block], chunk)
+            ref = np.where(np.isfinite(new_peak), new_peak, 0.0)
+            part[block] = part[block] * np.exp(peak[block] - ref) + np.exp(chunk - ref)
+            peak[block] = new_peak
+            # the cutoff and the tail bound are in the units of P(C = i)
+            acc = np.exp(offset[block] + ref + np.log(part[block]))
+            term_unit = g_unit + offset[block]
+            first = np.exp(term_unit + log_h[:, 0])
+            last = np.exp(term_unit + log_h[:, -1] + (_SERIES_CHUNK - 1) * leave)
+            # a finite support ends its degrees at the chunk that reaches the top
+            if top is not None:
+                here &= first_n[cols] + _SERIES_CHUNK <= top
+            done = here & (last < _SERIES_CUTOFF * np.maximum(acc, 1e-300))
+            done &= last <= first
             # geometric-style bound on the rest of each finished series; a
             # first term of 0 is (1 - qbar)^(n - m) = 0, and so is the rest
             bounded = done & (first > 0)
-            if bounded.any():
-                ratio = ((last[bounded] / first[bounded])
-                         ** (1.0 / max(terms.shape[1] - 1, 1)))
-                where = live[bounded]
-                tails[where] = np.maximum(
-                    tails[where], last[bounded] * ratio / np.maximum(1.0 - ratio, 1e-6))
-            live, last = live[~done], last[~done]
-            if n - start > _SERIES_MAX_TERMS:
-                tails[live] = np.maximum(tails[live], last)
-                break
-        with np.errstate(divide="ignore"):
-            out[started, m] = np.log(acc[started]) - offset[started, m]
+            ratio = np.where(bounded, last / first, 0.0) ** (1.0 / (_SERIES_CHUNK - 1))
+            bound = np.where(bounded, last * ratio / np.maximum(1.0 - ratio, 1e-6), 0.0)
+            here &= ~done
+            if _SERIES_CHUNK * (j + 1) > _SERIES_MAX_TERMS:
+                bound = np.maximum(bound, np.where(here, last, 0.0))
+            tails[rows] = np.maximum(tails[rows], bound.max(axis=1))
+            live[block] = here
+        started = np.isfinite(offset[:, 1:])
+        out[:, 1:] = np.where(started, peak[:, 1:] + np.log(part[:, 1:]), -np.inf)
     return out, tails
 
 

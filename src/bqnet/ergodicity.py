@@ -86,8 +86,14 @@ def expected_batch_occupancy(model, kernel):
     def integrand(taus):
         return batch.pgf_gap(kernel.survival_vectors(np.asarray(taus, dtype=float)))
 
-    def point(tau):
-        return float(integrand(np.array([tau]))[0])
+    def first_rule(lo, hi, at_lo=None):
+        # a panel's first nodes, those of simpson_nodes, evaluated ahead: the
+        # integrand at each horizon is the last of them and, as ``at_lo``,
+        # the next panel's first
+        x = np.linspace(lo, hi, _PANEL_QUAD.initial_nodes)
+        if at_lo is None:
+            return integrand(x)
+        return np.concatenate(([at_lo], integrand(x[1:])))
 
     # one decay exponent per doubling, inf where it was too small to measure
     horizon, total, partials, exponents = _HORIZON_START, math.nan, [], []
@@ -97,12 +103,14 @@ def expected_batch_occupancy(model, kernel):
         return BatchOccupancyIntegral(value, status, horizon, exponent, partials, detail)
 
     try:
+        first = first_rule(0.0, horizon)
         total, _ = simpson_refine(integrand, 0.0, horizon, _PANEL_QUAD,
-                                  "batch occupancy panel")
+                                  "batch occupancy panel", values=first)
         partials.append(total)
-        g_prev = point(horizon)
+        g_prev = float(first[-1])
         for _ in range(_HORIZON_DOUBLINGS):
-            g_new = point(2.0 * horizon)
+            first = first_rule(horizon, 2.0 * horizon, first[-1])
+            g_new = float(first[-1])
             last = next((b for b in reversed(exponents) if b < math.inf), math.inf)
             if g_new == 0.0 and g_prev > 0.0 and last < 2.0:
                 # survival underflowed to exact zero while the integrand was
@@ -112,8 +120,8 @@ def expected_batch_occupancy(model, kernel):
                 horizon *= 2.0
                 return result("inconclusive", last,
                               "integrand underflowed while decaying slowly")
-            panel, _ = simpson_refine(integrand, horizon, 2.0 * horizon,
-                                      _PANEL_QUAD, "batch occupancy panel")
+            panel, _ = simpson_refine(integrand, horizon, 2.0 * horizon, _PANEL_QUAD,
+                                      "batch occupancy panel", values=first)
             horizon *= 2.0
             total += panel
             partials.append(total)

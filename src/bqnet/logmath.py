@@ -17,6 +17,7 @@ computed here so that neither the default path nor a zeta law imports
   zeta(x) = 2 (2 pi)^(x - 1) sin(pi x / 2) Gamma(1 - x) zeta(1 - x)
   (DLMF 25.4.1), with the sine's argument reduced mod 4. It is exactly 0
   at the negative even integers, -1/2 at 0 and +inf at the pole x = 1.
+  :func:`zeta_minus_one` is the same summation from n = 2, for x > 1.
 """
 
 from __future__ import annotations
@@ -79,17 +80,23 @@ _ZETA_ODD = np.arange(1.0, 2.0 * len(_ZETA_BERNOULLI) - 2.0, 2.0)
 _TWO_PI = 2.0 * math.pi
 
 
-def _zeta_euler_maclaurin(x):
-    """zeta(x) for a 1-D array of x >= 0, x != 1 (DLMF 25.2.9)."""
+def _zeta_corrections(x):
+    """N^-x and the Euler-Maclaurin corrections B_2k/(2k)! (x)_(2k-1) N^(1-x-2k)
+    past n = N, for a 1-D array of x >= 0."""
     col = x[:, None]
     # (x)_(2k-1) N^(1-2k) is x / N times prod_(j < k) (x + 2j - 1)(x + 2j) / N^2
     rising = np.cumprod((col + _ZETA_ODD) * (col + (_ZETA_ODD + 1.0)) / _ZETA_N ** 2, axis=1)
     power = _ZETA_N ** -x
-    corrections = (x / _ZETA_N * power) * (_ZETA_BERNOULLI[0] + rising @ _ZETA_BERNOULLI[1:])
+    return power, (x / _ZETA_N * power) * (_ZETA_BERNOULLI[0] + rising @ _ZETA_BERNOULLI[1:])
+
+
+def _zeta_euler_maclaurin(x):
+    """zeta(x) for a 1-D array of x >= 0, x != 1 (DLMF 25.2.9)."""
+    power, corrections = _zeta_corrections(x)
     # N^(1-x) / (x - 1) as 1 / (x - 1) + expm1((1 - x) log N) / (x - 1): the
     # pole is added last, so zeta(1 + d) - 1/d carries no cancellation
     regular = np.expm1((1.0 - x) * math.log(_ZETA_N)) / (x - 1.0) - 0.5 * power + corrections
-    return (_ZETA_INTEGERS ** -col).sum(axis=1) + regular + 1.0 / (x - 1.0)
+    return (_ZETA_INTEGERS ** -x[:, None]).sum(axis=1) + regular + 1.0 / (x - 1.0)
 
 
 def _gamma_over_two_pi_power(a):
@@ -122,3 +129,15 @@ def zeta(x):
         scale = np.array([_gamma_over_two_pi_power(a) for a in y[left].tolist()])
         out[left] *= 2.0 * np.sin(0.5 * math.pi * r) * scale
     return out.reshape(x.shape)
+
+
+def zeta_minus_one(x):
+    """zeta(x) - 1 for real ``x`` > 1, element-wise, summed from n = 2 so
+    that a large x loses no digits to the leading 1."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    power, corrections = _zeta_corrections(flat)
+    # the tail integral N^(1-x) / (x - 1) as it stands: split at the pole,
+    # as zeta has it, its two parts would cancel for large x
+    tail = _ZETA_N * power / (flat - 1.0) - 0.5 * power + corrections
+    return ((_ZETA_INTEGERS[1:] ** -flat[:, None]).sum(axis=1) + tail).reshape(x.shape)

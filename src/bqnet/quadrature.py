@@ -63,7 +63,8 @@ def _estimate(w, values):
 
 
 def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
-                   description: str = "integral", converged=converged_elementwise):
+                   description: str = "integral", converged=converged_elementwise,
+                   values=None):
     """Integrate ``f`` on [a, b], refining until two estimates agree.
 
     ``f`` maps a node array to its values with the node axis first, so
@@ -71,7 +72,9 @@ def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
     (m, ...)); the estimate is the weighted sum over the node axis.
     Refinement stops at the first doubling where ``converged(previous,
     current, spec)`` holds, by default the elementwise
-    |current - previous| <= rtol * |current| + atol.
+    |current - previous| <= rtol * |current| + atol. ``values``, when
+    given, are ``f`` at the initial rule's nodes (:func:`simpson_nodes`
+    with ``spec.initial_nodes``) that the caller has already evaluated.
 
     Returns ``(value, nodes_used)``, the value a float for a scalar
     integrand and an array otherwise. On an empty interval (``b == a``)
@@ -85,7 +88,7 @@ def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
         return _estimate(np.zeros(0), np.asarray(f(np.array([a], dtype=float)))[:0]), 0
     m = spec.initial_nodes
     x, w = simpson_nodes(a, b, m)
-    values = np.asarray(f(x), dtype=float)
+    values = np.asarray(f(x) if values is None else values, dtype=float)
     previous = current = _estimate(w, values)
     for _ in range(spec.max_doublings):
         previous = current

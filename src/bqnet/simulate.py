@@ -36,7 +36,6 @@ builds the ``{vector: count}`` table once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,6 +336,10 @@ def run_simulation(plan: SimulationPlan, workers=1):
 
     jobs = list(enumerate(blocks))
     if workers > 1:
+        # imported here: concurrent.futures loads logging, which no other
+        # path needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, jobs))
     else:

@@ -191,8 +191,11 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
         mean_term = np.einsum("j,mjk->mk", f1, q)
         terms = [mean_term]
         if cov_defined:
-            second = (np.einsum("mjk,jl,mln->mkn", q, f2, q)
-                      + np.einsum("mk,kn->mkn", mean_term, np.eye(J)))
+            # q^T f2 q per node as two stacked (J, J) products, then the
+            # mean on the diagonal; as one three-operand einsum it runs
+            # NumPy's generic loop at O(m J^5)
+            second = np.swapaxes(q, 1, 2) @ (f2 @ q)
+            second[:, np.arange(J), np.arange(J)] += mean_term
             terms.append(second.reshape(tau.size, J * J))
         lam = np.asarray(model.arrival.rate(tau), dtype=float)
         return lam[:, None] * np.concatenate(terms, axis=1)

@@ -10,6 +10,7 @@ from bqnet.arrivals import PIECEWISE
 from bqnet.batch import (BINOMIAL, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
                          POISSON, ZETA)
 from bqnet.kernels import _poisson_head, _poisson_weights
+from bqnet.logmath import log_factorial
 from bqnet.service import routing_matrix
 from bqnet.simulate import EXITED, MAX_CUSTOMER_EVENTS
 
@@ -218,6 +219,76 @@ def _oracle_series(law, qvec, idx_array):
                 break
         out[pos] = acc
     return out, tail_bound
+
+
+# -- per-degree series oracle ------------------------------------------------------
+#
+# The per-degree chunk loop that the compound series' one product per chunk
+# of terms replaced, kept verbatim as its oracle: each degree m sums its
+# own chunks of P(N = n) n!/(n - m)! (1 - qbar)^(n - m) under the same
+# cutoff, stop rules and tail bound.
+
+SERIES_CHUNK = 256
+SERIES_CUTOFF = 1e-18
+SERIES_MAX_TERMS = 1_000_000
+
+
+def oracle_series_log_derivatives(law, qbar, offset):
+    """log G^(m)(1 - qbar) for m = 0..cap by truncated series, and tail bounds.
+
+    ``qbar`` holds one value per node and ``offset`` is (nodes, cap+1).
+    Node k's degree-m series is scaled by ``offset[k, m]``, that degree's
+    largest log(q^i / i!), so its terms are those of P(C = i) at the
+    degree's largest position: the cutoff is relative and the tail bound
+    is that position's. Every node shares each chunk of terms' batch
+    probabilities and stops at its own cutoff; degrees with no possible
+    position are skipped. Returns the (nodes, cap+1) logs and the (nodes,)
+    tail bounds.
+    """
+    leave = 1.0 - qbar
+    with np.errstate(divide="ignore"):
+        log_leave = np.log(np.maximum(leave, 0.0))
+        out = np.full(offset.shape, -np.inf)
+        out[:, 0] = np.log(1.0 - law.pgf_gap(qbar))
+    tails = np.zeros(len(qbar))
+    top = law.support_max()
+    for m in range(1, offset.shape[1]):
+        started = live = np.flatnonzero(np.isfinite(offset[:, m]))
+        start = n = max(m, law.support_min())
+        acc = np.zeros(len(qbar))
+        while live.size:
+            end = n + SERIES_CHUNK if top is None else min(n + SERIES_CHUNK, top + 1)
+            if end <= n:
+                break
+            ns = np.arange(n, end, dtype=float)
+            pmf = law.pmf(ns.astype(np.int64))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lw = (log_factorial(ns) - log_factorial(ns - m)
+                      + offset[live, m][:, None]
+                      + np.where(ns - m > 0, (ns - m) * log_leave[live][:, None], 0.0))
+            terms = pmf * np.exp(lw)
+            acc[live] += terms.sum(axis=1)
+            n = end
+            if top is not None and n > top:
+                break
+            first, last = terms[:, 0], terms[:, -1]
+            done = (last < SERIES_CUTOFF * np.maximum(acc[live], 1e-300)) & (last <= first)
+            # geometric-style bound on the rest of each finished series; a
+            # first term of 0 is (1 - qbar)^(n - m) = 0, and so is the rest
+            bounded = done & (first > 0)
+            if bounded.any():
+                ratio = ((last[bounded] / first[bounded])
+                         ** (1.0 / max(terms.shape[1] - 1, 1)))
+                where = live[bounded]
+                tails[where] = np.maximum(
+                    tails[where], last[bounded] * ratio / np.maximum(1.0 - ratio, 1e-6))
+            live, last = live[~done], last[~done]
+            if n - start > SERIES_MAX_TERMS:
+                tails[live] = np.maximum(tails[live], last)
+                break
+        with np.errstate(divide="ignore"):
+            out[started, m] = np.log(acc[started]) - offset[started, m]
+    return out, tails
 
 
 # -- renewal solve oracles ---------------------------------------------------------

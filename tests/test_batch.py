@@ -166,6 +166,15 @@ class TestUnivariate:
         assert UnivariateLaw.zeta(4.5).second_factorial() == pytest.approx(
             second, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("s", [4.5, 7.0, 12.5, 20.0])
+    def test_zeta_second_factorial_matches_mpmath(self, s):
+        # about 2^(1-s): (zeta(s - 2) - zeta(s - 1)) / zeta(s) in float64
+        # cancels ~s bits of it
+        with mpmath.workdps(60):
+            want = float((mpmath.zeta(s - 2) - mpmath.zeta(s - 1)) / mpmath.zeta(s))
+        assert UnivariateLaw.zeta(s).second_factorial() == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             UnivariateLaw.logarithmic(1.2)

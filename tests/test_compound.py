@@ -14,13 +14,15 @@ from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
 from bqnet import compound as compound_module
 from bqnet import logmath
 from bqnet import transient as transient_module
-from bqnet.compound import _placement, checked_rows, lattice_stack
+from bqnet.compound import (_placement, _series_log_derivatives, checked_rows,
+                            lattice_stack)
 from bqnet.quadrature import QuadratureSpec
 from bqnet.tables import SimplexIndex, simplex_index
 from bqnet.transient import transient_pmf
 
+import conftest
 from conftest import (brute_force_iid_compound, oracle_iid_lattice,
-                      truncation_support)
+                      oracle_series_log_derivatives, truncation_support)
 
 
 class FixedRowKernel:
@@ -424,3 +426,77 @@ class TestLatticeStack:
         doublings = int(math.log2((m - 1) // (quad.initial_nodes - 1)))
         assert len(calls) == 1 + doublings
         assert sum(calls) == m
+
+
+# -- the series as one product per chunk of terms -------------------------------------
+
+SERIES_FAMILIES = [UnivariateLaw.zeta(1.05), UnivariateLaw.zeta(1.5), UnivariateLaw.zeta(2.0),
+                   UnivariateLaw.zeta(3.7), UnivariateLaw.geometric(0.7),
+                   UnivariateLaw.finite_table({3: 0.5, 7: 0.5}),
+                   UnivariateLaw.log_weighted_tail()]
+# 1 - qbar, one node each: nobody leaves, leaving at the float's resolution,
+# rarely, half, mostly, and all but one customer in 10^12
+LEAVE_PROBS = [0.0, 2.0 ** -53, 1e-8, 0.5, 0.95, 1.0 - 1e-12]
+
+
+def one_queue_offsets(qbar, cap):
+    """The degree offsets of a J = 1 placement, log(qbar^m / m!)."""
+    m = np.arange(cap + 1)
+    with np.errstate(divide="ignore"):
+        return m * np.log(qbar)[:, None] - logmath.log_factorial(m)
+
+
+def assert_series_match(law, leave, cap):
+    qbar = 1.0 - np.asarray(leave, dtype=float)
+    offset = one_queue_offsets(qbar, cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_tails = _series_log_derivatives(law, qbar, offset)
+    want, want_tails = oracle_series_log_derivatives(law, qbar, offset)
+    # the oracle sums in units of P(C = i), so its terms and sums are exact
+    # to 1e-13 only while they are normal floats; below that both sides are 0
+    with np.errstate(invalid="ignore"):
+        scaled = np.where(np.isfinite(offset), np.exp(want + offset), 0.0)
+        got_scaled = np.where(np.isfinite(offset), np.exp(got + offset), 0.0)
+    # 1e-13 relative, or one float64 step of a log past 512, which is coarser
+    normal = scaled >= 1e-290
+    step = np.spacing(np.abs(want[normal]))
+    assert np.all(np.abs(got[normal] - want[normal]) <= np.maximum(1e-13, step))
+    assert np.all(got_scaled[~normal] < 1e-280)
+    assert np.all(np.abs(got_tails - want_tails) <= 1e-12 * want_tails)
+    return got_tails
+
+
+class TestSeriesProduct:
+    """The series against its per-degree chunk loop (``conftest``)."""
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 15, 40])
+    @pytest.mark.parametrize("law", SERIES_FAMILIES, ids=repr)
+    def test_matches_the_per_degree_loop(self, law, cap, monkeypatch):
+        # a node that leaves with probability 1 - 1e-12 runs a heavy-tailed
+        # series to the term budget; a smaller budget on both sides keeps
+        # that stop, and the tail it adds, at a tenth of a second
+        monkeypatch.setattr(compound_module, "_SERIES_MAX_TERMS", 5_000)
+        monkeypatch.setattr(conftest, "SERIES_MAX_TERMS", 5_000)
+        assert_series_match(law, LEAVE_PROBS, cap)
+
+    def test_term_budget_stop_matches(self):
+        tails = assert_series_match(UnivariateLaw.zeta(1.5), [1.0 - 1e-12], 1)
+        assert tails[0] > 0.0
+
+    @pytest.mark.parametrize("cap,leave", [(60, 0.99), (100, 0.98)])
+    def test_row_scaling_over_a_long_heavy_tail(self, cap, leave):
+        # a zeta 1.05 law with most customers leaving: P(N = n) n!/(n - m)!
+        # spans hundreds of orders of magnitude across a chunk of terms, and
+        # past degree ~90 it overflows a float unless each row is scaled
+        assert_series_match(UnivariateLaw.zeta(1.05), [leave], cap)
+
+    def test_node_values_do_not_depend_on_the_stack(self):
+        law = UnivariateLaw.zeta(1.5)
+        qbar = 1.0 - np.array(LEAVE_PROBS[:-1])
+        offset = one_queue_offsets(qbar, 15)
+        whole, whole_tails = _series_log_derivatives(law, qbar, offset)
+        for k in range(len(qbar)):
+            alone, alone_tail = _series_log_derivatives(law, qbar[k:k + 1], offset[k:k + 1])
+            assert np.array_equal(alone[0], whole[k])
+            assert alone_tail[0] == whole_tails[k]

@@ -60,6 +60,23 @@ class TestExpectedBatchOccupancy:
         ew = expected_batch_occupancy(model, exp_kernel)
         assert ew.value == pytest.approx(harmonic_series_ew(law), abs=1e-6)
 
+    def test_each_time_is_evaluated_once(self):
+        # the horizon's integrand value is the end of its panel's first rule
+        # and the start of the next panel's, never a call of its own
+        model = load_config(bundled_config_path("mm_infty"))
+        kernel = model.build_kernel()
+        times = []
+        survival = kernel.survival_vectors
+
+        def counted(taus):
+            times.extend(np.asarray(taus).tolist())
+            return survival(taus)
+
+        kernel.survival_vectors = counted
+        ew = expected_batch_occupancy(model, kernel)
+        assert ew.is_finite
+        assert len(times) == len(set(times))
+
     def test_divergence_probe_never_reports_finite(self, exp_kernel):
         model = model_for(BatchLaw.iid_assignment(
             UnivariateLaw.log_weighted_tail(), [1.0]))

@@ -110,6 +110,25 @@ def test_import_loads_no_on_demand_module(tmp_path):
     assert loaded_after("import bqnet", DEFAULT_PATH, tmp_path) == []
 
 
+# Loaded only by a simulation on more than one worker: concurrent.futures,
+# which imports logging on its own
+THREAD_POOL = ("concurrent.futures", "logging")
+
+
+def test_import_and_analytic_ops_load_no_thread_pool(tmp_path):
+    calls = [["pmf", "--config", "zeta_batch", "--t", "3", "--cap", "2"],
+             ["pgf", "--config", "mm_infty", "--t", "3", "--z", "0.5"],
+             ["zero-prob", "--config", "mm_infty", "--t", "3"],
+             ["moments", "--config", "mm_infty", "--t", "3"],
+             ["ergodicity", "--config", "mm_infty"]]
+    calls = [argv + ["-o", f"{k}.out"] for k, argv in enumerate(calls)]
+    assert loaded_after("import bqnet", THREAD_POOL, tmp_path) == []
+    body = ("from bqnet import cli\n"
+            f"codes = [cli.main(argv) for argv in {calls!r}]\n"
+            "assert codes == [0, 0, 0, 0, 0], codes")
+    assert loaded_after(body, THREAD_POOL, tmp_path) == []
+
+
 def test_cli_ops_on_bundled_configs_load_no_on_demand_module(tmp_path):
     calls = []
     for config, J in (("mm_infty", 1), ("tandem_batch", 2), ("vivax", 8)):

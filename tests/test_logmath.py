@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bqnet.logmath import zeta
+from bqnet.logmath import zeta, zeta_minus_one
 
 # the zeta batch exponents of the series tests, integers among them, with
 # two within 1e-7 of an integer; the series reads zeta(s) and zeta(s - k)
@@ -45,3 +45,12 @@ def test_zeta_keeps_the_shape():
     assert zeta(2.0).shape == ()
     np.testing.assert_allclose(got[0], [math.pi ** 2 / 6, math.pi ** 4 / 90], rtol=1e-15)
     assert got[1, 0] == pytest.approx(-1.0 / 12.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [1.0001, 1.5, 2.0, 3.5, 10.0, 18.0, 30.0, 58.0, 100.0])
+def test_zeta_minus_one_keeps_its_digits(x):
+    # past x ~ 20 zeta(x) - 1 in float64 is mostly rounding of the 1
+    with mpmath.workdps(60):
+        want = float(mpmath.zeta(x) - 1)
+    assert zeta_minus_one(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert zeta_minus_one(np.array([[x]])).shape == (1, 1)

@@ -31,6 +31,20 @@ def test_each_node_evaluated_once():
     assert isinstance(value, float)
 
 
+def test_given_initial_values_are_not_evaluated_again():
+    spec = QuadratureSpec(initial_nodes=5, rtol=1e-12)
+    x, _ = simpson_nodes(0.0, 3.0, spec.initial_nodes)
+    seen = []
+
+    def counting(nodes):
+        seen.append(np.array(nodes))
+        return smooth(nodes)
+
+    got = simpson_refine(counting, 0.0, 3.0, spec, values=smooth(x))
+    assert not np.isin(x, np.concatenate(seen)).any()
+    assert got == simpson_refine(smooth, 0.0, 3.0, spec)
+
+
 def test_nested_estimates_match_full_rules():
     spec = QuadratureSpec(initial_nodes=3, rtol=1e-12)
     estimates = []

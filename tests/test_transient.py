@@ -11,6 +11,7 @@ from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    bundled_config_path, load_config, run_simulation,
                    transient_moments, transient_pgf, transient_pmf,
                    transient_zero_prob)
+from bqnet import transient as transient_module
 
 MM_MEAN = 1.0 - math.exp(-1.0)
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -200,6 +201,32 @@ class TestMoments:
         result = transient_moments(model, kernel, 1.0)
         assert result.mean is None
         assert result.undefined_reason is not None
+
+    def test_integrand_is_the_einsum_form_at_j8(self, monkeypatch):
+        # vivax, J = 8: the per-node q^T f2 q of the integrand against the
+        # three-operand einsum that it replaced
+        model = load_config(bundled_config_path("vivax"))
+        kernel = model.build_kernel()
+        integrands = []
+
+        def captured(f, *args, **kwargs):
+            integrands.append(f)
+            return refine(f, *args, **kwargs)
+
+        refine = transient_module.simpson_refine
+        monkeypatch.setattr(transient_module, "simpson_refine", captured)
+        t, J = 10.0, model.J
+        assert transient_moments(model, kernel, t).covariance is not None
+        tau = np.linspace(0.0, t, 33)
+        q = kernel.placement_rows_many(t - tau)[:, :, :J]
+        f1 = model.batch.factorial_moments(1)
+        f2 = model.batch.factorial_moments(2)
+        mean = np.einsum("j,mjk->mk", f1, q)
+        second = (np.einsum("mjk,jl,mln->mkn", q, f2, q)
+                  + np.einsum("mk,kn->mkn", mean, np.eye(J)))
+        want = model.arrival.rate(tau)[:, None] * np.concatenate(
+            [mean, second.reshape(tau.size, J * J)], axis=1)
+        np.testing.assert_allclose(integrands[0](tau), want, rtol=1e-14, atol=0.0)
 
     def test_covariance_vs_simulation(self, batch_tandem_model, tandem_kernel):
         result = transient_moments(batch_tandem_model, tandem_kernel, 3.0)
