@@ -336,7 +336,9 @@ def _series_log_derivatives(law, qbar, offset):
                 break
             block = np.ix_(rows, cols)
             n = first_n[cols, None] + kappa
-            lo, hi = _SERIES_CHUNK * j, int(n[-1, -1]) + 1
+            # the round's n and n - m lie in lo..hi - 1, at most cap + 256
+            # wide wherever the support starts
+            lo, hi = int((first_n[cols] - m[cols]).min()), int(n[-1, -1]) + 1
             log_p = np.log(law.pmf(np.arange(lo, hi)))
             log_f = log_factorial(np.arange(lo, hi))
             log_h = log_p[n - lo] + (log_f[n - lo] - log_f[n - lo - m[cols, None]])

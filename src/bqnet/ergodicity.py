@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, KernelDomainError
-from .quadrature import QuadratureSpec, simpson_refine
+from .quadrature import QuadratureSpec, simpson_points, simpson_refine
 from .service import (ABSORBING, DETERMINISTIC, ERLANG, EXPONENTIAL, generator,
                       reachable, routing_matrix)
 
@@ -87,10 +87,10 @@ def expected_batch_occupancy(model, kernel):
         return batch.pgf_gap(kernel.survival_vectors(np.asarray(taus, dtype=float)))
 
     def first_rule(lo, hi, at_lo=None):
-        # a panel's first nodes, those of simpson_nodes, evaluated ahead: the
-        # integrand at each horizon is the last of them and, as ``at_lo``,
-        # the next panel's first
-        x = np.linspace(lo, hi, _PANEL_QUAD.initial_nodes)
+        # a panel's first rule, evaluated ahead: the integrand at each
+        # horizon is the last of its values and, as ``at_lo``, the next
+        # panel's first
+        x = simpson_points(lo, hi, _PANEL_QUAD.initial_nodes)
         if at_lo is None:
             return integrand(x)
         return np.concatenate(([at_lo], integrand(x[1:])))

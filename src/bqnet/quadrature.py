@@ -39,11 +39,16 @@ class QuadratureSpec:
             raise ValidationError("quadrature tolerances must be positive")
 
 
+def simpson_points(a: float, b: float, m: int) -> np.ndarray:
+    """The nodes of :func:`simpson_nodes`, without the weights."""
+    return np.linspace(a, b, m)
+
+
 def simpson_nodes(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Return the nodes and weights of composite Simpson with ``m`` nodes."""
     if m < 3 or m % 2 == 0:
         raise ValidationError("Simpson rule needs an odd node count >= 3")
-    x = np.linspace(a, b, m)
+    x = simpson_points(a, b, m)
     h = (b - a) / (m - 1)
     w = np.full(m, 2.0)
     w[1::2] = 4.0
@@ -73,7 +78,7 @@ def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
     Refinement stops at the first doubling where ``converged(previous,
     current, spec)`` holds, by default the elementwise
     |current - previous| <= rtol * |current| + atol. ``values``, when
-    given, are ``f`` at the initial rule's nodes (:func:`simpson_nodes`
+    given, are ``f`` at the initial rule's nodes (:func:`simpson_points`
     with ``spec.initial_nodes``) that the caller has already evaluated.
 
     Returns ``(value, nodes_used)``, the value a float for a scalar

@@ -491,6 +491,14 @@ class TestSeriesProduct:
         # past degree ~90 it overflows a float unless each row is scaled
         assert_series_match(UnivariateLaw.zeta(1.05), [leave], cap)
 
+    @pytest.mark.parametrize("low", [10 ** 9, 2 ** 40])
+    @pytest.mark.parametrize("cap", [1, 15])
+    def test_table_far_from_zero(self, low, cap):
+        # a round's work spans its own terms, not 0..n: a support starting
+        # at 10^9 or 2^40 takes a few arrays of cap + 256 entries
+        law = UnivariateLaw.finite_table({low: 0.5, low + 1: 0.5})
+        assert_series_match(law, LEAVE_PROBS, cap)
+
     def test_node_values_do_not_depend_on_the_stack(self):
         law = UnivariateLaw.zeta(1.5)
         qbar = 1.0 - np.array(LEAVE_PROBS[:-1])
