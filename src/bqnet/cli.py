@@ -43,7 +43,10 @@ def _resolve_config(value):
 
 
 def _parse_z(text, J):
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--z could not be parsed as numbers: {text!r}")
     if len(parts) != J:
         raise ValidationError(f"--z needs {J} comma-separated values")
     return parts

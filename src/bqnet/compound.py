@@ -19,10 +19,11 @@ row per quadrature node). Only the log G_N^(m)(1 - qbar), m = 0..cap, one
 row of them per node, depend on the family of N:
 
 * the Poisson, binomial, negative-binomial and logarithmic PGFs are
-  differentiated in closed form, and so is a one-point table, as the
-  binomial with alpha = 1;
-* for every other family, G_N^(m)(s) = sum_{n >= m} P(N = n) n!/(n - m)!
-  s^(n - m) is summed in chunks of terms until they drop below a
+  differentiated in closed form, and a finite table's
+  G_N^(m)(s) = sum_{n >= m} P(N = n) n!/(n - m)! s^(n - m) is summed
+  exactly over its support;
+* for the infinite supports (geometric, zeta, log-weighted tail), that
+  sum is taken in chunks of terms until they drop below a
   relative cutoff; a geometric bound on the rest is the tail bound. A
   chunk's terms factor into P(N = n) n!/(n - m)!, a Hankel-like table of
   degree by term shared by every node, times s^kappa for the term's place
@@ -45,9 +46,11 @@ rows of m nodes, an (m, J, J+1) array, and returns the (m, |index|)
 lattices and the m series tail bounds; convolutions run on node stacks
 through the simplex pair table. Nodes go in chunks under the fixed
 ``LATTICE_BUDGET`` of working memory, and no node's values depend on the
-chunk it lands in. :class:`CompoundSnapshot` is the single-time view:
-:func:`compound_lattice`, :func:`compound_pmf` and :func:`compound_pgf`
-read one elapsed time's rows, and the lattice is the stack of one.
+chunk it lands in, save for rounding where a finite table is too long to
+sum in one block of points. :class:`CompoundSnapshot` is the single-time
+view: :func:`compound_lattice`, :func:`compound_pmf` and
+:func:`compound_pgf` read one elapsed time's rows, and the lattice is the
+stack of one.
 
 :func:`poisson_multinomial_pmf` computes the constant-batch law another
 way, by inverting its characteristic function with a DFT.
@@ -71,14 +74,15 @@ POISSON_MULTINOMIAL_BUDGET = 1 << 26
 _SERIES_CUTOFF = 1e-18
 _SERIES_MAX_TERMS = 1_000_000
 _SERIES_CHUNK = 256
-# Bytes of working arrays per chunk of nodes in lattice_stack, and the
-# bytes each node needs per working cell: a placement's log powers, or one
-# pair-table row of a convolution (two gathers and their product).
+# Bytes of working arrays per chunk of nodes in lattice_stack (and per
+# block of a finite table's points), and the bytes each node needs per
+# working cell: a placement's log powers, one pair-table row of a
+# convolution (two gathers and their product), or one term of a table.
 LATTICE_BUDGET = 1 << 22
 _BYTES_PER_CELL = 24
 
 _CLOSED_FORM_FAMILIES = (batchmod.BINOMIAL, batchmod.POISSON,
-                         batchmod.NEG_BINOMIAL, batchmod.LOGARITHMIC)
+                         batchmod.NEG_BINOMIAL, batchmod.LOGARITHMIC, batchmod.FINITE)
 
 
 class CompoundSnapshot:
@@ -221,8 +225,7 @@ def _placement(law, q, idx):
         log_power = np.where(idx.array > 0, idx.array * np.log(q)[:, None, :], 0.0)
     log_weight = log_power.sum(axis=2) - idx.log_factorial
     qbar = q.sum(axis=1)
-    one_point = law.family == batchmod.FINITE and law.support.size == 1
-    if law.family in _CLOSED_FORM_FAMILIES or one_point:
+    if law.family in _CLOSED_FORM_FAMILIES:
         log_g, tails = _closed_log_derivatives(law, qbar, idx.cap), np.zeros(len(q))
     else:
         # each degree's series is scaled by its largest log(q^i / i!)
@@ -236,7 +239,10 @@ def _placement(law, q, idx):
 
 def _closed_log_derivatives(law, qbar, cap):
     """log G^(m)(1 - qbar) as an (nodes, cap+1) array, for the closed-form
-    families and one-point tables; ``qbar`` holds one value per node."""
+    families and finite tables; ``qbar`` holds one value per node. A finite
+    table's is the exact sum over its points with P(N = n) > 0, taken by
+    log-sum-exp in blocks of points whose (nodes, cap+1, points) arrays
+    stay under ``LATTICE_BUDGET``."""
     m = np.arange(cap + 1.0)
     qbar = qbar[:, None]
     fam = law.family
@@ -257,25 +263,40 @@ def _closed_log_derivatives(law, qbar, cap):
                    - math.log(-math.log1p(-rho)))
             out[:, :1] = np.log(log_base / math.log1p(-rho))
             return out
-        # G(s) = (1 - alpha + alpha s)^count; a one-point table is alpha = 1.
-        # log count!/(count - m)! is summed term by term and a small alpha's
-        # log(1 - alpha qbar) taken by log1p: both differences of nearby
-        # numbers would cancel the digits a large count needs
+        # sum_n p_n n!/(n - m)! alpha^m stay^(n - m): a table has alpha = 1 and
+        # stay = 1 - qbar, the binomial is one point, stay = 1 - alpha qbar.
+        # log n!/(n - m)! is summed term by term and a small alpha's stay
+        # taken by log1p: both differences of nearby numbers would cancel
+        # the digits a large n needs
         if fam == batchmod.BINOMIAL:
-            count, alpha = law.count, law.prob
+            points, log_p, alpha = np.array([float(law.count)]), np.zeros(1), law.prob
             log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
         else:
-            count, alpha = int(law.support[0]), 1.0
+            keep = law.probs > 0
+            points, log_p, alpha = law.support[keep].astype(float), np.log(law.probs[keep]), 1.0
             log_stay = np.log(np.maximum(1.0 - qbar, 0.0))
-        falling = np.log(np.maximum(count - m + 1.0, 1.0))
-        falling[0] = 0.0
-        out = (np.cumsum(falling) + xlogy(m, alpha)
-               + np.where(m == count, 0.0, (count - m) * log_stay))
-        return np.where(m <= count, out, -np.inf)
+        # the sum so far is exp(peak) * part, as in the series
+        peak = np.full((len(qbar), cap + 1), -np.inf)
+        part = np.zeros(peak.shape)
+        step = _nodes_per_chunk(peak.size)
+        for lo in range(0, points.size, step):
+            # (degree, point) arrays, (node, degree, point) terms
+            gap = points[lo:lo + step] - m[:, None]
+            falling = np.log(np.maximum(gap + 1.0, 1.0))
+            falling[0] = 0.0
+            base = np.cumsum(falling, axis=0) + xlogy(m, alpha)[:, None] + log_p[lo:lo + step]
+            terms = (np.where(gap >= 0, base, -np.inf)
+                     + np.where(gap > 0, gap * log_stay[:, :, None], 0.0))
+            new_peak = np.maximum(peak, terms.max(axis=2))
+            ref = np.where(np.isfinite(new_peak), new_peak, 0.0)
+            part = part * np.exp(peak - ref) + np.exp(terms - ref[:, :, None]).sum(axis=2)
+            peak = new_peak
+        return ref + np.log(part)
 
 
 def _series_log_derivatives(law, qbar, offset):
-    """log G^(m)(1 - qbar) for m = 0..cap by truncated series, and tail bounds.
+    """log G^(m)(1 - qbar) for m = 0..cap by truncated series, for a law of
+    infinite support, and tail bounds.
 
     ``qbar`` holds one value per node and ``offset`` is (nodes, cap+1).
     Node k's degree-m series is scaled by ``offset[k, m]``, that degree's
@@ -313,12 +334,12 @@ def _series_log_derivatives(law, qbar, offset):
         out = np.full(offset.shape, -np.inf)
         out[:, 0] = np.log(1.0 - law.pgf_gap(qbar))
     tails = np.zeros(nodes)
-    top = law.support_max()
-    m = np.arange(degrees)
+    # the series run for degrees m = 1..cap
+    m = np.arange(1, degrees)
+    offset = offset[:, 1:]
     start = np.maximum(m, law.support_min())
     kappa = np.arange(_SERIES_CHUNK)
     live = np.isfinite(offset)
-    live[:, 0] = False
     # degree m's series so far is exp(peak) * part, peak the log of its
     # largest chunk: the result is peak + log(part), with no offset added
     # and taken away
@@ -328,42 +349,36 @@ def _series_log_derivatives(law, qbar, offset):
         powers = np.exp(kappa * log_leave[:, None])
         powers[:, 0] = 1.0
         for j in range(_SERIES_MAX_TERMS // _SERIES_CHUNK + 1):
-            # the degrees a chunk j can reach; which ones depends on no node
-            first_n = start + _SERIES_CHUNK * j
-            cols = np.flatnonzero((m > 0) if top is None else (m > 0) & (first_n <= top))
-            rows = np.flatnonzero(live[:, cols].any(axis=1))
+            rows = np.flatnonzero(live.any(axis=1))
             if not rows.size:
                 break
-            block = np.ix_(rows, cols)
-            n = first_n[cols, None] + kappa
+            first_n = start + _SERIES_CHUNK * j
+            n = first_n[:, None] + kappa
             # the round's n and n - m lie in lo..hi - 1, at most cap + 256
             # wide wherever the support starts
-            lo, hi = int((first_n[cols] - m[cols]).min()), int(n[-1, -1]) + 1
+            lo, hi = int((first_n - m).min()), int(n[-1, -1]) + 1
             log_p = np.log(law.pmf(np.arange(lo, hi)))
             log_f = log_factorial(np.arange(lo, hi))
-            log_h = log_p[n - lo] + (log_f[n - lo] - log_f[n - lo - m[cols, None]])
+            log_h = log_p[n - lo] + (log_f[n - lo] - log_f[n - lo - m[:, None]])
             scale = log_h.max(axis=1)
             scale[~np.isfinite(scale)] = 0.0
             log_h -= scale[:, None]
             sums = (powers[rows, None, :] @ np.exp(log_h).T)[:, 0]
             leave = log_leave[rows, None]
-            shift = first_n[cols] - m[cols]
+            shift = first_n - m
             # the log of the chunk's common factor, in the units of G^(m)
             g_unit = scale + np.where(shift > 0, shift * leave, 0.0)
-            here = live[block]
+            here = live[rows]
             chunk = np.where(here, g_unit + np.log(sums), -np.inf)
-            new_peak = np.maximum(peak[block], chunk)
+            new_peak = np.maximum(peak[rows], chunk)
             ref = np.where(np.isfinite(new_peak), new_peak, 0.0)
-            part[block] = part[block] * np.exp(peak[block] - ref) + np.exp(chunk - ref)
-            peak[block] = new_peak
+            part[rows] = part[rows] * np.exp(peak[rows] - ref) + np.exp(chunk - ref)
+            peak[rows] = new_peak
             # the cutoff and the tail bound are in the units of P(C = i)
-            acc = np.exp(offset[block] + ref + np.log(part[block]))
-            term_unit = g_unit + offset[block]
+            acc = np.exp(offset[rows] + ref + np.log(part[rows]))
+            term_unit = g_unit + offset[rows]
             first = np.exp(term_unit + log_h[:, 0])
             last = np.exp(term_unit + log_h[:, -1] + (_SERIES_CHUNK - 1) * leave)
-            # a finite support ends its degrees at the chunk that reaches the top
-            if top is not None:
-                here &= first_n[cols] + _SERIES_CHUNK <= top
             done = here & (last < _SERIES_CUTOFF * np.maximum(acc, 1e-300))
             done &= last <= first
             # geometric-style bound on the rest of each finished series; a
@@ -375,9 +390,8 @@ def _series_log_derivatives(law, qbar, offset):
             if _SERIES_CHUNK * (j + 1) > _SERIES_MAX_TERMS:
                 bound = np.maximum(bound, np.where(here, last, 0.0))
             tails[rows] = np.maximum(tails[rows], bound.max(axis=1))
-            live[block] = here
-        started = np.isfinite(offset[:, 1:])
-        out[:, 1:] = np.where(started, peak[:, 1:] + np.log(part[:, 1:]), -np.inf)
+            live[rows] = here
+        out[:, 1:] = np.where(np.isfinite(offset), peak + np.log(part), -np.inf)
     return out, tails
 
 

@@ -18,10 +18,20 @@ from .model import AnalysisDefaults, NetworkModel, renewal_grid
 from .service import ServiceLaw, ServiceNode
 from .tables import read_occupancy_csv
 
+_ROOT_KEYS = {"J", "arrival", "kernel", "batch", "nodes", "analysis"}
+# the type each analysis key's value takes; a missing key keeps its default
+_ANALYSIS_KEYS = {"cap": int, "rtol": float, "seed": int}
 _ARRIVAL_KEYS = {
     "constant": {"rate"},
     "piecewise-constant": {"breakpoints", "rates"},
     "sinusoidal": {"base", "amplitude", "frequency", "phase"},
+}
+# a finite table is inline ("table") or read from a CSV ("path")
+_BATCH_KEYS = {
+    "constant": {"vector"},
+    "iid-assignment": {"entry_probs", "family"},
+    "independent-marginals": {"marginals"},
+    "finite-table": {"table", "path"},
 }
 _FAMILY_KEYS = {
     "binomial": {"count", "prob"},
@@ -151,10 +161,10 @@ def _load_batch_table(block, J, base_dir, path, collector):
 
 def _build_batch(block, J, base_dir, collector):
     path = "batch"
-    if not isinstance(block, dict) or "variant" not in block:
-        collector.error(path, "expected an object with a 'variant' key")
+    variant, _ = _read_kind(block, "variant", _BATCH_KEYS, "batch variant", path,
+                            collector, optional={"table", "path"})
+    if variant is None:
         return None
-    variant = block["variant"]
     if variant == "constant":
         vec = block.get("vector")
         if not isinstance(vec, list) or len(vec) != J:
@@ -180,13 +190,30 @@ def _build_batch(block, J, base_dir, collector):
         if any(law is None for law in laws):
             return None
         return collector.attempt(path, lambda: BatchLaw.independent(laws))
-    if variant == "finite-table":
-        table = _load_batch_table(block, J, base_dir, f"{path}.table", collector)
-        if table is None:
-            return None
-        return collector.attempt(path, lambda: BatchLaw.finite_table(table, J))
-    collector.error(path, f"unknown batch variant {variant!r}")
-    return None
+    # a finite table
+    table = _load_batch_table(block, J, base_dir, f"{path}.table", collector)
+    if table is None:
+        return None
+    return collector.attempt(path, lambda: BatchLaw.finite_table(table, J))
+
+
+def _build_analysis(block, collector):
+    if not isinstance(block, dict):
+        collector.error("analysis", "expected an object")
+        return None
+    _check_keys(block, set(_ANALYSIS_KEYS), set(), "analysis", collector)
+    fields = {}
+    for key, kind in _ANALYSIS_KEYS.items():
+        if key not in block:
+            continue
+        value = block[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            collector.error(f"analysis.{key}",
+                            "expected an integer" if kind is int else "expected a number")
+        else:
+            fields[key] = kind(value)
+    return collector.attempt("analysis", lambda: AnalysisDefaults(**fields))
 
 
 def _build_nodes(block, J, collector):
@@ -228,6 +255,7 @@ def parse_config(raw, base_dir="."):
     collector = _Collector()
     if not isinstance(raw, dict):
         raise ValidationError(["config root must be a JSON object"])
+    _check_keys(raw, _ROOT_KEYS, set(), "config", collector)
 
     J = raw.get("J")
     if not isinstance(J, int) or J < 1:
@@ -271,12 +299,7 @@ def parse_config(raw, base_dir="."):
     elif representation != "tabulated":
         collector.error("nodes", "missing block (required unless the kernel is tabulated)")
 
-    analysis_block = raw.get("analysis", {})
-    analysis = collector.attempt(
-        "analysis",
-        lambda: AnalysisDefaults(cap=int(analysis_block.get("cap", 20)),
-                                 rtol=float(analysis_block.get("rtol", 1e-8)),
-                                 seed=int(analysis_block.get("seed", 20240901))))
+    analysis = _build_analysis(raw.get("analysis", {}), collector)
 
     collector.raise_if_failed()
     model = collector.attempt(

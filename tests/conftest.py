@@ -10,7 +10,7 @@ from bqnet.arrivals import PIECEWISE
 from bqnet.batch import (BINOMIAL, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
                          POISSON, ZETA)
 from bqnet.kernels import _poisson_head, _poisson_weights
-from bqnet.logmath import log_factorial
+from bqnet.logmath import log_factorial, xlogy
 from bqnet.service import routing_matrix
 from bqnet.simulate import EXITED, MAX_CUSTOMER_EVENTS
 
@@ -231,6 +231,26 @@ def _oracle_series(law, qvec, idx_array):
 SERIES_CHUNK = 256
 SERIES_CUTOFF = 1e-18
 SERIES_MAX_TERMS = 1_000_000
+
+
+def oracle_binomial_log_derivatives(law, qbar, cap):
+    """log G^(m)(1 - qbar), m = 0..cap, of a binomial or one-point law, as
+    the closed form the exact finite-table sum replaced: a one-point table
+    is the binomial with alpha = 1. ``qbar`` holds one value per node."""
+    m = np.arange(cap + 1.0)
+    qbar = qbar[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if law.family == BINOMIAL:
+            count, alpha = law.count, law.prob
+            log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
+        else:
+            count, alpha = int(law.support[0]), 1.0
+            log_stay = np.log(np.maximum(1.0 - qbar, 0.0))
+        falling = np.log(np.maximum(count - m + 1.0, 1.0))
+        falling[0] = 0.0
+        out = (np.cumsum(falling) + xlogy(m, alpha)
+               + np.where(m == count, 0.0, (count - m) * log_stay))
+        return np.where(m <= count, out, -np.inf)
 
 
 def oracle_series_log_derivatives(law, qbar, offset):

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +15,16 @@ from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
 from bqnet import compound as compound_module
 from bqnet import logmath
 from bqnet import transient as transient_module
-from bqnet.compound import (_placement, _series_log_derivatives, checked_rows,
-                            lattice_stack)
+from bqnet.compound import (_closed_log_derivatives, _placement,
+                            _series_log_derivatives, checked_rows, lattice_stack)
 from bqnet.quadrature import QuadratureSpec
 from bqnet.tables import SimplexIndex, simplex_index
 from bqnet.transient import transient_pmf
 
 import conftest
-from conftest import (brute_force_iid_compound, oracle_iid_lattice,
-                      oracle_series_log_derivatives, truncation_support)
+from conftest import (brute_force_iid_compound, oracle_binomial_log_derivatives,
+                      oracle_iid_lattice, oracle_series_log_derivatives,
+                      truncation_support)
 
 
 class FixedRowKernel:
@@ -115,6 +117,26 @@ class TestCompoundPMF:
         for i in [(0, 0), (1, 0), (2, 1), (3, 2)]:
             want = brute_force_iid_compound(law, qvec, i, 300)
             assert compound_pmf(snap, i) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [0.001, 0.3, 0.999])
+    def test_gapped_table_keeps_the_mass_past_the_gap(self, q):
+        # a gap wider than a chunk of series terms: the mass at 600 is in
+        # every P(C = i), for the table alone and as a marginal
+        law = UnivariateLaw.finite_table({1: 0.5, 600: 0.5})
+        (values, idx), tail = compound_lattice(
+            snap_for(BatchLaw.iid_assignment(law, [1.0]), [[q, 1.0 - q]]), 6)
+        want = [brute_force_iid_compound(law, [q], i, 600) for i in idx.array]
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+        assert tail == 0.0
+        poisson = UnivariateLaw.poisson(1.0)
+        rows = np.array([[0.6 * q, 0.4 * q, 1.0 - q], [0.1, 0.5, 0.4]])
+        (values, idx), tail = compound_lattice(
+            snap_for(BatchLaw.independent([law, poisson]), rows), 4)
+        first = [brute_force_iid_compound(law, rows[0, :2], i, 600) for i in idx.array]
+        second = [brute_force_iid_compound(poisson, rows[1, :2], i, 60) for i in idx.array]
+        want = idx.convolve(np.array(first), np.array(second))
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+        assert tail == 0.0
 
     def test_independent_marginals_product(self):
         rows = [[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]]
@@ -318,6 +340,36 @@ class TestOneFormulaLattice:
         assert not tails.any()
         np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("law", [
+        UnivariateLaw.degenerate(0), UnivariateLaw.degenerate(1),
+        UnivariateLaw.degenerate(7), UnivariateLaw.degenerate(2 ** 40),
+        UnivariateLaw.degenerate(2 ** 62), UnivariateLaw.binomial(6, 0.4),
+        UnivariateLaw.binomial(3, 0.0), UnivariateLaw.binomial(10 ** 12, 1e-12)],
+        ids=repr)
+    def test_one_point_sum_is_the_binomial_form(self, law):
+        # over one point the exact sum is its only term, bit for bit
+        qbar = np.array([0.0, 2.0 ** -53, 1e-8, 0.3, 0.5, 0.95, 1.0 - 1e-12, 1.0])
+        for cap in (0, 1, 15):
+            got = _closed_log_derivatives(law, qbar, cap)
+            assert np.array_equal(got, oracle_binomial_log_derivatives(law, qbar, cap))
+
+    def test_long_table_sums_in_blocks(self, monkeypatch):
+        # 10,000 points beside 17 nodes at cap 6 take several blocks of
+        # points; the sum does not depend on where the blocks end
+        n = np.arange(1, 10_001)
+        p = 1.0 / n ** 2
+        law = UnivariateLaw.finite_table(dict(zip(n.tolist(), (p / p.sum()).tolist())))
+        qbar = np.linspace(0.0, 1.0, 17)
+        cap = 6
+        assert compound_module._nodes_per_chunk(len(qbar) * (cap + 1)) < n.size / 4
+        blocked = _closed_log_derivatives(law, qbar, cap)
+        monkeypatch.setattr(compound_module, "LATTICE_BUDGET", 1 << 40)
+        whole = _closed_log_derivatives(law, qbar, cap)
+        # G(0) = P(N = 0) = 0 is the one -inf
+        finite = np.isfinite(whole)
+        assert finite.sum() == finite.size - 1 and np.array_equal(finite, np.isfinite(blocked))
+        assert np.all(np.abs(blocked[finite] - whole[finite]) <= 1e-14)
+
     def test_count_past_the_factorial_table_leaves_it_alone(self):
         # a binomial count far past the shared log-factorial table neither
         # grows the table nor moves the law off its Poisson limit by more
@@ -432,7 +484,6 @@ class TestLatticeStack:
 
 SERIES_FAMILIES = [UnivariateLaw.zeta(1.05), UnivariateLaw.zeta(1.5), UnivariateLaw.zeta(2.0),
                    UnivariateLaw.zeta(3.7), UnivariateLaw.geometric(0.7),
-                   UnivariateLaw.finite_table({3: 0.5, 7: 0.5}),
                    UnivariateLaw.log_weighted_tail()]
 # 1 - qbar, one node each: nobody leaves, leaving at the float's resolution,
 # rarely, half, mostly, and all but one customer in 10^12
@@ -446,13 +497,24 @@ def one_queue_offsets(qbar, cap):
         return m * np.log(qbar)[:, None] - logmath.log_factorial(m)
 
 
-def assert_series_match(law, leave, cap):
+def exact_table_sum(law, qbar, offset):
+    """A finite table's log G^(m)(1 - qbar) in 60-digit arithmetic."""
+    points = [(n, p) for n, p in zip(law.support.tolist(), law.probs.tolist()) if p > 0]
+    with mpmath.workdps(60):
+        logs = [[float(mpmath.log(mpmath.fsum(
+            p * mpmath.ff(n, m) * (1 - mpmath.mpf(q)) ** (n - m) for n, p in points if n >= m)))
+            for m in range(offset.shape[1])] for q in qbar.tolist()]
+    return np.array(logs), np.zeros(len(qbar))
+
+
+def assert_series_match(law, leave, cap, routine=_series_log_derivatives,
+                        reference=oracle_series_log_derivatives):
     qbar = 1.0 - np.asarray(leave, dtype=float)
     offset = one_queue_offsets(qbar, cap)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, got_tails = _series_log_derivatives(law, qbar, offset)
-    want, want_tails = oracle_series_log_derivatives(law, qbar, offset)
+        got, got_tails = routine(law, qbar, offset)
+    want, want_tails = reference(law, qbar, offset)
     # the oracle sums in units of P(C = i), so its terms and sums are exact
     # to 1e-13 only while they are normal floats; below that both sides are 0
     with np.errstate(invalid="ignore"):
@@ -494,10 +556,16 @@ class TestSeriesProduct:
     @pytest.mark.parametrize("low", [10 ** 9, 2 ** 40])
     @pytest.mark.parametrize("cap", [1, 15])
     def test_table_far_from_zero(self, low, cap):
-        # a round's work spans its own terms, not 0..n: a support starting
-        # at 10^9 or 2^40 takes a few arrays of cap + 256 entries
+        # the exact sum over a table's points sums log n!/(n - m)! term by
+        # term, which keeps the digits a support starting at 10^9 or 2^40
+        # needs; the per-degree loop takes it as a difference of two
+        # log-factorials, off by up to a step of log n! (2e-3 at 2^40), so
+        # the reference is the sum in 60 digits
+        def exact_sum(law, qbar, offset):
+            return _closed_log_derivatives(law, qbar, cap), np.zeros(len(qbar))
+
         law = UnivariateLaw.finite_table({low: 0.5, low + 1: 0.5})
-        assert_series_match(law, LEAVE_PROBS, cap)
+        assert_series_match(law, LEAVE_PROBS, cap, exact_sum, exact_table_sum)
 
     def test_node_values_do_not_depend_on_the_stack(self):
         law = UnivariateLaw.zeta(1.5)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from bqnet import ValidationError, bundled_config_path, load_config
 from bqnet.cli import compare_outputs, main
 from bqnet.tables import (LatticePMF, canonical_json, read_occupancy_csv,
                           simplex_rank, write_occupancy_csv)
+
+# every config the package ships and the benchmark runs
+SHIPPED_CONFIGS = sorted(
+    list(bundled_config_path("mm_infty").parent.glob("*.json"))
+    + list((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json")))
 
 
 class TestConfigLoading:
@@ -35,6 +41,11 @@ class TestConfigLoading:
     def test_bundled_zeta(self):
         model = load_config(bundled_config_path("zeta_batch"))
         assert model.batch.law.family == "zeta"
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_loads(self, path):
+        # the readers reject unknown keys; no shipped config may carry one
+        assert load_config(path).J >= 1
 
     def test_bad_routing_reports_field_path(self, tmp_path):
         raw = json.loads(bundled_config_path("mm_infty").read_text())
@@ -252,6 +263,21 @@ class TestCli:
         ("kernel", {"representation": "renewal-grid", "nodez": 5}, ZERO_PROB),
         ("kernel", {"representation": "markov-uniformization", "nodes": 1025}, ZERO_PROB),
         ("kernel", {"representation": "tabulated", "path": 5}, ZERO_PROB),
+        # an unknown key in the batch block
+        ("batch", {"variant": "iid-assignment", "entry_probs": [1.0],
+                   "family": {"name": "poisson", "mean": 1.0}, "famly": 1}, ZERO_PROB),
+        # the analysis block: an object of integer cap and seed and numeric
+        # rtol, with no other key; and no unknown key at the root
+        ("analysis", [1], ZERO_PROB),
+        ("analysis", {"cap": 2.7}, ZERO_PROB),
+        ("analysis", {"cap": True}, ZERO_PROB),
+        ("analysis", {"cap": "2"}, ZERO_PROB),
+        ("analysis", {"seed": 1.5}, ZERO_PROB),
+        ("analysis", {"rtol": "1e-8"}, ZERO_PROB),
+        ("analysis", {"rtoll": 1e-8}, ZERO_PROB),
+        ("anaysis", {"cap": 5}, ZERO_PROB),
+        # a --z that is not numbers
+        (None, None, ["pgf", "--t", "1", "--z", "abc"]),
     ])
     def test_bad_numeric_parameter_exit_2(self, tmp_path, capsys, block, value, command):
         # NaN compares false with every bound, so each check must ask for
