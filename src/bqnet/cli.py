@@ -2,7 +2,9 @@
 
 Subcommands: pgf, pmf, zero-prob, moments, ergodicity, simulate, compare.
 Exit codes: 0 ok, 1 domain error or failed comparison, 2 validation,
-3 quadrature non-convergence, 66 missing input file. The environment
+3 quadrature non-convergence, 66 missing input file. ``compare`` exits 2
+on a malformed table: a cell that is not a number, a negative or
+non-finite entry, or a vector listed twice. The environment
 variable ``BQNET_SEED`` overrides the config seed (an explicit --seed
 flag beats both).
 """

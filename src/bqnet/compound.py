@@ -263,18 +263,16 @@ def _closed_log_derivatives(law, qbar, cap):
                    - math.log(-math.log1p(-rho)))
             out[:, :1] = np.log(log_base / math.log1p(-rho))
             return out
-        # sum_n p_n n!/(n - m)! alpha^m stay^(n - m): a table has alpha = 1 and
-        # stay = 1 - qbar, the binomial is one point, stay = 1 - alpha qbar.
-        # log n!/(n - m)! is summed term by term and a small alpha's stay
-        # taken by log1p: both differences of nearby numbers would cancel
-        # the digits a large n needs
+        # sum_n p_n n!/(n - m)! alpha^m stay^(n - m) with stay = 1 - alpha qbar:
+        # a table has alpha = 1, the binomial is one point. log n!/(n - m)!
+        # is summed term by term and the stay taken by log1p: both
+        # differences of nearby numbers would cancel the digits a large n needs
         if fam == batchmod.BINOMIAL:
             points, log_p, alpha = np.array([float(law.count)]), np.zeros(1), law.prob
-            log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
         else:
             keep = law.probs > 0
             points, log_p, alpha = law.support[keep].astype(float), np.log(law.probs[keep]), 1.0
-            log_stay = np.log(np.maximum(1.0 - qbar, 0.0))
+        log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
         # the sum so far is exp(peak) * part, as in the series
         peak = np.full((len(qbar), cap + 1), -np.inf)
         part = np.zeros(peak.shape)

@@ -216,6 +216,8 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
     """
     if not model.arrival.is_homogeneous():
         raise DomainError("ergodicity classification requires a constant arrival rate")
+    if polynomial_tail_alpha is not None and not polynomial_tail_alpha > 1.0:
+        raise DomainError("polynomial tail certificate needs alpha > 1")
     batch = model.batch
     certs = {"finite_network_time": False, "exponential_upper_tail": False,
              "exponential_two_sided_tail": False}
@@ -246,8 +248,6 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
         return StabilityVerdict(NON_ERGODIC, DIVERGENT_LOG_MOMENT, math.inf,
                                 diagnostics)
     if polynomial_tail_alpha is not None:
-        if not polynomial_tail_alpha > 1.0:
-            raise DomainError("polynomial tail certificate needs alpha > 1")
         diagnostics["alpha"] = polynomial_tail_alpha
         if batch.fractional_moment_finite(polynomial_tail_alpha):
             return with_ew(StabilityVerdict(ERGODIC, FRACTIONAL_MOMENT, None,

@@ -431,13 +431,15 @@ class TabulatedKernel(GridKernel):
         if table.shape[2] != J:
             raise ValidationError("tabulated kernel values must be square per time")
         super().__init__(J)
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValidationError("kernel times must start at 0 and increase strictly")
-        if np.any(table < 0.0) or np.any(table > 1.0):
+        # each check asks for the values it accepts, so that NaN fails it
+        if not (times[0] == 0.0 and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
+            raise ValidationError("kernel times must start at 0, increase strictly "
+                                  "and stay finite")
+        if not np.all((table >= 0.0) & (table <= 1.0)):
             raise ValidationError("kernel values must lie in [0, 1]")
-        if np.max(np.abs(table[0] - np.eye(J))) > 1e-12:
+        if not np.max(np.abs(table[0] - np.eye(J))) <= 1e-12:
             raise ValidationError("kernel at t=0 must be the identity")
-        if np.any(table.sum(axis=2) > 1.0 + 1e-10):
+        if not np.all(table.sum(axis=2) <= 1.0 + 1e-10):
             raise ValidationError("kernel row sums must not exceed 1")
         table = table.copy()
         table[0] = np.eye(J)
@@ -468,9 +470,9 @@ def load_tabulated_kernel_csv(path):
             if not m:
                 raise ValidationError(f"unexpected kernel CSV column {name!r}")
             pairs.append((int(m.group(1)), int(m.group(2))))
-        J = max(j for j, _ in pairs)
+        J = max((j for j, _ in pairs), default=0)
         expected = [(j, k) for j in range(1, J + 1) for k in range(1, J + 1)]
-        if pairs != expected:
+        if J == 0 or pairs != expected:
             raise ValidationError(
                 "kernel CSV columns must enumerate q_j_k row-major for j,k in 1..J")
         times, rows = [], []

@@ -54,7 +54,7 @@ class ServiceLaw:
             if not (times[0] >= 0 and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
                 raise ValidationError("tabulated CDF times must be finite, strictly "
                                       "increasing and >= 0")
-            if np.any(np.diff(values) < 0):
+            if not np.all(np.diff(values) >= 0):
                 raise ValidationError("tabulated CDF must be nondecreasing")
             if not np.all((values >= 0) & (values <= 1)):
                 raise ValidationError("tabulated CDF values must lie in [0, 1]")

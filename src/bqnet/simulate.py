@@ -321,6 +321,8 @@ def run_simulation(plan: SimulationPlan, workers=1):
     ``workers``; overflowing vectors (total beyond the cap) are counted,
     never dropped silently.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     model = plan.model
     _check_zero_time_loop(model.nodes, model.J, model.batch.entry_mask())
     blocks = []

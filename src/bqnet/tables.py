@@ -244,16 +244,18 @@ class LatticePMF:
         if self.values.shape != (len(self.index),):
             raise ValidationError("lattice values do not match the simplex size")
         clamped = int(np.sum((self.values < 0) & (self.values >= ENTRY_CLAMP)))
-        if np.any(self.values < ENTRY_CLAMP):
-            worst = float(self.values.min())
-            raise ValidationError(f"lattice entry {worst} is below the clamp floor")
+        refused = ~(self.values >= ENTRY_CLAMP)
+        if np.any(refused):
+            raise ValidationError(f"lattice entry {self.values[refused][0]} is NaN or "
+                                  "below the clamp floor")
         self.values = np.maximum(self.values, 0.0)
         assigned = float(self.values.sum())
         if assigned > 1.0 + MASS_TOL:
             raise ValidationError(f"assigned lattice mass {assigned} exceeds 1")
         self.tail_mass = (1.0 - assigned) if tail_mass is None else float(tail_mass)
-        if self.tail_mass < -MASS_TOL:
-            raise ValidationError(f"tail mass {self.tail_mass} is below -{MASS_TOL}")
+        if not (math.isfinite(self.tail_mass) and self.tail_mass >= -MASS_TOL):
+            raise ValidationError(f"tail mass {self.tail_mass} must be finite and "
+                                  f">= -{MASS_TOL}")
         self.meta = dict(meta or {})
         if clamped:
             self.meta.setdefault("clamped_entries", clamped)
@@ -376,12 +378,15 @@ def read_occupancy_csv(path):
                 raise ValidationError(f"{path} line {line_no}: wrong column count")
             try:
                 vec = tuple(int(x) for x in row[:J])
-                prob = float(row[J])
+                numbers = [float(x) for x in row[J:]]
             except ValueError:
                 raise ValidationError(f"{path} line {line_no}: malformed entry")
-            if prob < 0 or not math.isfinite(prob):
-                raise ValidationError(f"{path} line {line_no}: invalid probability")
-            probs[vec] = prob
-            for offset, name in enumerate(optional):
-                extras[name][vec] = float(row[J + 1 + offset])
+            # counts, probabilities, stderrs and replications are all >= 0
+            if not (min(vec) >= 0 and all(math.isfinite(x) and x >= 0 for x in numbers)):
+                raise ValidationError(f"{path} line {line_no}: negative or non-finite entry")
+            if vec in probs:
+                raise ValidationError(f"{path} line {line_no}: vector {vec} appears twice")
+            probs[vec] = numbers[0]
+            for name, value in zip(optional, numbers[1:]):
+                extras[name][vec] = value
         return J, probs, extras

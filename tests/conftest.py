@@ -235,17 +235,16 @@ SERIES_MAX_TERMS = 1_000_000
 
 def oracle_binomial_log_derivatives(law, qbar, cap):
     """log G^(m)(1 - qbar), m = 0..cap, of a binomial or one-point law, as
-    the closed form the exact finite-table sum replaced: a one-point table
-    is the binomial with alpha = 1. ``qbar`` holds one value per node."""
+    the binomial's closed form: a one-point table is the binomial with
+    alpha = 1. ``qbar`` holds one value per node."""
     m = np.arange(cap + 1.0)
     qbar = qbar[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         if law.family == BINOMIAL:
             count, alpha = law.count, law.prob
-            log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
         else:
             count, alpha = int(law.support[0]), 1.0
-            log_stay = np.log(np.maximum(1.0 - qbar, 0.0))
+        log_stay = np.log1p(-np.minimum(alpha * qbar, 1.0))
         falling = np.log(np.maximum(count - m + 1.0, 1.0))
         falling[0] = 0.0
         out = (np.cumsum(falling) + xlogy(m, alpha)

@@ -567,6 +567,18 @@ class TestSeriesProduct:
         law = UnivariateLaw.finite_table({low: 0.5, low + 1: 0.5})
         assert_series_match(law, LEAVE_PROBS, cap, exact_sum, exact_table_sum)
 
+    @pytest.mark.parametrize("low", [10 ** 9, 2 ** 40])
+    @pytest.mark.parametrize("cap", [1, 15])
+    def test_table_far_from_zero_at_a_tiny_qbar(self, low, cap):
+        # the stay factor 1 - qbar is raised to the power n ~ low: rounding
+        # 1 - 1e-12 to a float would cost n * 1.1e-16 of relative error
+        # (2.4e-5 in the log at 2^40), where log1p(-qbar) keeps every digit
+        law = UnivariateLaw.finite_table({low: 0.5, low + 1: 0.5})
+        qbar = np.array([1e-12])
+        got = _closed_log_derivatives(law, qbar, cap)
+        want, _ = exact_table_sum(law, qbar, np.zeros((1, cap + 1)))
+        assert np.all(np.abs(got - want) <= np.maximum(1e-13, np.spacing(np.abs(want))))
+
     def test_node_values_do_not_depend_on_the_stack(self):
         law = UnivariateLaw.zeta(1.5)
         qbar = 1.0 - np.array(LEAVE_PROBS[:-1])

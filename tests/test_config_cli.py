@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,19 @@ class TestTables:
             with pytest.raises(ValidationError, match="holds 3 numbers"):
                 LatticePMF.from_json_dict(doc)
 
+    def test_lattice_json_nan_entry(self):
+        doc = LatticePMF(1, 2, np.full(3, 0.25)).to_json_dict()
+        doc["entries"][-1] = [2, math.nan]
+        with pytest.raises(ValidationError, match="NaN"):
+            LatticePMF.from_json_dict(doc)
+
+    @pytest.mark.parametrize("tail", [math.nan, math.inf])
+    def test_lattice_json_non_finite_tail_mass(self, tail):
+        doc = LatticePMF(1, 2, np.full(3, 0.25)).to_json_dict()
+        doc["tail_mass"] = tail
+        with pytest.raises(ValidationError, match="tail mass"):
+            LatticePMF.from_json_dict(doc)
+
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -278,6 +292,23 @@ class TestCli:
         ("anaysis", {"cap": 5}, ZERO_PROB),
         # a --z that is not numbers
         (None, None, ["pgf", "--t", "1", "--z", "abc"]),
+        # an object takes its own keys and _note; no value is a boolean
+        ("name", "mm", ZERO_PROB),
+        ("variant", 3, ZERO_PROB),
+        ("J", True, ZERO_PROB),
+        ("arrival", {"kind": "constant", "rate": 1.0, "variant": 3}, ZERO_PROB),
+        ("batch", {"variant": "constant", "vector": [1], "kind": "constant"}, ZERO_PROB),
+        ("kernel", {"representation": "markov-uniformization", "variant": 3}, ZERO_PROB),
+        ("nodes", [{"service": {"kind": "exponential", "rate": 1.0},
+                    "routing": [0.0, 1.0], "foo": 1}], ZERO_PROB),
+        ("nodes", [{"service": {"kind": "exponential", "rate": 1.0, "name": "x"},
+                    "routing": [0.0, 1.0]}], ZERO_PROB),
+        ("batch", {"variant": "constant", "vector": [True]}, ZERO_PROB),
+        ("nodes", [{"service": {"kind": "exponential", "rate": 1.0},
+                    "routing": [False, True]}], ZERO_PROB),
+        _service(kind="exponential", rate=True),
+        # a batch-table path that is not a string
+        ("batch", {"variant": "finite-table", "path": 5}, ZERO_PROB),
     ])
     def test_bad_numeric_parameter_exit_2(self, tmp_path, capsys, block, value, command):
         # NaN compares false with every bound, so each check must ask for
@@ -395,6 +426,49 @@ class TestCli:
         write_occupancy_csv(tmp_path / "one.csv", 1, [((0,), 1.0)])
         write_occupancy_csv(tmp_path / "two.csv", 2, [((0, 0), 1.0)])
         assert main(["compare", "one.csv", "two.csv", "--tol", "0.1"]) == 2
+
+    @pytest.mark.parametrize("lines", [
+        ["n_1,prob,stderr,replications", "0,0.5,abc,10", "1,0.5,0.1,10"],
+        ["n_1,prob,stderr,replications", "0,0.5,-0.1,10", "1,0.5,0.1,10"],
+        ["n_1,prob", "0,0.5", "0,0.5"],
+        ["n_1,prob", "-1,0.5", "0,0.5"],
+    ], ids=["stderr-abc", "negative-stderr", "duplicate-vector", "negative-count"])
+    def test_compare_malformed_table_exit_2(self, tmp_path, capsys, monkeypatch, lines):
+        monkeypatch.chdir(tmp_path)
+        write_occupancy_csv(tmp_path / "good.csv", 1, [((0,), 0.5), ((1,), 0.5)])
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        assert main(["compare", "good.csv", "bad.csv", "--tol", "0.1"]) == 2
+        assert "validation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["pmf", "--t", "1"], ["zero-prob", "--t", "1"], ["moments", "--t", "1"],
+        ["pgf", "--t", "1", "--z", "0.5"]], ids=lambda command: command[0])
+    def test_nan_kernel_cell_exit_2_fast(self, tmp_path, capsys, monkeypatch, command):
+        # a NaN kernel value must fail the kernel's checks, not stall the
+        # quadrature that would otherwise run on it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kernel.csv").write_text("t,q_1_1\n0,1\n1,nan\n2,0.3\n")
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        del raw["nodes"]
+        raw["kernel"] = {"representation": "tabulated", "path": "kernel.csv"}
+        (tmp_path / "model.json").write_text(json.dumps(raw))
+        start = time.perf_counter()
+        assert main(command + ["--config", "model.json"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "kernel values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_simulate_needs_a_worker_exit_2(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "mm_infty", "--t", "1", "--reps", "100",
+                     "--workers", workers]) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_ergodicity_checks_tail_alpha_first(self, capsys):
+        # mm_infty's finite-mean certificate answers before the asserted
+        # tail would be read; an alpha <= 1 must fail all the same
+        assert main(["ergodicity", "--config", "mm_infty", "--tail-alpha", "0.5"]) == 1
+        assert "alpha > 1" in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

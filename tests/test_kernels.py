@@ -475,6 +475,20 @@ class TestTabulatedKernel:
         with pytest.raises(ValidationError):
             load_tabulated_kernel_csv(path)
 
+    @pytest.mark.parametrize("row", ["1.0,nan", "nan,0.5", "inf,0.5"])
+    def test_rejects_non_finite_cells(self, tmp_path, row):
+        # each check asks for the values it accepts, which NaN never is
+        path = tmp_path / "bad.csv"
+        self._write(path, ["t,q_1_1", "0.0,1.0", row])
+        with pytest.raises(ValidationError):
+            load_tabulated_kernel_csv(path)
+
+    def test_rejects_a_header_without_kernel_columns(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        self._write(path, ["t", "0.0", "1.0"])
+        with pytest.raises(ValidationError, match="q_j_k"):
+            load_tabulated_kernel_csv(path)
+
     def test_beyond_grid_raises(self, tmp_path):
         path = tmp_path / "k.csv"
         self._write(path, ["t,q_1_1", "0.0,1.0", "1.0,0.5"])
