@@ -184,10 +184,12 @@ def _load_batch_table(block, J, base_dir, path, collector):
         if csv_path is not None and not csv_path.exists():
             collector.error(path, f"batch table file {csv_path} not found")
         elif csv_path is not None:
-            table_J, probs, _ = read_occupancy_csv(csv_path)
-            if table_J == J:
-                return probs
-            collector.error(path, f"batch table has dimension {table_J}, expected {J}")
+            read = collector.attempt(path, lambda: read_occupancy_csv(csv_path))
+            if read is not None:
+                table_J, probs, _ = read
+                if table_J == J:
+                    return probs
+                collector.error(path, f"batch table has dimension {table_J}, expected {J}")
         return None
     rows = block.get("table")
     if not isinstance(rows, list):

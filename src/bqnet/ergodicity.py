@@ -75,13 +75,16 @@ class BatchOccupancyIntegral:
 def expected_batch_occupancy(model, kernel):
     """E[W] = int_0^inf [1 - G_S(1 - Q_1(tau), ...)] dtau, or a divergence signal.
 
-    Composite Simpson on [0, T] with T doubled geometrically until the
+    Panels [0, T], [T, 2T], ... with T doubled geometrically until the
     integrand drops below the floor and the value settles; if the
     integrand decays slower than tau^-(1 + margin) across
     ``_SLOW_DECAY_RUNS`` consecutive doublings, returns the infinity
-    signal carrying the measured decay exponent.
+    signal carrying the measured decay exponent. Each panel is composite
+    Simpson, with Romberg's extrapolation on the same nodes when the
+    kernel is analytic in time (the integrand then is too).
     """
     batch = model.batch
+    extrapolate = kernel.analytic_in_time
 
     def integrand(taus):
         return batch.pgf_gap(kernel.survival_vectors(np.asarray(taus, dtype=float)))
@@ -105,7 +108,8 @@ def expected_batch_occupancy(model, kernel):
     try:
         first = first_rule(0.0, horizon)
         total, _ = simpson_refine(integrand, 0.0, horizon, _PANEL_QUAD,
-                                  "batch occupancy panel", values=first)
+                                  "batch occupancy panel", values=first,
+                                  extrapolate=extrapolate)
         partials.append(total)
         g_prev = float(first[-1])
         for _ in range(_HORIZON_DOUBLINGS):
@@ -121,7 +125,8 @@ def expected_batch_occupancy(model, kernel):
                 return result("inconclusive", last,
                               "integrand underflowed while decaying slowly")
             panel, _ = simpson_refine(integrand, horizon, 2.0 * horizon, _PANEL_QUAD,
-                                      "batch occupancy panel", values=first)
+                                      "batch occupancy panel", values=first,
+                                      extrapolate=extrapolate)
             horizon *= 2.0
             total += panel
             partials.append(total)

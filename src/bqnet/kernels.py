@@ -70,9 +70,14 @@ class TimeGrid:
 
 
 class OccupancyKernel:
-    """Shared evaluation contract over the three representations."""
+    """Shared evaluation contract over the three representations.
+
+    ``analytic_in_time`` says whether the rows are analytic functions of
+    t, so that a time integral of them may use a high-order rule.
+    """
 
     representation = "abstract"
+    analytic_in_time = False
 
     def __init__(self, J):
         self.J = J
@@ -120,6 +125,8 @@ class MarkovKernel(OccupancyKernel):
     """
 
     representation = "markov-uniformization"
+    # the rows are exp(t A) of the path chain's generator
+    analytic_in_time = True
 
     def __init__(self, nodes, J):
         super().__init__(J)

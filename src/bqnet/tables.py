@@ -289,7 +289,7 @@ class LatticePMF:
             "tail_mass": self.tail_mass,
             "entries": [[*map(int, vec), float(p)] for vec, p in self.items()],
         }
-        for key in ("t", "quadrature_nodes"):
+        for key in ("t", "quadrature_nodes", "quadrature_rule"):
             if key in self.meta:
                 doc[key] = self.meta[key]
         return doc
@@ -312,7 +312,8 @@ class LatticePMF:
             raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")
         values = np.zeros(len(index))
         values[simplex_rank(vecs)] = [row[-1] for row in rows]
-        meta = {k: doc[k] for k in ("t", "quadrature_nodes") if k in doc}
+        meta = {k: doc[k] for k in ("t", "quadrature_nodes", "quadrature_rule")
+                if k in doc}
         return cls(J, cap, values, tail_mass=doc.get("tail_mass"), meta=meta)
 
 

@@ -25,6 +25,14 @@ Terms are added in a fixed order, and every time integral (the PGF
 exponent, the displacement integrals and the moments) runs through
 :func:`bqnet.quadrature.simpson_refine`, whose nested doubling evaluates
 each node once, so results are bit-deterministic for a fixed node count.
+The integrand is analytic in tau when the kernel is
+(``kernel.analytic_in_time``, the uniformization kernel) and the arrival
+rate is one smooth piece on [0, t]; there the integrals take Romberg's
+extrapolation on Simpson's nodes (rule ``"simpson-romberg"``), which
+settles in a fraction of the nodes. Grid kernels, whose rows are only
+piecewise linear in t, and rates with breakpoints inside [0, t] keep
+composite Simpson (``"simpson"``). ``meta["quadrature_rule"]`` and
+:attr:`TransientMoments.quadrature_rule` name the rule used.
 At t = 0 each integral is the empty one: zero from 0 nodes, so the PGF is
 1, the PMF is the point mass at n = 0 and both moments are 0.
 
@@ -49,7 +57,8 @@ import numpy as np
 from .batch import check_pgf_argument
 from .compound import checked_rows, lattice_stack
 from .errors import ValidationError
-from .quadrature import QuadratureSpec, converged_elementwise, simpson_refine
+from .quadrature import (SIMPSON, SIMPSON_ROMBERG, QuadratureSpec,
+                         converged_elementwise, simpson_refine)
 from .tables import LatticePMF, simplex_index, simplex_rank
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -60,6 +69,12 @@ def _check_time(t):
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError("time must be finite and >= 0")
     return float(t)
+
+
+def _extrapolates(model, kernel, t):
+    """Whether the time integrals at ``t`` are analytic in tau: an analytic
+    kernel and one arrival-rate piece on [0, t]."""
+    return kernel.analytic_in_time and len(model.arrival.segments(t)) == 1
 
 
 def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -73,7 +88,8 @@ def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
         gaps = model.batch.pgf_gap(rows[:, :, : model.J] @ one_minus_z)
         return np.asarray(model.arrival.rate(tau), dtype=float) * gaps
 
-    exponent, _ = simpson_refine(integrand, 0.0, t, quad, "transient PGF quadrature")
+    exponent, _ = simpson_refine(integrand, 0.0, t, quad, "transient PGF quadrature",
+                                 extrapolate=_extrapolates(model, kernel, t))
     return math.exp(-exponent)
 
 
@@ -102,8 +118,9 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
 
     The refinement loop doubles the shared quadrature rule until every
     lattice entry moves by at most rtol * entry + atol. ``meta`` carries
-    the displacement integrals A, aligned with the lattice's index, for
-    :func:`recompute_with_pivot`.
+    the node count and the rule (``"quadrature_nodes"``,
+    ``"quadrature_rule"``), and the displacement integrals A, aligned with
+    the lattice's index, for :func:`recompute_with_pivot`.
     """
     t = _check_time(t)
     if cap < 0:
@@ -127,9 +144,12 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
     def settled(previous, current, spec):
         return converged_elementwise(recursion(previous), recursion(current), spec)
 
-    estimate, m = simpson_refine(integrand, 0.0, t, quad, "PMF quadrature", settled)
+    extrapolate = _extrapolates(model, kernel, t)
+    estimate, m = simpson_refine(integrand, 0.0, t, quad, "PMF quadrature", settled,
+                                 extrapolate=extrapolate)
     pmf = LatticePMF(model.J, cap, recursion(estimate),
                      meta={"t": t, "quadrature_nodes": m,
+                           "quadrature_rule": SIMPSON_ROMBERG if extrapolate else SIMPSON,
                            "displacement_integrals": estimate[:-2],
                            "series_tail_bound": float(estimate[-1])})
     if pmf.tail_mass > TAIL_WARNING:
@@ -166,12 +186,17 @@ def recompute_with_pivot(pmf: LatticePMF, n, pivot):
 
 @dataclass
 class TransientMoments:
-    """Mean vector and covariance matrix of N(t); None when undefined."""
+    """Mean vector and covariance matrix of N(t); None when undefined.
+
+    ``quadrature_nodes`` and ``quadrature_rule`` say how the moment
+    integral was taken; an undefined first moment takes none.
+    """
 
     mean: np.ndarray | None
     covariance: np.ndarray | None
     undefined_reason: str | None = None
     quadrature_nodes: int = 0
+    quadrature_rule: str | None = None
 
 
 def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -204,9 +229,11 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
         scale = max(float(np.max(np.abs(current[:J]))), 1.0)
         return np.max(np.abs(current - previous)) <= spec.rtol * scale + spec.atol
 
+    extrapolate = _extrapolates(model, kernel, t)
     estimate, m = simpson_refine(integrand, 0.0, t, quad, "moment quadrature",
-                                 settled)
+                                 settled, extrapolate=extrapolate)
     return TransientMoments(estimate[:J],
                             estimate[J:].reshape(J, J) if cov_defined else None,
                             None if cov_defined else "batch second moment is infinite",
-                            quadrature_nodes=m)
+                            quadrature_nodes=m,
+                            quadrature_rule=SIMPSON_ROMBERG if extrapolate else SIMPSON)

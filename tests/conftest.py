@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import linalg, special, stats
 
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, SimulationBudgetError, UnivariateLaw)
@@ -98,6 +98,45 @@ def brute_force_iid_compound(law, qvec, i, n_top):
             placement *= leave ** (n - m)
         total += p_n * placement
     return total
+
+
+# -- PGF-inversion oracle ----------------------------------------------------------
+#
+# The transient PMF read off the paper's PGF with none of bqnet's layers:
+#
+#     E[z^N(t)] = exp(-int_0^t lambda(tau) [1 - G_B(1 - q(t - tau) (1 - z))] dtau)
+#
+# evaluated at z = r w^k on an N^J torus (w = exp(2 pi i / N)) and inverted by
+# one FFT, the Cauchy integral on a circle of radius r (Abate & Whitt 1992,
+# "Numerical inversion of probability generating functions", Oper. Res.
+# Lett. 12(4)). Entry n picks up the aliased mass P(N = n + N e_k) r^N,
+# 10^(-gamma/2) times an entry past the torus, and round-off grows like
+# r^(-|n|) <= 10^(gamma/4); the rows are scipy.linalg.expm of the path chain's
+# generator and the time integral is Gauss-Legendre.
+
+
+def oracle_pgf_inversion(rate, generator, batch_pgf, t, cap, gamma=13.0, order=96):
+    """P(N(t) = n) for n in [0, N)^J, N = 2 (cap + 1), as an N^J array.
+
+    ``rate`` maps an array of times to lambda; ``generator`` is the
+    (J+1, J+1) generator of one customer's path chain, exit last;
+    ``batch_pgf`` maps complex arguments y of shape (..., J) to
+    E[prod_j y_j^{B_j}], B the batch's entry vector.
+    """
+    J = generator.shape[0] - 1
+    size = 2 * (cap + 1)
+    radius = 10.0 ** (-gamma / (2 * size))
+    x, w = np.polynomial.legendre.leggauss(order)
+    tau, w = 0.5 * t * (x + 1.0), 0.5 * t * w
+    circle = radius * np.exp(2j * np.pi * np.arange(size) / size)
+    one_minus_z = 1.0 - np.stack(np.meshgrid(*[circle] * J, indexing="ij"), axis=-1)
+    rows = linalg.expm(generator * (t - tau)[:, None, None])[:, :J, :J]
+    exponent = np.zeros((size,) * J, dtype=complex)
+    for q, weight in zip(rows, w * rate(tau)):
+        # y_j = 1 - sum_k q^j_k (1 - z_k): one batch member entering at j
+        exponent += weight * (1.0 - batch_pgf(1.0 - one_minus_z @ q.T))
+    probs = np.fft.fftn(np.exp(-exponent)).real / size ** J
+    return probs / radius ** np.indices(probs.shape).sum(axis=0)
 
 
 # -- per-position compounding oracle ---------------------------------------------

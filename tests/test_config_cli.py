@@ -78,6 +78,26 @@ class TestConfigLoading:
         assert "nodes[0].routing" in text
         assert "nodes[1].service" in text
 
+    def test_bad_batch_csv_keeps_the_other_failures(self, tmp_path):
+        # the CSV reader's failure is one more collected failure, under the
+        # batch.table field path, not the only one reported
+        (tmp_path / "batch.csv").write_text("n_1,prob\n-1,1.0\n")
+        raw = {
+            "J": 1,
+            "arrival": {"kind": "constant", "rate": -1.0},
+            "batch": {"variant": "finite-table", "path": "batch.csv"},
+            "nodes": [{"service": {"kind": "exponential", "rate": 1.0},
+                       "routing": [0.0, 1.0]}],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as err:
+            load_config(path)
+        failures = err.value.failures
+        assert any(f.startswith("arrival:") for f in failures)
+        assert any(f.startswith("batch.table:") and "negative or non-finite" in f
+                   for f in failures)
+
     def test_batch_table_from_csv(self, tmp_path):
         table = tmp_path / "batch.csv"
         table.write_text("n_1,n_2,prob\n1,0,0.25\n0,2,0.75\n")

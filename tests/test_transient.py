@@ -5,16 +5,25 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
-                   QuadratureSpec, ServiceLaw, ServiceNode, SimulationPlan,
-                   UnivariateLaw, ValidationError, recompute_with_pivot,
-                   bundled_config_path, load_config, run_simulation,
-                   transient_moments, transient_pgf, transient_pmf,
-                   transient_zero_prob)
+from bqnet import (ArrivalProcess, BatchLaw, ConvergenceError, MarkovKernel,
+                   NetworkModel, QuadratureSpec, ServiceLaw, ServiceNode,
+                   SimulationPlan, UnivariateLaw, ValidationError,
+                   recompute_with_pivot, bundled_config_path, load_config,
+                   run_simulation, transient_moments, transient_pgf,
+                   transient_pmf, transient_zero_prob)
+from bqnet import ergodicity as ergodicity_module
 from bqnet import transient as transient_module
+from bqnet.ergodicity import expected_batch_occupancy
+from bqnet.tables import LatticePMF
+from conftest import oracle_pgf_inversion
 
 MM_MEAN = 1.0 - math.exp(-1.0)
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def bench_or_bundled(name):
+    path = BENCH_CONFIGS / f"{name}.json"
+    return load_config(path if path.exists() else bundled_config_path(name))
 
 
 class TestTransientPGF:
@@ -161,8 +170,7 @@ class TestZeroProb:
         ("mm_infty", 1.0), ("tandem_batch", 3.0), ("zeta_batch", 3.0), ("vivax", 10.0),
         ("renewal_tandem", 4.0)])
     def test_is_the_pgf_at_zero(self, config, t):
-        path = BENCH_CONFIGS / f"{config}.json"
-        model = load_config(path if path.exists() else bundled_config_path(config))
+        model = bench_or_bundled(config)
         kernel = model.build_kernel()
         quad = QuadratureSpec(rtol=model.analysis.rtol)
         assert (transient_zero_prob(model, kernel, t, quad)
@@ -246,3 +254,140 @@ class TestMoments:
         assert np.allclose(mean, result.mean, atol=4 * np.sqrt(
             np.diag(result.covariance) / total) + 1e-3)
         assert np.allclose(cov, result.covariance, atol=0.05)
+
+
+# -- the PGF-inversion oracle ------------------------------------------------------
+
+# J = 2 finite batch table whose sizes jump from 2 to 9: (1, 0), (0, 2), (5, 4)
+GAPPED_TABLE = {(1, 0): 0.5, (0, 2): 0.3, (5, 4): 0.2}
+
+
+def _gapped_pgf(y):
+    return sum(p * y[..., 0] ** a * y[..., 1] ** b for (a, b), p in GAPPED_TABLE.items())
+
+
+def _oracle_case(name):
+    """(model, rate, generator, batch PGF, t, cap): the model for bqnet, and
+    the same model written out for the oracle."""
+    if name == "tandem_batch":
+        # lambda = 1 + 0.5 sin(tau); Poisson(2) batches into node 1; mu = (1, 2) in tandem
+        return (load_config(bundled_config_path(name)), lambda tau: 1.0 + 0.5 * np.sin(tau),
+                np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]),
+                lambda y: np.exp(2.0 * (y[..., 0] - 1.0)), 3.0, 25)
+    if name == "mm_infty":
+        return (load_config(bundled_config_path(name)), np.ones_like,
+                np.array([[-1.0, 1.0], [0.0, 0.0]]), lambda y: y[..., 0], 3.0, 20)
+    model = NetworkModel(
+        J=2, arrival=ArrivalProcess.sinusoidal(1.5, 0.5, 2.0),
+        batch=BatchLaw.finite_table(list(GAPPED_TABLE.items()), 2),
+        nodes=[ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.5, 0.5]),
+               ServiceNode(ServiceLaw.exponential(2.0), [0.0, 0.0, 1.0])])
+    return (model, lambda tau: 1.5 + 0.5 * np.sin(2.0 * tau),
+            np.array([[-1.0, 0.5, 0.5], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]),
+            _gapped_pgf, 3.0, 20)
+
+
+@pytest.mark.parametrize("name", ["tandem_batch", "mm_infty", "gapped_table"])
+def test_pmf_matches_pgf_inversion(name):
+    model, rate, generator, batch_pgf, t, cap = _oracle_case(name)
+    pmf = transient_pmf(model, model.build_kernel(), t, cap)
+    assert pmf.meta["quadrature_rule"] == "simpson-romberg"
+    want = oracle_pgf_inversion(rate, generator, batch_pgf, t, cap)[tuple(pmf.index.array.T)]
+    np.testing.assert_allclose(pmf.values, want, rtol=1e-8, atol=1e-11)
+
+
+# -- which rule each integral takes ------------------------------------------------
+
+
+def _rules_taken(monkeypatch, module):
+    """The ``extrapolate`` argument of every simpson_refine call in ``module``."""
+    taken = []
+    refine = module.simpson_refine
+
+    def recording(*args, extrapolate=False, **kwargs):
+        taken.append(extrapolate)
+        return refine(*args, extrapolate=extrapolate, **kwargs)
+
+    monkeypatch.setattr(module, "simpson_refine", recording)
+    return taken
+
+
+@pytest.mark.filterwarnings("ignore:occupancy cap")
+@pytest.mark.parametrize("name, t, analytic", [
+    ("tandem_batch", 3.0, True), ("mm_infty", 3.0, True),
+    # a grid kernel's rows are piecewise linear in t
+    ("renewal_tandem", 4.0, False),
+    # the rate jumps at 1.3: two pieces at t = 3, one at t = 1
+    ("piecewise_mm", 3.0, False), ("piecewise_mm", 1.0, True)])
+def test_extrapolates_only_analytic_integrands(monkeypatch, name, t, analytic):
+    model = bench_or_bundled(name)
+    kernel = model.build_kernel()
+    taken = _rules_taken(monkeypatch, transient_module)
+    # the rule depends on the kernel and the rate alone; a loose spec keeps
+    # Simpson across the jump short
+    quad = QuadratureSpec(rtol=1e-6, max_doublings=4)
+    results = []
+    for op in (lambda: transient_pmf(model, kernel, t, 4, quad),
+               lambda: transient_moments(model, kernel, t, quad),
+               lambda: transient_pgf(model, kernel, t, np.full(model.J, 0.5), quad)):
+        try:
+            results.append(op())
+        except ConvergenceError:
+            results.append(None)
+    assert taken == [analytic] * 3
+    rule = "simpson-romberg" if analytic else "simpson"
+    pmf, moments, _ = results
+    if pmf is not None:
+        assert pmf.meta["quadrature_rule"] == rule
+        assert LatticePMF.from_json_dict(pmf.to_json_dict()).meta["quadrature_rule"] == rule
+    if moments is not None:
+        assert moments.quadrature_rule == rule
+    assert (pmf is None and moments is None) == (name == "piecewise_mm" and t == 3.0)
+
+
+@pytest.mark.parametrize("name", ["mm_infty", "renewal_tandem"])
+def test_expected_batch_occupancy_extrapolates_on_analytic_kernels(monkeypatch, name):
+    model = bench_or_bundled(name)
+    kernel = model.build_kernel()
+    taken = _rules_taken(monkeypatch, ergodicity_module)
+    assert expected_batch_occupancy(model, kernel).is_finite
+    assert set(taken) == {kernel.analytic_in_time}
+    assert kernel.analytic_in_time == (name == "mm_infty")
+
+
+def test_piecewise_moments_still_fail_across_the_jump():
+    # Simpson across the rate jump at 1.3 never settles at rtol 1e-8
+    model = bench_or_bundled("piecewise_mm")
+    with pytest.raises(ConvergenceError):
+        transient_moments(model, model.build_kernel(), 3.0,
+                          QuadratureSpec(rtol=model.analysis.rtol))
+
+
+def _plain_simpson_pmf(model, t, cap, rtol):
+    kernel = model.build_kernel()
+    kernel.analytic_in_time = False
+    pmf = transient_pmf(model, kernel, t, cap, QuadratureSpec(rtol=rtol))
+    assert pmf.meta["quadrature_rule"] == "simpson"
+    return pmf
+
+
+def _zeta_model(s):
+    node = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])
+    return NetworkModel(J=1, arrival=ArrivalProcess.constant(1.0),
+                        batch=BatchLaw.iid_assignment(UnivariateLaw.zeta(s), [1.0]),
+                        nodes=[node])
+
+
+@pytest.mark.filterwarnings("ignore:occupancy cap")
+@pytest.mark.parametrize("name, t, cap", [
+    ("tandem_batch", 3.0, 25), ("mm_infty", 3.0, 20),
+    *[(f"zeta {s}", t, 15) for s in (1.05, 1.5, 2.5) for t in (1.0, 3.0, 6.0)]])
+def test_default_pmf_is_near_converged(name, t, cap):
+    # at the default rtol 1e-8 the extrapolated PMF sits within 5e-11 of plain
+    # Simpson at rtol 1e-12 (Simpson at 1e-8 is up to ~9e-10 away)
+    model = (_zeta_model(float(name.split()[1])) if name.startswith("zeta")
+             else load_config(bundled_config_path(name)))
+    pmf = transient_pmf(model, model.build_kernel(), t, cap)
+    converged = _plain_simpson_pmf(model, t, cap, 1e-12).values
+    big = converged > 1e-6
+    assert np.max(np.abs(pmf.values - converged)[big] / converged[big]) <= 5e-11
