@@ -70,12 +70,20 @@ class ArrivalProcess:
         return cls(SINUSOIDAL, base=base, amplitude=amplitude,
                    frequency=frequency, phase=phase)
 
-    def rate(self, t):
-        """Instantaneous rate lambda(t); vectorised over ``t``."""
+    def rate(self, t, horizon=math.inf):
+        """Instantaneous rate lambda(t); vectorised over ``t``.
+
+        Each time in [0, horizon] reads the piece of ``segments(horizon)``
+        that covers it: a breakpoint inside belongs to the piece that starts
+        there, the horizon itself to the piece that ends there (the left
+        limit), since no piece of [0, horizon] starts at the horizon. The
+        transient integrals pass their query time, so a rule's last node
+        never reads the rate of a piece that starts at that time.
+        """
         t = np.asarray(t, dtype=float)
         if self.kind == PIECEWISE:
-            idx = np.clip(np.searchsorted(self._breaks, t, side="right") - 1,
-                          0, self._rates.size - 1)
+            last = max(int(np.searchsorted(self._breaks, horizon)) - 1, 0)
+            idx = np.clip(np.searchsorted(self._breaks, t, side="right") - 1, 0, last)
             out = self._rates[idx]
         else:
             out = self._a + self._b * np.sin(self._w * t + self._phi)

@@ -7,11 +7,17 @@ on a malformed table: a cell that is not a number, a negative or
 non-finite entry, or a vector listed twice. The environment
 variable ``BQNET_SEED`` overrides the config seed (an explicit --seed
 flag beats both).
+
+The argument parser is built on the first :func:`main` call, not at
+import, and lives as long as the process: every later ``main`` call (a
+benchmark worker's, a test suite's, any Python caller's) parses with the
+same parser. A shell invocation is one process and builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -222,7 +228,9 @@ def _cmd_compare(args):
     return 0 if report["pass"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The process's one argument parser, built by the first call."""
     parser = argparse.ArgumentParser(
         prog="bqnet",
         description="Transient analysis and simulation of infinite-server "
@@ -285,8 +293,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

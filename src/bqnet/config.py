@@ -12,6 +12,7 @@ value is a boolean. Each J-shaped list (a batch ``vector``,
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from importlib import resources
@@ -68,12 +69,17 @@ _SERVICE_KEYS = {
 }
 
 
+@functools.cache
+def _bundled_configs_dir():
+    """The package's configs directory, looked up once per process."""
+    return Path(str(resources.files("bqnet").joinpath("configs")))
+
+
 def bundled_config_path(name):
     """Filesystem path of a configuration shipped with the package."""
     if not name.endswith(".json"):
         name += ".json"
-    path = resources.files("bqnet").joinpath("configs", name)
-    return Path(str(path))
+    return _bundled_configs_dir() / name
 
 
 class _Collector:

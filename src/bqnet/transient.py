@@ -86,7 +86,7 @@ def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
         # lambda(tau) [1 - G_C(t - tau)(z)], the exponent's integrand
         rows = kernel.placement_rows_many(t - tau)
         gaps = model.batch.pgf_gap(rows[:, :, : model.J] @ one_minus_z)
-        return np.asarray(model.arrival.rate(tau), dtype=float) * gaps
+        return np.asarray(model.arrival.rate(tau, horizon=t), dtype=float) * gaps
 
     exponent, _ = simpson_refine(integrand, 0.0, t, quad, "transient PGF quadrature",
                                  extrapolate=_extrapolates(model, kernel, t))
@@ -135,11 +135,19 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
         _, tails = lattice_stack(model.batch, rows, index, out[:, :-2])
         out[:, -2] = 1.0 - out[:, 0]
         out[:, -1] = tails
-        out *= np.asarray(model.arrival.rate(tau), dtype=float)[:, None]
+        out *= np.asarray(model.arrival.rate(tau, horizon=t), dtype=float)[:, None]
         return out
 
+    # the lattice of the latest estimate: the next doubling's ``previous`` is
+    # this doubling's ``current``, so each estimate runs the recursion once
+    latest = (None, None)
+
     def recursion(estimate):
-        return _run_recursion(index, estimate[:-2], math.exp(-estimate[-2]))
+        nonlocal latest
+        if latest[0] is not estimate:
+            latest = (estimate, _run_recursion(index, estimate[:-2],
+                                               math.exp(-estimate[-2])))
+        return latest[1]
 
     def settled(previous, current, spec):
         return converged_elementwise(recursion(previous), recursion(current), spec)
@@ -222,7 +230,7 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
             second = np.swapaxes(q, 1, 2) @ (f2 @ q)
             second[:, np.arange(J), np.arange(J)] += mean_term
             terms.append(second.reshape(tau.size, J * J))
-        lam = np.asarray(model.arrival.rate(tau), dtype=float)
+        lam = np.asarray(model.arrival.rate(tau, horizon=t), dtype=float)
         return lam[:, None] * np.concatenate(terms, axis=1)
 
     def settled(previous, current, spec):

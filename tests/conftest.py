@@ -139,6 +139,22 @@ def oracle_pgf_inversion(rate, generator, batch_pgf, t, cap, gamma=13.0, order=9
     return probs / radius ** np.indices(probs.shape).sum(axis=0)
 
 
+def oracle_iid_batch_pgf(law, entry_probs):
+    """``batch_pgf`` of an iid-assignment batch for :func:`oracle_pgf_inversion`.
+
+    Each of the batch's N members enters queue j with probability
+    ``entry_probs[j]``, so E[prod_j y_j^{B_j}] = G_N(sum_j e_j y_j); G_N is
+    written out in NumPy for complex s: (1 - p + p s)^n for a binomial law,
+    (1 + nu (1 - s))^(-r) for a negative binomial of shape r and scale nu.
+    """
+    e = np.asarray(entry_probs, dtype=float)
+    if law.family == BINOMIAL:
+        return lambda y: (1.0 - law.prob + law.prob * (y @ e)) ** law.count
+    if law.family == NEG_BINOMIAL:
+        return lambda y: (1.0 + law.scale * (1.0 - y @ e)) ** -law.shape
+    raise NotImplementedError(law.family)
+
+
 # -- per-position compounding oracle ---------------------------------------------
 #
 # The per-position closed forms and truncated series that the one-formula

@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from bqnet import ValidationError, bundled_config_path, load_config
-from bqnet.cli import compare_outputs, main
+from bqnet.cli import _resolve_config, compare_outputs, main
 from bqnet.tables import (LatticePMF, canonical_json, read_occupancy_csv,
                           simplex_rank, write_occupancy_csv)
 
@@ -214,6 +217,62 @@ class TestCli:
     def test_missing_config_exit_66(self, capsys):
         assert main(["pmf", "--config", "no-such-file.json",
                      "--t", "1"]) == 66
+
+    def test_existing_path_beats_bundled_name(self, tmp_path, capsys, monkeypatch):
+        # a file named like a bundled config, in the working directory, is read
+        # instead of the bundled one: here mm_infty at twice the arrival rate
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["arrival"]["rate"] = 2.0
+        (tmp_path / "mm_infty").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert _resolve_config("mm_infty") == Path("mm_infty")
+        assert _resolve_config("vivax") == bundled_config_path("vivax")
+        assert main(["zero-prob", "--config", "mm_infty", "--t", "1"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert value == pytest.approx(math.exp(-2.0 * (1.0 - math.exp(-1.0))), rel=1e-8)
+
+    def test_unknown_bundled_name_exit_66(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            _resolve_config("no_such_model")
+        assert main(["zero-prob", "--config", "no_such_model", "--t", "1"]) == 66
+        assert "file not found: no_such_model" in capsys.readouterr().err
+
+    def test_main_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for t in ("1", "2"):
+            assert main(["zero-prob", "--config", "mm_infty", "--t", t]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_failed_parse_and_help_leave_the_parser_as_built(self, tmp_path, capsys,
+                                                             monkeypatch):
+        argv = ["pmf", "--config", "mm_infty", "--t", "3", "--cap", "6",
+                "-o", "pmf.csv", "--meta", "pmf.json"]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-m", "bqnet.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, check=True)
+        monkeypatch.chdir(here)
+        for bad, code in ((["pmf"], 2), (["--help"], 0), (["pmf", "--help"], 0),
+                          (["pmf", "--config", "mm_infty", "--t", "x"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == code
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == proc.stdout
+        for name in ("pmf.csv", "pmf.json"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -129,6 +129,17 @@ def test_import_and_analytic_ops_load_no_thread_pool(tmp_path):
     assert loaded_after(body, THREAD_POOL, tmp_path) == []
 
 
+def test_import_builds_no_parser(tmp_path):
+    # the first cli.main call builds the parser, and later calls reuse it
+    body = ("from bqnet import cli\n"
+            "built = [cli.build_parser.cache_info().misses]\n"
+            "codes = [cli.main(['zero-prob', '--config', 'mm_infty', '--t', t])\n"
+            "         for t in ('1', '2')]\n"
+            "built.append(cli.build_parser.cache_info().misses)\n"
+            "assert codes == [0, 0] and built == [0, 1], (codes, built)")
+    assert loaded_after(body, THREAD_POOL, tmp_path) == []
+
+
 def test_cli_ops_on_bundled_configs_load_no_on_demand_module(tmp_path):
     calls = []
     for config, J in (("mm_infty", 1), ("tandem_batch", 2), ("vivax", 8)):

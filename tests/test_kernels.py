@@ -93,6 +93,19 @@ class TestArrivals:
         assert p.segments(0.5) == [(0.0, 0.5, 1.0)]
         assert p.segments(2.0) == [(0.0, 1.0, 1.0), (1.0, 2.0, 3.0)]
 
+    def test_piecewise_rate_reads_the_piece_that_covers_each_time(self):
+        # on [0, 2.5] the breakpoint 1.0 starts the second piece, while 2.5
+        # ends it: the third piece is not on [0, 2.5]
+        p = ArrivalProcess.piecewise([0.0, 1.0, 2.5], [1.0, 3.0, 0.5])
+        times = np.array([0.0, 1.0, 2.0, 2.5])
+        assert list(p.rate(times)) == [1.0, 3.0, 3.0, 0.5]
+        assert list(p.rate(times, horizon=2.5)) == [1.0, 3.0, 3.0, 3.0]
+        assert p.rate(1.0, horizon=1.0) == 1.0
+        assert p.rate(0.0, horizon=0.0) == 1.0
+        assert [piece[2] for piece in p.segments(2.5)] == [1.0, 3.0]
+        q = ArrivalProcess.sinusoidal(1.0, 0.5, 1.0)
+        assert q.rate(2.0, horizon=2.0) == q.rate(2.0)
+
     def test_sinusoidal(self):
         p = ArrivalProcess.sinusoidal(1.0, 0.5, 1.0)
         assert p.rate(math.pi / 2) == pytest.approx(1.5)

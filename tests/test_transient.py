@@ -15,7 +15,7 @@ from bqnet import ergodicity as ergodicity_module
 from bqnet import transient as transient_module
 from bqnet.ergodicity import expected_batch_occupancy
 from bqnet.tables import LatticePMF
-from conftest import oracle_pgf_inversion
+from conftest import oracle_iid_batch_pgf, oracle_pgf_inversion
 
 MM_MEAN = 1.0 - math.exp(-1.0)
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -149,6 +149,25 @@ class TestTransientPMF:
         assert bounds["tandem_batch"] == 0.0
         assert 0.0 < bounds["zeta_batch"] < 1e-12
 
+    def test_recursion_runs_once_per_estimate(self, monkeypatch):
+        # D doublings compare D + 1 estimates, and the returned lattice is the
+        # last one's: tandem_batch at cap 25 settles after 3 doublings
+        runs = []
+        recursion = transient_module._run_recursion
+
+        def counting(*args):
+            runs.append(1)
+            return recursion(*args)
+
+        monkeypatch.setattr(transient_module, "_run_recursion", counting)
+        model = load_config(bundled_config_path("tandem_batch"))
+        pmf = transient_pmf(model, model.build_kernel(), 3.0, 25)
+        nodes = QuadratureSpec().initial_nodes
+        doublings = round(math.log2((pmf.meta["quadrature_nodes"] - 1) / (nodes - 1)))
+        assert len(runs) == doublings + 1 == 4
+        np.testing.assert_array_equal(pmf.values, recursion(
+            pmf.index, pmf.meta["displacement_integrals"], float(pmf.values[0])))
+
 
 class TestZeroProb:
     def test_time_zero(self, mm_model, mm_kernel):
@@ -165,6 +184,19 @@ class TestZeroProb:
         kernel = MarkovKernel([single_exp_node], 1)
         got = transient_zero_prob(model, kernel, 40.0)
         assert abs(got - math.exp(-1.5)) <= 1e-4
+
+    def test_query_time_on_a_rate_breakpoint(self):
+        # the rate is 1 on [0, 1.3) and 2 after: on [0, 1.3] it is 1 throughout,
+        # the node at tau = 1.3 included, and the integrals are analytic
+        model = bench_or_bundled("piecewise_mm")
+        kernel = model.build_kernel()
+        quad = QuadratureSpec(rtol=model.analysis.rtol)
+        mean = 1.0 - math.exp(-1.3)
+        assert abs(transient_zero_prob(model, kernel, 1.3, quad) - math.exp(-mean)) <= 1e-9
+        moments = transient_moments(model, kernel, 1.3, quad)
+        assert moments.quadrature_rule == "simpson-romberg"
+        assert abs(moments.mean[0] - mean) <= 1e-9
+        assert abs(moments.covariance[0, 0] - mean) <= 1e-9
 
     @pytest.mark.parametrize("config, t", [
         ("mm_infty", 1.0), ("tandem_batch", 3.0), ("zeta_batch", 3.0), ("vivax", 10.0),
@@ -266,6 +298,10 @@ def _gapped_pgf(y):
     return sum(p * y[..., 0] ** a * y[..., 1] ** b for (a, b), p in GAPPED_TABLE.items())
 
 
+IID_LAWS = {"iid_binomial": UnivariateLaw.binomial(6, 0.4),
+            "iid_negative_binomial": UnivariateLaw.negative_binomial(1.5, 1.2)}
+
+
 def _oracle_case(name):
     """(model, rate, generator, batch PGF, t, cap): the model for bqnet, and
     the same model written out for the oracle."""
@@ -274,9 +310,23 @@ def _oracle_case(name):
         return (load_config(bundled_config_path(name)), lambda tau: 1.0 + 0.5 * np.sin(tau),
                 np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]),
                 lambda y: np.exp(2.0 * (y[..., 0] - 1.0)), 3.0, 25)
-    if name == "mm_infty":
-        return (load_config(bundled_config_path(name)), np.ones_like,
-                np.array([[-1.0, 1.0], [0.0, 0.0]]), lambda y: y[..., 0], 3.0, 20)
+    if name in ("mm_infty", "piecewise_mm"):
+        # piecewise_mm at its breakpoint 1.3: [0, t] is the first piece alone
+        t = 3.0 if name == "mm_infty" else 1.3
+        return (bench_or_bundled(name), np.ones_like,
+                np.array([[-1.0, 1.0], [0.0, 0.0]]), lambda y: y[..., 0], t, 20)
+    if name in IID_LAWS:
+        # members split 0.7 / 0.3 between node 1 (mu = 1, half to node 2)
+        # and node 2 (mu = 2)
+        law, entry = IID_LAWS[name], [0.7, 0.3]
+        model = NetworkModel(
+            J=2, arrival=ArrivalProcess.constant(1.0),
+            batch=BatchLaw.iid_assignment(law, entry),
+            nodes=[ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.5, 0.5]),
+                   ServiceNode(ServiceLaw.exponential(2.0), [0.0, 0.0, 1.0])])
+        return (model, np.ones_like,
+                np.array([[-1.0, 0.5, 0.5], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]),
+                oracle_iid_batch_pgf(law, entry), 3.0, 20)
     model = NetworkModel(
         J=2, arrival=ArrivalProcess.sinusoidal(1.5, 0.5, 2.0),
         batch=BatchLaw.finite_table(list(GAPPED_TABLE.items()), 2),
@@ -287,7 +337,8 @@ def _oracle_case(name):
             _gapped_pgf, 3.0, 20)
 
 
-@pytest.mark.parametrize("name", ["tandem_batch", "mm_infty", "gapped_table"])
+@pytest.mark.parametrize("name", ["tandem_batch", "mm_infty", "gapped_table",
+                                  "piecewise_mm", *IID_LAWS])
 def test_pmf_matches_pgf_inversion(name):
     model, rate, generator, batch_pgf, t, cap = _oracle_case(name)
     pmf = transient_pmf(model, model.build_kernel(), t, cap)
