@@ -9,12 +9,18 @@ analytic formula in this package consumes kernels through one contract:
     matrix per time whose row j is (q^j_1 ... q^j_J, 1-Q_j)
 
 and ``placement_rows(t)``, the stack of one, ``placement_rows_many([t])[0]``.
+Every time must be finite and >= 0; any other raises KernelDomainError.
 Three interchangeable constructions are provided: uniformization of the
 customer-path CTMC (all-exponential networks), a Markov-renewal grid
-solver (general service laws), and tabulated values loaded from CSV.
+solver (general service laws), and tabulated values loaded from CSV. The
+two grid kernels store the full placement row at every knot, exit column
+included, and the slope of every cell, so a time costs one gather and one
+multiply-add; rows and slopes take 2(J+1)/J times the memory of the bare
+(M, J, J) table, of which the queue table is a view.
 Kernels are immutable after construction and safe to evaluate
 concurrently; the uniformization kernel's cache of jump-matrix powers
-only ever grows, and a renewal grid only ever extends.
+only ever grows, and a renewal grid only ever extends, its times, rows
+and slopes swapped in together by one assignment.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ class OccupancyKernel:
 
     ``analytic_in_time`` says whether the rows are analytic functions of
     t, so that a time integral of them may use a high-order rule.
+    ``placement_rows_many`` is the one entry point: it checks the times,
+    lets ``_cover`` make the representation reach the largest, and hands
+    them to the subclass's ``_rows_at``.
     """
 
     representation = "abstract"
@@ -87,7 +96,25 @@ class OccupancyKernel:
         return self.placement_rows_many([t])[0]
 
     def placement_rows_many(self, ts):
-        """Stack of placement rows, shape (len(ts), J, J+1)."""
+        """Stack of placement rows, shape (len(ts), J, J+1).
+
+        Every time must be finite and >= 0, else :class:`KernelDomainError`.
+        """
+        ts = np.asarray(ts, dtype=float).ravel()
+        if ts.size:
+            lo, hi = float(np.minimum.reduce(ts)), float(np.maximum.reduce(ts))
+            # each comparison asks for the values it accepts, so NaN fails it
+            if not (lo >= 0.0 and hi < math.inf):
+                raise KernelDomainError(f"kernel evaluated at time {hi if lo >= 0.0 else lo}; "
+                                        "times must be finite and >= 0")
+            self._cover(hi)
+        return self._rows_at(ts)
+
+    def _cover(self, t):
+        """Make the representation reach ``t`` or raise :class:`KernelDomainError`."""
+
+    def _rows_at(self, ts):
+        """Placement rows at the checked, covered times ``ts`` (a 1-D array)."""
         raise NotImplementedError
 
     def survival_vectors(self, ts):
@@ -145,14 +172,12 @@ class MarkovKernel(OccupancyKernel):
             self._jump_matrix = np.eye(J + 1)
         self._powers = np.empty((0, J + 1, J + 1))
 
-    def placement_rows_many(self, ts):
+    def _rows_at(self, ts):
         return self._transition_matrices(ts)[:, : self.J, :]
 
     def _transition_matrices(self, ts):
-        """(len(ts), J+1, J+1) transition matrices, one per time in ``ts``."""
+        """(len(ts), J+1, J+1) transition matrices, one per time in ``ts`` >= 0."""
         ts = np.asarray(ts, dtype=float).ravel().tolist()
-        if any(t < 0 for t in ts):
-            raise KernelDomainError("kernel evaluated at negative time")
         r = self.uniformization_rate
         small = [i for i, t in enumerate(ts) if r * t <= UNIFORMIZATION_MAX_A]
         head = _poisson_head(r * max([ts[i] for i in small], default=0.0))
@@ -222,30 +247,55 @@ def _poisson_weights(a, n_max):
 
 
 class GridKernel(OccupancyKernel):
-    """Kernel held as q(t) on a time grid, linearly interpolated between nodes.
+    """Kernel held on a time grid, linearly interpolated between knots.
 
-    Subclasses set ``_times`` (M,) and ``_table`` (M, J, J) and decide, in
+    The grid is stored in the form it is read in, as ``_grid = (times,
+    times[1:], rows, slopes)``: ``rows`` (M, J, J+1) is the full placement
+    row at every knot, its exit column clip(1 - Q_j) computed once when
+    the grid is stored, and ``slopes`` (M, J, J+1) the slope of each cell,
+    (rows[i+1] - rows[i]) / (t_(i+1) - t_i), and 0 at the last knot, which
+    starts no cell. A time t reads rows[i] + slopes[i] (t - t_i) for the
+    last knot t_i <= t: one ``searchsorted`` over the cells' right ends
+    ``times[1:]``, which gives i in [0, M-1] with no clip, one gather and
+    one multiply-add. At every knot, the grid end included, that is the
+    stored row bit for bit; an entry that is 0 at both ends of its cell
+    stays exactly 0, and inside a cell no entry rounds below 0. Rows and
+    slopes take 2(J+1)/J times the memory of the (M, J, J) queue table,
+    ``_table``, which is a view of the rows' queue columns, not a copy.
+
+    Subclasses fill the queue columns of ``_new_rows`` and hand the rows to
+    ``_store``, which swaps the whole tuple in by one assignment, so a
+    concurrent reader sees one consistent grid; they decide, in
     ``_cover``, what happens to times beyond the grid end.
     """
 
-    def _cover(self, t):
-        """Make the grid reach ``t`` or raise :class:`KernelDomainError`."""
-        raise NotImplementedError
+    def _new_rows(self, m):
+        """Empty (m, J, J+1) knot rows and the (m, J, J) view of their queue columns."""
+        rows = np.empty((m, self.J, self.J + 1))
+        return rows, rows[:, :, : self.J]
 
-    def placement_rows_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if ts.size:
-            if float(np.min(ts)) < 0:
-                raise KernelDomainError("kernel evaluated at negative time")
-            self._cover(float(np.max(ts)))
-        times, table = self._times, self._table
-        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
-        frac = (ts - times[idx]) / (times[idx + 1] - times[idx])
-        q = table[idx] * (1.0 - frac)[:, None, None] + table[idx + 1] * frac[:, None, None]
-        rows = np.empty((ts.size, self.J, self.J + 1))
-        rows[:, :, : self.J] = q
-        rows[:, :, self.J] = np.clip(1.0 - q.sum(axis=2), 0.0, 1.0)
-        return rows
+    def _store(self, times, rows):
+        """Complete the exit column of ``rows``, take the slopes, swap the grid in."""
+        J = self.J
+        rows[:, :, J] = np.clip(1.0 - rows[:, :, :J].sum(axis=2), 0.0, 1.0)
+        slopes = np.empty_like(rows)
+        np.subtract(rows[1:], rows[:-1], out=slopes[:-1])
+        slopes[:-1] /= np.diff(times)[:, None, None]
+        slopes[-1] = 0.0
+        self._grid = (times, times[1:], rows, slopes)
+
+    @property
+    def _times(self):
+        return self._grid[0]
+
+    @property
+    def _table(self):
+        return self._grid[2][:, :, : self.J]
+
+    def _rows_at(self, ts):
+        times, ends, rows, slopes = self._grid
+        i = ends.searchsorted(ts, side="right")
+        return rows[i] + slopes[i] * (ts - times[i])[:, None, None]
 
 
 class RenewalKernel(GridKernel):
@@ -289,17 +339,18 @@ class RenewalKernel(GridKernel):
                 f"service mean {min(means)}; refine the grid")
         self.nodes = list(nodes)
         self.grid = grid
-        self._times = grid.times()
-        self._table = self._solve(self._times)
+        times = grid.times()
+        self._store(times, self._solve(times))
 
     def _solve(self, times, prefix=None):
-        """Q on ``times``, keeping ``prefix`` (Q on its leading points) as is."""
+        """Knot rows on ``times`` whose queue columns hold Q, keeping
+        ``prefix`` (Q on its leading points) as is, for ``_store``."""
         J, m = self.J, times.size
+        rows, Q = self._new_rows(m)
         cdf = np.array([node.service.cdf(times) for node in self.nodes])
         half = 0.5 * np.diff(cdf, axis=1)              # (J, m-1)
         atom0 = cdf[:, 0]                              # mass exactly at 0
         R = routing_matrix(self.nodes, J)
-        Q = np.empty((m, J, J))
         if prefix is not None:
             Q[: len(prefix)] = prefix
         elif np.any(atom0 > 0):
@@ -317,12 +368,14 @@ class RenewalKernel(GridKernel):
         rhs[1:] = half.T[:, :, None] * (R @ Q[0])
         rhs[1:, np.arange(J), np.arange(J)] += 1.0 - cdf[:, 1:].T
         _solve_renewal_blocks(Q, 1 if prefix is None else len(prefix), lags, R, rhs)
-        return np.clip(Q, 0.0, 1.0, out=Q)
+        np.clip(Q, 0.0, 1.0, out=Q)
+        return rows
 
     def _cover(self, t):
-        if t <= self._times[-1]:
+        old, _, rows, _ = self._grid
+        if t <= old[-1]:
             return
-        end, m = self._times[-1], self._times.size
+        end, m = old[-1], old.size
         while end < t:
             end *= 2.0
             m = 2 * (m - 1) + 1
@@ -330,9 +383,9 @@ class RenewalKernel(GridKernel):
                 raise KernelDomainError(
                     f"renewal kernel cannot be extended to t={t} within the "
                     f"{MAX_GRID_POINTS}-point grid budget")
-        # extend then swap; readers only ever see a consistent pair
-        times = np.append(self._times, np.linspace(0.0, end, m)[self._times.size:])
-        self._times, self._table = times, self._solve(times, self._table)
+        # extend then swap; readers only ever see one consistent grid
+        times = np.append(old, np.linspace(0.0, end, m)[old.size:])
+        self._store(times, self._solve(times, rows[:, :, : self.J]))
 
 
 def _implicit_solver(R, coeff):
@@ -448,12 +501,13 @@ class TabulatedKernel(GridKernel):
             raise ValidationError("kernel at t=0 must be the identity")
         if not np.all(table.sum(axis=2) <= 1.0 + 1e-10):
             raise ValidationError("kernel row sums must not exceed 1")
-        table = table.copy()
-        table[0] = np.eye(J)
+        rows, q = self._new_rows(times.size)
+        q[...] = table
+        q[0] = np.eye(J)
         # rows within the tolerance above 1 are scaled to sum 1, so that every
         # placement row passes the compound layer's tighter check
-        table /= np.maximum(table.sum(axis=2, keepdims=True), 1.0)
-        self._times, self._table = times, table
+        q /= np.maximum(q.sum(axis=2, keepdims=True), 1.0)
+        self._store(times, rows)
 
     def _cover(self, t):
         if t > self._times[-1]:

@@ -365,6 +365,27 @@ def oracle_series_log_derivatives(law, qbar, offset):
     return out, tails
 
 
+# -- two-knot grid interpolation oracle --------------------------------------------
+#
+# The evaluation that GridKernel's stored knot rows and cell slopes
+# replaced, kept verbatim as its oracle: the cell index clipped into range,
+# both knots weighed by the fraction of the cell, and the exit column
+# rebuilt from the interpolated queue columns.
+
+
+def oracle_grid_rows(times, table, ts):
+    """(len(ts), J, J+1) placement rows of the (M, J, J) ``table`` on ``times``."""
+    ts = np.asarray(ts, dtype=float)
+    J = table.shape[1]
+    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+    frac = (ts - times[idx]) / (times[idx + 1] - times[idx])
+    q = table[idx] * (1.0 - frac)[:, None, None] + table[idx + 1] * frac[:, None, None]
+    rows = np.empty((ts.size, J, J + 1))
+    rows[:, :, :J] = q
+    rows[:, :, J] = np.clip(1.0 - q.sum(axis=2), 0.0, 1.0)
+    return rows
+
+
 # -- renewal solve oracles ---------------------------------------------------------
 #
 # Two generations of the Markov-renewal time-stepping that RenewalKernel's

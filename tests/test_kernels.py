@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,8 +17,8 @@ from bqnet.kernels import (POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_head,
                            _poisson_weights)
 from bqnet.service import ERLANG_SUM_MAX_SHAPE
 
-from conftest import (oracle_renewal_solve, oracle_renewal_step_solve,
-                      oracle_uniformization)
+from conftest import (oracle_grid_rows, oracle_renewal_solve,
+                      oracle_renewal_step_solve, oracle_uniformization)
 
 BUNDLED_MARKOV = ["mm_infty", "tandem_batch", "zeta_batch", "vivax"]
 
@@ -529,3 +530,133 @@ class TestTabulatedKernel:
             # the lattice leaves out the tail, where every z^n is below 0.7^13
             assert abs(series - transient_pgf(model, kernel, 2.0, z)) <= (
                 1e-12 + pmf.tail_mass * 0.7 ** 13)
+
+
+# -- grid kernels: stored knot rows and cell slopes --------------------------------
+
+RENEWAL_TANDEM = (Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                  / "renewal_tandem.json")
+
+
+def _tabulated_with_zeros():
+    """J = 2 on an uneven grid: q^1_1 falls from 0.35 to exactly 0 over the
+    last cell, and q^2_1 is 0 throughout."""
+    times = np.array([0.0, 0.1, 0.25, 0.7, 1.0, 1.6, 1.7, 2.0])
+    table = np.zeros((times.size, 2, 2))
+    table[:, 0, 0] = [1.0, 0.9, 0.8, 0.6, 0.5, 0.4, 0.35, 0.0]
+    table[:, 0, 1] = 0.5 * (1.0 - table[:, 0, 0]) * np.exp(-times)
+    table[:, 1, 1] = np.exp(-2.0 * times)
+    return TabulatedKernel(times, table)
+
+
+def _grid_samples(times, rng):
+    """t = 0, the grid end, every knot, every midpoint and random times."""
+    mids = 0.5 * (times[1:] + times[:-1])
+    return np.concatenate([[0.0, times[-1]], times, mids,
+                           rng.uniform(0.0, times[-1], 400)])
+
+
+def _check_two_knot_oracle(kern, rng):
+    """The rows at sampled times against the two-knot interpolation of the
+    stored table; returns the samples, the rows and where both knots of a
+    sample's cell are 0."""
+    times, table = kern._times, kern._table
+    ts = _grid_samples(times, rng)
+    got = kern.placement_rows_many(ts)
+    assert np.max(np.abs(got - oracle_grid_rows(times, table, ts))) <= 4e-16
+    knot_rows = oracle_grid_rows(times, table, times)
+    # the stored row, bit for bit, at every knot, the grid end included
+    at_knots = kern.placement_rows_many(times)
+    assert np.array_equal(at_knots, knot_rows)
+    assert np.array_equal(at_knots[:, :, : kern.J], table)
+    cell = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+    both_zero = (knot_rows[cell] == 0.0) & (knot_rows[cell + 1] == 0.0)
+    assert np.all(got[both_zero] == 0.0)
+    return ts, got, both_zero
+
+
+class TestGridKnots:
+    def test_renewal_tandem_matches_the_two_knot_oracle(self):
+        kern = load_config(RENEWAL_TANDEM).build_kernel()
+        rng = np.random.default_rng(24)
+        for end in (8.0, 16.0):                    # before and after an extension
+            assert kern._times[-1] == end
+            ts, _, both_zero = _check_two_knot_oracle(kern, rng)
+            # q^2_1 = 0: a customer entering node 2 never visits node 1
+            assert np.all(both_zero[:, 1, 0])
+            # node 2 holds its customer for exactly 0.5: no exit before
+            below = ts < 0.5 - kern._times[1]
+            assert np.all(both_zero[below, 1, 2])
+            kern.placement_rows(12.0)
+
+    @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
+    def test_renewal_networks_match_the_two_knot_oracle(self, name):
+        nodes = RENEWAL_NETWORKS[name]
+        kern = RenewalKernel(nodes, len(nodes), TimeGrid(end=2.0, nodes=257))
+        rng = np.random.default_rng(7)
+        _check_two_knot_oracle(kern, rng)
+        kern.placement_rows(3.0)                   # one doubling, to t = 4
+        _check_two_knot_oracle(kern, rng)
+
+    def test_tabulated_matches_the_two_knot_oracle(self):
+        kern = _tabulated_with_zeros()
+        _, _, both_zero = _check_two_knot_oracle(kern, np.random.default_rng(3))
+        assert np.all(both_zero[:, 1, 0])
+
+    def test_no_entry_rounds_below_zero(self):
+        # q^1_1 falls to 0 over the last cell, where 0.35 plus the cell's
+        # slope times its width rounds to -5.6e-17; the grid end reads the
+        # last knot instead, and inside a cell the product stays short of it
+        kern = _tabulated_with_zeros()
+        times = kern._times
+        assert kern.placement_rows(times[-1])[0, 0] == 0.0
+        assert np.all(kern.placement_rows_many(np.nextafter(times[1:], 0.0)) >= 0.0)
+
+    @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
+    def test_extension_keeps_the_old_cells(self, name):
+        nodes = RENEWAL_NETWORKS[name]
+        J = len(nodes)
+        kern = RenewalKernel(nodes, J, TimeGrid(end=2.0, nodes=257))
+        _, _, rows, slopes = kern._grid
+        rows, slopes = rows.copy(), slopes.copy()
+        kern.placement_rows(7.0)                   # two doublings, to t = 8
+        _, _, new_rows, new_slopes = kern._grid
+        assert new_rows.shape == new_slopes.shape == (1025, J, J + 1)
+        # the old knots' rows and the old cells' slopes
+        assert np.array_equal(new_rows[:257], rows)
+        assert np.array_equal(new_slopes[:256], slopes[:256])
+        # the queue table is a view of the rows, not a second copy
+        assert kern._table.shape == (1025, J, J)
+        assert np.shares_memory(kern._table, new_rows)
+
+
+class TestTimeDomain:
+    @pytest.fixture(params=["renewal", "markov", "tabulated"])
+    def kernel(self, request, tandem_nodes):
+        if request.param == "renewal":
+            return RenewalKernel(RENEWAL_NETWORKS["tandem"], 2,
+                                 TimeGrid(end=2.0, nodes=257))
+        if request.param == "markov":
+            return MarkovKernel(tandem_nodes, 2)
+        return _tabulated_with_zeros()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_time_is_a_domain_error(self, kernel, t):
+        with pytest.raises(KernelDomainError, match="finite and >= 0"):
+            kernel.placement_rows(t)
+        with pytest.raises(KernelDomainError, match="finite and >= 0"):
+            kernel.placement_rows_many([0.5, t, 1.0])
+        with pytest.raises(KernelDomainError, match="finite and >= 0"):
+            kernel.survival_vectors([t])
+
+    def test_renewal_nan_solves_nothing(self, monkeypatch):
+        kern = RenewalKernel(RENEWAL_NETWORKS["tandem"], 2, TimeGrid(end=2.0, nodes=257))
+        grid = kern._grid
+        monkeypatch.setattr(RenewalKernel, "_solve", None)
+        for t in (math.nan, math.inf):
+            with pytest.raises(KernelDomainError):
+                kern.placement_rows(t)
+        assert kern._grid is grid
+
+    def test_empty_stack(self, kernel):
+        assert kernel.placement_rows_many([]).shape == (0, 2, 3)
