@@ -99,8 +99,15 @@ def compare_outputs(analytic_path, empirical_path, tol,
     second table's replication count, and are only computed for cells
     whose expected count is at least ``min_expected`` (the normal
     approximation is meaningless further out; those cells still count
-    toward the TV distance). Fails on TV > tol or any |z| > 5.
+    toward the TV distance). Fails on TV > tol or any |z| > 5. ``tol``
+    must be finite and >= 0 and ``min_expected`` finite and > 0, else
+    :class:`ValidationError`.
     """
+    # each check asks for the values it accepts, so that NaN fails it
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"--tol must be finite and >= 0, got {tol}")
+    if not 0.0 < min_expected < math.inf:
+        raise ValidationError(f"--min-expected must be finite and > 0, got {min_expected}")
     J_a, probs_a, _ = read_occupancy_csv(analytic_path)
     J_e, probs_e, extras = read_occupancy_csv(empirical_path)
     if J_a != J_e:

@@ -42,7 +42,7 @@ Every batch variant is built from such placements:
 * constant batches: the finite table with one vector.
 
 :func:`lattice_stack` is the one lattice routine. It takes the placement
-rows of m nodes, an (m, J, J+1) array, and returns the (m, |index|)
+rows of m nodes, an (m, J, J) array of q, and returns the (m, |index|)
 lattices and the m series tail bounds; convolutions run on node stacks
 through the simplex pair table. Nodes go in chunks under the fixed
 ``LATTICE_BUDGET`` of working memory, and no node's values depend on the
@@ -102,21 +102,24 @@ class CompoundSnapshot:
 
 
 def checked_rows(rows):
-    """Placement rows (last axis J+1) as floats clipped to [0, 1].
+    """Placement rows q, (..., J, J), as floats clipped to [0, 1].
 
-    Raises :class:`ValidationError` unless every row is a probability
-    vector to within ``ROW_TOL``.
+    Raises :class:`ValidationError` unless the last two axes are equal,
+    every entry is >= -``ROW_TOL`` and every row sums to at most
+    1 + ``ROW_TOL``: the exit probability 1 - sum_k q_k it implies is a
+    probability to within ``ROW_TOL``.
     """
     rows = np.array(rows, dtype=float)
-    if np.any(rows < -ROW_TOL) or np.any(np.abs(rows.sum(axis=-1) - 1.0) > ROW_TOL):
-        raise ValidationError("kernel placement rows are not probability vectors")
+    if (rows.shape[-1] != rows.shape[-2] or np.any(rows < -ROW_TOL)
+            or np.any(rows.sum(axis=-1) > 1.0 + ROW_TOL)):
+        raise ValidationError("kernel placement rows are not (J, J) substochastic rows")
     return np.clip(rows, 0.0, 1.0)
 
 
 def compound_pgf(snap: CompoundSnapshot, z):
     """E[prod z_k^{C_k(t)}] = G_S(1 + sum_k (z_k - 1) q^j_k(t), ...)."""
     z = batchmod.check_pgf_argument(z, snap.J)
-    eps = snap.rows[:, : snap.J] @ (1.0 - z)
+    eps = snap.rows @ (1.0 - z)
     return 1.0 - snap.batch.pgf_gap(eps)
 
 
@@ -143,7 +146,7 @@ def compound_lattice(snap: CompoundSnapshot, cap):
 def lattice_stack(batch, rows, idx, out=None):
     """Displacement laws on ``idx`` for a stack of placement-row matrices.
 
-    ``rows`` is an (m, J, J+1) array of checked rows (:func:`checked_rows`),
+    ``rows`` is an (m, J, J) array of checked rows (:func:`checked_rows`),
     one matrix per node. Returns ``(values, tails)``: ``values[k]`` is
     P(C = i) at every position i of ``idx`` when the rows are ``rows[k]``,
     written into ``out`` when given, and ``tails[k]`` bounds what node k's
@@ -212,12 +215,11 @@ def _convolve_all(idx, stacks, m):
 def _placement(law, q, idx):
     """Law on ``idx`` of N ~ ``law`` customers placed iid by each row of ``q``.
 
-    ``q`` is an (m, J[+1]) stack of rows (q_1, ..., q_J[, exit]); the exit
-    column is not read. Returns ``(values, tails)``, values (m, |idx|) with
-    exp(log q^i - log i! + log G^(|i|)(1 - qbar)), exactly 0 where some
-    q_k = 0 < i_k, and tails (m,) the series tail bounds.
+    ``q`` is an (m, J) stack of rows (q_1, ..., q_J). Returns ``(values,
+    tails)``, values (m, |idx|) with exp(log q^i - log i! + log G^(|i|)(1 -
+    qbar)), exactly 0 where some q_k = 0 < i_k, and tails (m,) the series
+    tail bounds.
     """
-    q = np.asarray(q, dtype=float)[:, : idx.J]
     # log(q^i / i!) with 0 * log 0 = 0; -inf marks an impossible position.
     # Each node's sum over coordinates runs alone, so a node's values do
     # not depend on the other nodes of its chunk.

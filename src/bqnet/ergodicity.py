@@ -221,8 +221,8 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
     """
     if not model.arrival.is_homogeneous():
         raise DomainError("ergodicity classification requires a constant arrival rate")
-    if polynomial_tail_alpha is not None and not polynomial_tail_alpha > 1.0:
-        raise DomainError("polynomial tail certificate needs alpha > 1")
+    if polynomial_tail_alpha is not None and not 1.0 < polynomial_tail_alpha < math.inf:
+        raise DomainError("polynomial tail certificate needs a finite alpha > 1")
     batch = model.batch
     certs = {"finite_network_time": False, "exponential_upper_tail": False,
              "exponential_two_sided_tail": False}

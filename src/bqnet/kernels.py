@@ -5,18 +5,18 @@ network at node j sits in node k a time t later; its row sum Q_j(t) is
 the probability the customer is still anywhere in the network. Every
 analytic formula in this package consumes kernels through one contract:
 
-    placement_rows_many(ts) -> (len(ts), J, J+1) array, one (J, J+1)
-    matrix per time whose row j is (q^j_1 ... q^j_J, 1-Q_j)
+    placement_rows_many(ts) -> (len(ts), J, J) array, one matrix per time
+    whose row j is (q^j_1 ... q^j_J)
 
 and ``placement_rows(t)``, the stack of one, ``placement_rows_many([t])[0]``.
+A customer's exit probability 1 - Q_j(t) is implied by the row, not stored.
 Every time must be finite and >= 0; any other raises KernelDomainError.
 Three interchangeable constructions are provided: uniformization of the
 customer-path CTMC (all-exponential networks), a Markov-renewal grid
 solver (general service laws), and tabulated values loaded from CSV. The
-two grid kernels store the full placement row at every knot, exit column
-included, and the slope of every cell, so a time costs one gather and one
-multiply-add; rows and slopes take 2(J+1)/J times the memory of the bare
-(M, J, J) table, of which the queue table is a view.
+two grid kernels store q at every knot and the slope of every cell, so a
+time costs one gather and one multiply-add; rows and slopes take twice
+the memory of the (M, J, J) table.
 Kernels are immutable after construction and safe to evaluate
 concurrently; the uniformization kernel's cache of jump-matrix powers
 only ever grows, and a renewal grid only ever extends, its times, rows
@@ -92,11 +92,11 @@ class OccupancyKernel:
         self.J = J
 
     def placement_rows(self, t):
-        """Placement rows at one time, shape (J, J+1)."""
+        """Placement rows at one time, shape (J, J)."""
         return self.placement_rows_many([t])[0]
 
     def placement_rows_many(self, ts):
-        """Stack of placement rows, shape (len(ts), J, J+1).
+        """Stack of placement rows, shape (len(ts), J, J).
 
         Every time must be finite and >= 0, else :class:`KernelDomainError`.
         """
@@ -120,12 +120,10 @@ class OccupancyKernel:
     def survival_vectors(self, ts):
         """Q_j(t) = sum_k q^j_k(t), clamped to [0, 1], shape (len(ts), J).
 
-        Summing the queue columns (rather than complementing the exit
-        column) keeps the truncation error one-sided, so Q decays cleanly
-        to zero at large t.
+        Summing q (rather than complementing an exit probability) keeps the
+        truncation error one-sided, so Q decays cleanly to zero at large t.
         """
-        rows = self.placement_rows_many(ts)
-        return np.clip(rows[:, :, : self.J].sum(axis=2), 0.0, 1.0)
+        return np.clip(self.placement_rows_many(ts).sum(axis=2), 0.0, 1.0)
 
 
 class MarkovKernel(OccupancyKernel):
@@ -173,7 +171,7 @@ class MarkovKernel(OccupancyKernel):
         self._powers = np.empty((0, J + 1, J + 1))
 
     def _rows_at(self, ts):
-        return self._transition_matrices(ts)[:, : self.J, :]
+        return self._transition_matrices(ts)[:, : self.J, : self.J]
 
     def _transition_matrices(self, ts):
         """(len(ts), J+1, J+1) transition matrices, one per time in ``ts`` >= 0."""
@@ -250,9 +248,8 @@ class GridKernel(OccupancyKernel):
     """Kernel held on a time grid, linearly interpolated between knots.
 
     The grid is stored in the form it is read in, as ``_grid = (times,
-    times[1:], rows, slopes)``: ``rows`` (M, J, J+1) is the full placement
-    row at every knot, its exit column clip(1 - Q_j) computed once when
-    the grid is stored, and ``slopes`` (M, J, J+1) the slope of each cell,
+    times[1:], rows, slopes)``: ``rows`` (M, J, J) is q at every knot, the
+    table ``_table``, and ``slopes`` (M, J, J) the slope of each cell,
     (rows[i+1] - rows[i]) / (t_(i+1) - t_i), and 0 at the last knot, which
     starts no cell. A time t reads rows[i] + slopes[i] (t - t_i) for the
     last knot t_i <= t: one ``searchsorted`` over the cells' right ends
@@ -260,24 +257,16 @@ class GridKernel(OccupancyKernel):
     one multiply-add. At every knot, the grid end included, that is the
     stored row bit for bit; an entry that is 0 at both ends of its cell
     stays exactly 0, and inside a cell no entry rounds below 0. Rows and
-    slopes take 2(J+1)/J times the memory of the (M, J, J) queue table,
-    ``_table``, which is a view of the rows' queue columns, not a copy.
+    slopes take twice the memory of the table.
 
-    Subclasses fill the queue columns of ``_new_rows`` and hand the rows to
-    ``_store``, which swaps the whole tuple in by one assignment, so a
-    concurrent reader sees one consistent grid; they decide, in
-    ``_cover``, what happens to times beyond the grid end.
+    Subclasses hand the (M, J, J) knot rows to ``_store``, which swaps the
+    whole tuple in by one assignment, so a concurrent reader sees one
+    consistent grid; they decide, in ``_cover``, what happens to times
+    beyond the grid end.
     """
 
-    def _new_rows(self, m):
-        """Empty (m, J, J+1) knot rows and the (m, J, J) view of their queue columns."""
-        rows = np.empty((m, self.J, self.J + 1))
-        return rows, rows[:, :, : self.J]
-
     def _store(self, times, rows):
-        """Complete the exit column of ``rows``, take the slopes, swap the grid in."""
-        J = self.J
-        rows[:, :, J] = np.clip(1.0 - rows[:, :, :J].sum(axis=2), 0.0, 1.0)
+        """Take the slopes of the knot ``rows`` and swap the grid in."""
         slopes = np.empty_like(rows)
         np.subtract(rows[1:], rows[:-1], out=slopes[:-1])
         slopes[:-1] /= np.diff(times)[:, None, None]
@@ -290,7 +279,7 @@ class GridKernel(OccupancyKernel):
 
     @property
     def _table(self):
-        return self._grid[2][:, :, : self.J]
+        return self._grid[2]
 
     def _rows_at(self, ts):
         times, ends, rows, slopes = self._grid
@@ -343,10 +332,10 @@ class RenewalKernel(GridKernel):
         self._store(times, self._solve(times))
 
     def _solve(self, times, prefix=None):
-        """Knot rows on ``times`` whose queue columns hold Q, keeping
-        ``prefix`` (Q on its leading points) as is, for ``_store``."""
+        """Knot rows Q on ``times``, keeping ``prefix`` (Q on its leading
+        points) as is, for ``_store``."""
         J, m = self.J, times.size
-        rows, Q = self._new_rows(m)
+        Q = np.empty((m, J, J))
         cdf = np.array([node.service.cdf(times) for node in self.nodes])
         half = 0.5 * np.diff(cdf, axis=1)              # (J, m-1)
         atom0 = cdf[:, 0]                              # mass exactly at 0
@@ -368,8 +357,7 @@ class RenewalKernel(GridKernel):
         rhs[1:] = half.T[:, :, None] * (R @ Q[0])
         rhs[1:, np.arange(J), np.arange(J)] += 1.0 - cdf[:, 1:].T
         _solve_renewal_blocks(Q, 1 if prefix is None else len(prefix), lags, R, rhs)
-        np.clip(Q, 0.0, 1.0, out=Q)
-        return rows
+        return np.clip(Q, 0.0, 1.0, out=Q)
 
     def _cover(self, t):
         old, _, rows, _ = self._grid
@@ -385,7 +373,7 @@ class RenewalKernel(GridKernel):
                     f"{MAX_GRID_POINTS}-point grid budget")
         # extend then swap; readers only ever see one consistent grid
         times = np.append(old, np.linspace(0.0, end, m)[old.size:])
-        self._store(times, self._solve(times, rows[:, :, : self.J]))
+        self._store(times, self._solve(times, rows))
 
 
 def _implicit_solver(R, coeff):
@@ -501,13 +489,12 @@ class TabulatedKernel(GridKernel):
             raise ValidationError("kernel at t=0 must be the identity")
         if not np.all(table.sum(axis=2) <= 1.0 + 1e-10):
             raise ValidationError("kernel row sums must not exceed 1")
-        rows, q = self._new_rows(times.size)
-        q[...] = table
+        q = table.copy()
         q[0] = np.eye(J)
         # rows within the tolerance above 1 are scaled to sum 1, so that every
         # placement row passes the compound layer's tighter check
         q /= np.maximum(q.sum(axis=2, keepdims=True), 1.0)
-        self._store(times, rows)
+        self._store(times, q)
 
     def _cover(self, t):
         if t > self._times[-1]:

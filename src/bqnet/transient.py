@@ -84,8 +84,7 @@ def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
 
     def integrand(tau):
         # lambda(tau) [1 - G_C(t - tau)(z)], the exponent's integrand
-        rows = kernel.placement_rows_many(t - tau)
-        gaps = model.batch.pgf_gap(rows[:, :, : model.J] @ one_minus_z)
+        gaps = model.batch.pgf_gap(kernel.placement_rows_many(t - tau) @ one_minus_z)
         return np.asarray(model.arrival.rate(tau, horizon=t), dtype=float) * gaps
 
     exponent, _ = simpson_refine(integrand, 0.0, t, quad, "transient PGF quadrature",
@@ -219,8 +218,7 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
     cov_defined = bool(np.all(np.isfinite(f2)))
 
     def integrand(tau):
-        rows = kernel.placement_rows_many(t - tau)
-        q = rows[:, :, :J]                      # (m, J, J): q[node, j, k]
+        q = kernel.placement_rows_many(t - tau)    # (m, J, J): q[node, j, k]
         mean_term = np.einsum("j,mjk->mk", f1, q)
         terms = [mean_term]
         if cov_defined:

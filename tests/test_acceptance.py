@@ -91,9 +91,10 @@ def test_a03_pgf_pmf_duality(a2_setup):
 
 
 def test_a04_closed_form_compound_laws():
+    # each row's last weight is the exit's, implied by the queue columns
     rows = np.array([[0.30, 0.25, 0.15, 0.30],
                      [0.10, 0.40, 0.20, 0.30],
-                     [0.05, 0.15, 0.60, 0.20]])
+                     [0.05, 0.15, 0.60, 0.20]])[:, :3]
 
     class Frozen:
         representation = "tabulated"
@@ -111,7 +112,7 @@ def test_a04_closed_form_compound_laws():
     for law in laws:
         batch = BatchLaw.iid_assignment(law, entry)
         snap = CompoundSnapshot(batch, Frozen(), 1.0)
-        qvec = (batch.entry_probs @ snap.rows)[:3]
+        qvec = batch.entry_probs @ snap.rows
         n_top = truncation_support(law, 1.0 - 1e-16)
         worst = 0.0
         for i in itertools.product(range(11), repeat=3):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
                    ResourceBudgetError, ServiceLaw, ServiceNode,
-                   UnivariateLaw, compound_lattice, compound_pgf,
+                   UnivariateLaw, ValidationError, compound_lattice, compound_pgf,
                    compound_pmf, poisson_multinomial_pmf)
 from bqnet import compound as compound_module
 from bqnet import logmath
 from bqnet import transient as transient_module
-from bqnet.compound import (_closed_log_derivatives, _placement,
+from bqnet.compound import (ROW_TOL, _closed_log_derivatives, _placement,
                             _series_log_derivatives, checked_rows, lattice_stack)
 from bqnet.quadrature import QuadratureSpec
 from bqnet.tables import SimplexIndex, simplex_index
@@ -28,7 +28,7 @@ from conftest import (brute_force_iid_compound, oracle_binomial_log_derivatives,
 
 
 class FixedRowKernel:
-    """Test double: a kernel frozen at explicit placement rows."""
+    """Test double: a kernel frozen at explicit (J, J) placement rows q."""
 
     representation = "tabulated"
 
@@ -37,38 +37,51 @@ class FixedRowKernel:
         self.J = self.rows.shape[0]
 
     def placement_rows(self, t):
-        return self.rows if t > 0 else np.hstack([np.eye(self.J),
-                                                  np.zeros((self.J, 1))])
+        return self.rows if t > 0 else np.eye(self.J)
 
 
 def snap_for(batch, rows, t=1.0):
     return CompoundSnapshot(batch, FixedRowKernel(rows), t)
 
 
+class TestCheckedRows:
+    # rows of q, the exit 1 - sum_k q_k implied: each check is stated on q
+    def test_accepts_a_row_that_mostly_exits(self):
+        rows = [[0.1, 0.2], [0.0, 0.0]]
+        assert np.array_equal(checked_rows(rows), rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.3, 0.2, 0.5], [0.1, 0.6, 0.3]],                  # a leftover exit column
+        [[0.3, 0.7 + 2 * ROW_TOL], [0.1, 0.6]],
+        [[0.3, -2 * ROW_TOL], [0.1, 0.6]],
+    ], ids=["exit-column", "sum-above-one", "negative-entry"])
+    def test_refuses(self, rows):
+        with pytest.raises(ValidationError):
+            checked_rows(rows)
+
+
 class TestCompoundPGF:
     def test_normalisation(self):
-        snap = snap_for(BatchLaw.constant([2, 0]), [[0.3, 0.2, 0.5],
-                                                    [0.1, 0.6, 0.3]])
+        snap = snap_for(BatchLaw.constant([2, 0]), [[0.3, 0.2], [0.1, 0.6]])
         assert compound_pgf(snap, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_customer_row(self):
         # batch = one customer at node 1: PGF = 1 - Q_1 + sum_k z_k q^1_k
-        rows = [[0.3, 0.2, 0.5], [0.1, 0.6, 0.3]]
+        rows = [[0.3, 0.2], [0.1, 0.6]]
         snap = snap_for(BatchLaw.constant([1, 0]), rows)
         z = np.array([0.7, 0.4])
         want = 0.5 + 0.7 * 0.3 + 0.4 * 0.2
         assert compound_pgf(snap, z) == pytest.approx(want, abs=1e-12)
 
     def test_two_customers_at_zero(self):
-        snap = snap_for(BatchLaw.constant([2, 0]), [[0.3, 0.2, 0.5],
-                                                    [0.0, 0.0, 1.0]])
+        snap = snap_for(BatchLaw.constant([2, 0]), [[0.3, 0.2], [0.0, 0.0]])
         assert compound_pgf(snap, [0.0, 0.0]) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestCompoundPMF:
     def test_single_customer_reduction(self):
         # Binomial(1, 1) iid batch: P(C = e_k) = q_k(t)
-        rows = [[0.3, 0.2, 0.5], [0.1, 0.6, 0.3]]
+        rows = [[0.3, 0.2], [0.1, 0.6]]
         batch = BatchLaw.iid_assignment(UnivariateLaw.binomial(1, 1.0), [1.0, 0.0])
         snap = snap_for(batch, rows)
         assert compound_pmf(snap, [1, 0]) == pytest.approx(0.3, abs=1e-12)
@@ -76,7 +89,7 @@ class TestCompoundPMF:
         assert compound_pmf(snap, [0, 0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_poisson_thinning(self):
-        rows = [[0.3, 0.2, 0.5], [0.3, 0.2, 0.5]]
+        rows = [[0.3, 0.2], [0.3, 0.2]]
         batch = BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [0.5, 0.5])
         snap = snap_for(batch, rows)
         assert compound_pmf(snap, [0, 0]) == pytest.approx(math.exp(-1), abs=1e-12)
@@ -85,7 +98,7 @@ class TestCompoundPMF:
         assert compound_pmf(snap, [2, 1]) == pytest.approx(want, rel=1e-12)
 
     def test_constant_batch_enumeration(self):
-        rows = [[0.3, 0.2, 0.5], [0.0, 0.0, 1.0]]
+        rows = [[0.3, 0.2], [0.0, 0.0]]
         snap = snap_for(BatchLaw.constant([2, 0]), rows)
         assert compound_pmf(snap, [1, 1]) == pytest.approx(0.12, abs=1e-10)
 
@@ -96,10 +109,10 @@ class TestCompoundPMF:
         UnivariateLaw.logarithmic(0.6),
     ], ids=lambda l: l.family)
     def test_closed_forms_match_brute_force(self, law):
-        rows = [[0.35, 0.25, 0.40], [0.10, 0.55, 0.35]]
+        rows = [[0.35, 0.25], [0.10, 0.55]]
         batch = BatchLaw.iid_assignment(law, [0.7, 0.3])
         snap = snap_for(batch, rows)
-        qvec = (batch.entry_probs @ snap.rows)[:2]
+        qvec = batch.entry_probs @ snap.rows
         n_top = truncation_support(law, 1.0 - 1e-16)
         for i in itertools.product(range(7), repeat=2):
             if sum(i) > 6:
@@ -110,10 +123,10 @@ class TestCompoundPMF:
     def test_series_fallback_matches_brute_force(self):
         # geometric has no closed-form branch: exercised via the series path
         law = UnivariateLaw.geometric(0.5)
-        rows = [[0.35, 0.25, 0.40], [0.10, 0.55, 0.35]]
+        rows = [[0.35, 0.25], [0.10, 0.55]]
         batch = BatchLaw.iid_assignment(law, [0.7, 0.3])
         snap = snap_for(batch, rows)
-        qvec = (batch.entry_probs @ snap.rows)[:2]
+        qvec = batch.entry_probs @ snap.rows
         for i in [(0, 0), (1, 0), (2, 1), (3, 2)]:
             want = brute_force_iid_compound(law, qvec, i, 300)
             assert compound_pmf(snap, i) == pytest.approx(want, abs=1e-10)
@@ -124,22 +137,22 @@ class TestCompoundPMF:
         # every P(C = i), for the table alone and as a marginal
         law = UnivariateLaw.finite_table({1: 0.5, 600: 0.5})
         (values, idx), tail = compound_lattice(
-            snap_for(BatchLaw.iid_assignment(law, [1.0]), [[q, 1.0 - q]]), 6)
+            snap_for(BatchLaw.iid_assignment(law, [1.0]), [[q]]), 6)
         want = [brute_force_iid_compound(law, [q], i, 600) for i in idx.array]
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
         assert tail == 0.0
         poisson = UnivariateLaw.poisson(1.0)
-        rows = np.array([[0.6 * q, 0.4 * q, 1.0 - q], [0.1, 0.5, 0.4]])
+        rows = np.array([[0.6 * q, 0.4 * q], [0.1, 0.5]])
         (values, idx), tail = compound_lattice(
             snap_for(BatchLaw.independent([law, poisson]), rows), 4)
-        first = [brute_force_iid_compound(law, rows[0, :2], i, 600) for i in idx.array]
-        second = [brute_force_iid_compound(poisson, rows[1, :2], i, 60) for i in idx.array]
+        first = [brute_force_iid_compound(law, rows[0], i, 600) for i in idx.array]
+        second = [brute_force_iid_compound(poisson, rows[1], i, 60) for i in idx.array]
         want = idx.convolve(np.array(first), np.array(second))
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
         assert tail == 0.0
 
     def test_independent_marginals_product(self):
-        rows = [[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]]
+        rows = [[0.5, 0.2], [0.1, 0.4]]
         batch = BatchLaw.independent([UnivariateLaw.poisson(1.0),
                                       UnivariateLaw.degenerate(1)])
         snap = snap_for(batch, rows)
@@ -159,12 +172,12 @@ class TestCompoundPMF:
     def test_independent_all_zero_marginals(self):
         batch = BatchLaw.independent([UnivariateLaw.degenerate(0),
                                       UnivariateLaw.poisson(0.0)])
-        snap = snap_for(batch, [[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]])
+        snap = snap_for(batch, [[0.5, 0.2], [0.1, 0.4]])
         (values, idx), tail = compound_lattice(snap, 3)
         assert values[0] == 1.0 and not values[1:].any() and tail == 0.0
 
     def test_finite_table_batch(self):
-        rows = [[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]]
+        rows = [[0.5, 0.2], [0.1, 0.4]]
         batch = BatchLaw.finite_table({(1, 0): 0.4, (0, 2): 0.6}, 2)
         snap = snap_for(batch, rows)
         # (1,0) batch -> one customer with row 1; (0,2) -> two customers row 2
@@ -173,12 +186,12 @@ class TestCompoundPMF:
 
     def test_zero_time_reduces_to_batch_pmf(self):
         batch = BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [0.6, 0.4])
-        snap = snap_for(batch, [[0.3, 0.2, 0.5], [0.1, 0.6, 0.3]], t=0.0)
+        snap = snap_for(batch, [[0.3, 0.2], [0.1, 0.6]], t=0.0)
         for i in itertools.product(range(4), repeat=2):
             assert compound_pmf(snap, i) == pytest.approx(batch.pmf(i), rel=1e-10)
 
     def test_duality_with_pgf(self):
-        rows = [[0.35, 0.25, 0.40], [0.10, 0.55, 0.35]]
+        rows = [[0.35, 0.25], [0.10, 0.55]]
         batch = BatchLaw.iid_assignment(UnivariateLaw.binomial(5, 0.5), [0.7, 0.3])
         snap = snap_for(batch, rows)
         rng = np.random.default_rng(3)
@@ -190,7 +203,7 @@ class TestCompoundPMF:
             assert total == pytest.approx(compound_pgf(snap, z), abs=1e-10)
 
     def test_mass_conservation_bounded(self):
-        rows = [[0.35, 0.25, 0.40], [0.10, 0.55, 0.35]]
+        rows = [[0.35, 0.25], [0.10, 0.55]]
         snap = snap_for(BatchLaw.finite_table({(2, 1): 0.5, (0, 3): 0.5}, 2), rows)
         (values, idx), _ = compound_lattice(snap, 3)
         assert abs(values.sum() - 1.0) <= 1e-9
@@ -256,15 +269,16 @@ ALL_FAMILIES = [
 
 @st.composite
 def placement_rows(draw, J):
-    """(J, J+1) probability rows from small integer weights, so zero
-    columns, qbar = 0 (all weight on exit) and qbar = 1 (none) all occur."""
+    """(J, J) placement rows q: J+1 small integer weights per row, the last
+    one the exit's, normalised and dropped, so zero columns, qbar = 0 (all
+    weight on exit) and qbar = 1 (none) all occur."""
     rows = []
     for _ in range(J):
         w = np.array(draw(st.lists(st.integers(0, 4), min_size=J + 1,
                                    max_size=J + 1)), dtype=float)
         if not w.any():
             w[-1] = 1.0
-        rows.append(w / w.sum())
+        rows.append(w[:J] / w.sum())
     return np.array(rows)
 
 
@@ -278,7 +292,7 @@ class TestOneFormulaLattice:
         entry[0] = 1.0
         snap = snap_for(BatchLaw.iid_assignment(law, entry), rows)
         (values, idx), tail = compound_lattice(snap, cap)
-        want, want_tail = oracle_iid_lattice(law, (entry @ snap.rows)[:J], idx.array)
+        want, want_tail = oracle_iid_lattice(law, entry @ snap.rows, idx.array)
         err = np.abs(values - want)
         assert np.all((err <= 1e-13 * np.abs(want)) | (err <= 1e-16))
         assert abs(tail - want_tail) <= 1e-12 * want_tail
@@ -295,17 +309,19 @@ class TestOneFormulaLattice:
         if m == 0:
             assert values[0] == 1.0 and not values[1:].any()
             return
-        want = poisson_multinomial_pmf(np.repeat(rows, vector, axis=0))
+        # each customer's categorical row: its queue columns and the exit
+        categorical = np.hstack([rows, 1.0 - rows.sum(axis=1, keepdims=True)])
+        want = poisson_multinomial_pmf(np.repeat(categorical, vector, axis=0))
         expected = np.array([want.prob(v) for v in idx.array])
         assert np.max(np.abs(values - expected)) <= 1e-15
 
     def test_independent_is_convolution_of_placements(self):
-        rows = np.array([[0.5, 0.2, 0.3], [0.1, 0.4, 0.5]])
+        rows = np.array([[0.5, 0.2], [0.1, 0.4]])
         laws = [UnivariateLaw.zeta(2.5), UnivariateLaw.negative_binomial(1.0, 2.0)]
         (values, idx), tail = compound_lattice(
             snap_for(BatchLaw.independent(laws), rows), 6)
-        first, tail0 = oracle_iid_lattice(laws[0], rows[0, :2], idx.array)
-        second, _ = oracle_iid_lattice(laws[1], rows[1, :2], idx.array)
+        first, tail0 = oracle_iid_lattice(laws[0], rows[0], idx.array)
+        second, _ = oracle_iid_lattice(laws[1], rows[1], idx.array)
         np.testing.assert_allclose(values, idx.convolve(first, second),
                                    rtol=1e-13, atol=1e-16)
         assert tail == pytest.approx(tail0, rel=1e-12)
@@ -317,7 +333,7 @@ class TestOneFormulaLattice:
         idx = simplex_index(2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (values,), (tail,) = _placement(law, np.array([[1.0, 0.0, 0.0]]), idx)
+            (values,), (tail,) = _placement(law, np.array([[1.0, 0.0]]), idx)
         assert tail == 0.0
         want = [law.pmf(v[0]) if v[1] == 0 else 0.0 for v in idx.array]
         np.testing.assert_allclose(values, want, rtol=1e-13, atol=0.0)
@@ -331,7 +347,7 @@ class TestOneFormulaLattice:
         # positions are exact zeros, the rest hold all the mass, and no
         # warning leaks, also when nobody leaves (qbar = 1) or all do
         idx = simplex_index(2, 6)
-        rows = np.array([[0.3, 0.5, 0.2], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])
+        rows = np.array([[0.3, 0.5], [0.6, 0.4], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, tails = _placement(law, rows, idx)
@@ -377,7 +393,7 @@ class TestOneFormulaLattice:
         # difference of two log-factorials, or log(1 - qbar / count), would
         # cancel the digits that difference needs
         cap = 5
-        rows = np.array([[0.3, 0.5, 0.2]])
+        rows = np.array([[0.3, 0.5]])
         idx = simplex_index(2, cap)
         idx.log_factorial   # the simplex's own factorials come from the table
         limit, _ = _placement(UnivariateLaw.poisson(1.0), rows, idx)
@@ -414,12 +430,12 @@ def batch_laws(draw, J):
 
 def vivax_like_stack(nodes=7):
     """A J=3 independent-marginal batch (a series and a closed-form family)
-    with one row matrix per node."""
+    with one (3, 3) row matrix per node."""
     batch = BatchLaw.independent([UnivariateLaw.zeta(2.5), UnivariateLaw.degenerate(0),
                                   UnivariateLaw.negative_binomial(1.0, 3.0)])
     rng = np.random.default_rng(7)
     rows = rng.random((nodes, 3, 4))
-    return batch, rows / rows.sum(axis=2, keepdims=True)
+    return batch, (rows / rows.sum(axis=2, keepdims=True))[:, :, :3]
 
 
 class TestLatticeStack:

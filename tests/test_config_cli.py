@@ -506,6 +506,21 @@ class TestCli:
         write_occupancy_csv(tmp_path / "two.csv", 2, [((0, 0), 1.0)])
         assert main(["compare", "one.csv", "two.csv", "--tol", "0.1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.1"),
+        ("--min-expected", "0"), ("--min-expected", "-1"), ("--min-expected", "nan"),
+        ("--min-expected", "inf")])
+    def test_compare_bad_threshold_exit_2(self, tmp_path, capsys, monkeypatch, flag, value):
+        # the analytic table gives (2,) probability 0: a z-score there would
+        # divide by 0, and a non-finite tol would not serialise
+        monkeypatch.chdir(tmp_path)
+        write_occupancy_csv(tmp_path / "a.csv", 1, [((0,), 0.5), ((1,), 0.5), ((2,), 0.0)])
+        write_occupancy_csv(tmp_path / "e.csv", 1, [((0,), 0.5, 0.05), ((1,), 0.5, 0.05)],
+                            stderr=True, replications=100)
+        args = {"--tol": "0.1", "--min-expected": "5", flag: value}
+        assert main(["compare", "a.csv", "e.csv", *(x for kv in args.items() for x in kv)]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lines", [
         ["n_1,prob,stderr,replications", "0,0.5,abc,10", "1,0.5,0.1,10"],
         ["n_1,prob,stderr,replications", "0,0.5,-0.1,10", "1,0.5,0.1,10"],
@@ -543,10 +558,12 @@ class TestCli:
                      "--workers", workers]) == 2
         assert not list(tmp_path.iterdir())
 
-    def test_ergodicity_checks_tail_alpha_first(self, capsys):
+    @pytest.mark.parametrize("alpha", ["0.5", "inf"])
+    def test_ergodicity_checks_tail_alpha_first(self, capsys, alpha):
         # mm_infty's finite-mean certificate answers before the asserted
-        # tail would be read; an alpha <= 1 must fail all the same
-        assert main(["ergodicity", "--config", "mm_infty", "--tail-alpha", "0.5"]) == 1
+        # tail would be read; an alpha <= 1, or an infinite one, must fail
+        # all the same
+        assert main(["ergodicity", "--config", "mm_infty", "--tail-alpha", alpha]) == 1
         assert "alpha > 1" in capsys.readouterr().err
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from bqnet import (ArrivalProcess, BatchLaw, KernelDomainError, MarkovKernel,
                    bundled_config_path, load_config, load_tabulated_kernel_csv,
                    transient_pgf, transient_pmf)
 from bqnet import kernels as kernels_module
+from bqnet.compound import ROW_TOL, checked_rows
 from bqnet.kernels import (POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_head,
                            _poisson_weights)
 from bqnet.service import ERLANG_SUM_MAX_SHAPE
@@ -131,8 +132,7 @@ class TestMarkovKernel:
         assert rows[0, 1] == pytest.approx(0.25, abs=1e-10)
 
     def test_identity_at_zero(self, tandem_kernel):
-        np.testing.assert_array_equal(tandem_kernel.placement_rows(0.0)[:, :2],
-                                      np.eye(2))
+        np.testing.assert_array_equal(tandem_kernel.placement_rows(0.0), np.eye(2))
 
     def test_single_node_decay(self, mm_kernel):
         assert mm_kernel.placement_rows(1.0)[0, 0] == pytest.approx(math.exp(-1),
@@ -167,7 +167,7 @@ class TestMarkovKernel:
     def test_row_substochastic_dense_grid(self, tandem_kernel):
         ts = np.linspace(0.0, 8.0, 201)
         rows = tandem_kernel.placement_rows_many(ts)
-        sums = rows[:, :, :2].sum(axis=2)
+        sums = rows.sum(axis=2)
         assert np.all(sums >= -1e-10)
         assert np.all(sums <= 1.0 + 1e-10)
 
@@ -229,7 +229,7 @@ class TestMarkovKernel:
         for t in (0.0, 0.01, 0.37, 1.0, 3.0, 10.0, 64.0):
             alone = MarkovKernel(nodes, J)._transition_matrices([t])[0]
             stacked = MarkovKernel(nodes, J).placement_rows_many([t])[0]
-            assert np.array_equal(alone[:J], stacked)
+            assert np.array_equal(alone[:J, :J], stacked)
             assert np.array_equal(MarkovKernel(nodes, J).placement_rows(t), stacked)
             assert np.array_equal(alone, scalar_uniformization(MarkovKernel(nodes, J), t))
 
@@ -264,7 +264,7 @@ class TestMarkovKernel:
         for size, end in ((1, 0.3), (17, 2.0), (257, 12.0)):
             ts = np.linspace(0.0, end, size + 1)[1:]
             got = kernel.placement_rows_many(ts)
-            assert np.array_equal(got, oracle_uniformization(kernel, ts)[:, :J])
+            assert np.array_equal(got, oracle_uniformization(kernel, ts)[:, :J, :J])
 
     @pytest.mark.parametrize("name", BUNDLED_MARKOV)
     def test_budgeted_time_chunks_match_per_term_series(self, name, monkeypatch):
@@ -277,7 +277,7 @@ class TestMarkovKernel:
         monkeypatch.setattr(kernels_module, "UNIFORMIZATION_BUDGET",
                             3 * (n_max + 1) * (J + 1) ** 2 * 8)
         assert np.array_equal(kernel.placement_rows_many(ts),
-                              oracle_uniformization(kernel, ts)[:, :J])
+                              oracle_uniformization(kernel, ts)[:, :J, :J])
 
     @pytest.mark.parametrize("name", BUNDLED_MARKOV)
     def test_expm_beyond_the_power_budget(self, name, monkeypatch):
@@ -361,8 +361,7 @@ class TestRenewalKernel:
     def test_agreement_with_uniformization(self, tandem_nodes, tandem_kernel):
         kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=3.0, nodes=3001))
         for t in np.linspace(0.0, 3.0, 31):
-            delta = np.abs(kern.placement_rows(t)[:, :2]
-                           - tandem_kernel.placement_rows(t)[:, :2])
+            delta = np.abs(kern.placement_rows(t) - tandem_kernel.placement_rows(t))
             assert np.max(delta) <= 1e-5
 
     def test_erlang_tandem_vs_trajectory_oracle(self):
@@ -393,7 +392,7 @@ class TestRenewalKernel:
 
     def test_identity_at_zero(self, tandem_nodes):
         kern = RenewalKernel(tandem_nodes, 2, TimeGrid(end=1.0, nodes=257))
-        np.testing.assert_array_equal(kern.placement_rows(0.0)[:, :2], np.eye(2))
+        np.testing.assert_array_equal(kern.placement_rows(0.0), np.eye(2))
 
 
     @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
@@ -568,7 +567,7 @@ def _check_two_knot_oracle(kern, rng):
     # the stored row, bit for bit, at every knot, the grid end included
     at_knots = kern.placement_rows_many(times)
     assert np.array_equal(at_knots, knot_rows)
-    assert np.array_equal(at_knots[:, :, : kern.J], table)
+    assert np.array_equal(at_knots, table)
     cell = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
     both_zero = (knot_rows[cell] == 0.0) & (knot_rows[cell + 1] == 0.0)
     assert np.all(got[both_zero] == 0.0)
@@ -581,12 +580,13 @@ class TestGridKnots:
         rng = np.random.default_rng(24)
         for end in (8.0, 16.0):                    # before and after an extension
             assert kern._times[-1] == end
-            ts, _, both_zero = _check_two_knot_oracle(kern, rng)
+            ts, got, both_zero = _check_two_knot_oracle(kern, rng)
             # q^2_1 = 0: a customer entering node 2 never visits node 1
             assert np.all(both_zero[:, 1, 0])
-            # node 2 holds its customer for exactly 0.5: no exit before
+            # node 2 holds its customer for exactly 0.5: no exit before, so
+            # its row sums to 1 exactly
             below = ts < 0.5 - kern._times[1]
-            assert np.all(both_zero[below, 1, 2])
+            assert np.all(got[below, 1].sum(axis=1) == 1.0)
             kern.placement_rows(12.0)
 
     @pytest.mark.parametrize("name", sorted(RENEWAL_NETWORKS))
@@ -621,25 +621,46 @@ class TestGridKnots:
         rows, slopes = rows.copy(), slopes.copy()
         kern.placement_rows(7.0)                   # two doublings, to t = 8
         _, _, new_rows, new_slopes = kern._grid
-        assert new_rows.shape == new_slopes.shape == (1025, J, J + 1)
+        assert new_rows.shape == new_slopes.shape == (1025, J, J)
         # the old knots' rows and the old cells' slopes
         assert np.array_equal(new_rows[:257], rows)
         assert np.array_equal(new_slopes[:256], slopes[:256])
-        # the queue table is a view of the rows, not a second copy
-        assert kern._table.shape == (1025, J, J)
-        assert np.shares_memory(kern._table, new_rows)
+        # the table is the rows, not a second copy
+        assert kern._table is new_rows
+
+
+@pytest.fixture(params=["renewal", "markov", "tabulated"])
+def kernel(request, tandem_nodes):
+    """A J = 2 kernel of each kind, covering [0, 2] at least."""
+    if request.param == "renewal":
+        return RenewalKernel(RENEWAL_NETWORKS["tandem"], 2,
+                             TimeGrid(end=2.0, nodes=257))
+    if request.param == "markov":
+        return MarkovKernel(tandem_nodes, 2)
+    return _tabulated_with_zeros()
+
+
+class TestContract:
+    def test_rows_are_q(self, kernel):
+        # (len(ts), J, J) rows of q, with the exit 1 - Q_j(t) implied: entries
+        # in [0, 1], row sums at most 1 + ROW_TOL, the empty stack included
+        J = kernel.J
+        assert kernel.placement_rows_many([]).shape == (0, J, J)
+        ts = np.concatenate([np.linspace(0.0, 2.0, 41),
+                             np.random.default_rng(5).uniform(0.0, 2.0, 40)])
+        rows = kernel.placement_rows_many(ts)
+        assert rows.shape == (ts.size, J, J)
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
+        assert np.all(rows.sum(axis=2) <= 1.0 + ROW_TOL)
+        assert np.array_equal(checked_rows(rows), rows)
+        # one time is the stack of one, and Q is the row sum, bit for bit
+        for t in ts:
+            assert np.array_equal(kernel.placement_rows(t), kernel.placement_rows_many([t])[0])
+        assert np.array_equal(kernel.survival_vectors(ts),
+                              np.clip(rows.sum(axis=2), 0.0, 1.0))
 
 
 class TestTimeDomain:
-    @pytest.fixture(params=["renewal", "markov", "tabulated"])
-    def kernel(self, request, tandem_nodes):
-        if request.param == "renewal":
-            return RenewalKernel(RENEWAL_NETWORKS["tandem"], 2,
-                                 TimeGrid(end=2.0, nodes=257))
-        if request.param == "markov":
-            return MarkovKernel(tandem_nodes, 2)
-        return _tabulated_with_zeros()
-
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_time_is_a_domain_error(self, kernel, t):
         with pytest.raises(KernelDomainError, match="finite and >= 0"):
@@ -659,4 +680,4 @@ class TestTimeDomain:
         assert kern._grid is grid
 
     def test_empty_stack(self, kernel):
-        assert kernel.placement_rows_many([]).shape == (0, 2, 3)
+        assert kernel.placement_rows_many([]).shape == (0, 2, 2)
