@@ -196,8 +196,7 @@ def _service_certificates(nodes, J):
                      and all(k == EXPONENTIAL for k in kinds))
     delta = None
     if exp_two_sided:
-        A = generator(nodes, J)[:J, :J]
-        delta = float(-np.max(np.linalg.eigvals(A).real))
+        delta = float(-np.max(np.linalg.eigvals(generator(nodes, J)).real))
     return {
         "finite_network_time": no_absorbing and substochastic and finite_means,
         "exponential_upper_tail": exp_upper,

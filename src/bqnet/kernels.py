@@ -12,11 +12,12 @@ and ``placement_rows(t)``, the stack of one, ``placement_rows_many([t])[0]``.
 A customer's exit probability 1 - Q_j(t) is implied by the row, not stored.
 Every time must be finite and >= 0; any other raises KernelDomainError.
 Three interchangeable constructions are provided: uniformization of the
-customer-path CTMC (all-exponential networks), a Markov-renewal grid
-solver (general service laws), and tabulated values loaded from CSV. The
-two grid kernels store q at every knot and the slope of every cell, so a
-time costs one gather and one multiply-add; rows and slopes take twice
-the memory of the (M, J, J) table.
+customer-path CTMC without an exit state, squared past a time limit
+(all-exponential networks), a Markov-renewal grid solver (general service
+laws), and tabulated values loaded from CSV. The two grid kernels store q
+at every knot and the slope of every cell, so a time costs one gather and
+one multiply-add; rows and slopes take twice the memory of the (M, J, J)
+table.
 Kernels are immutable after construction and safe to evaluate
 concurrently; the uniformization kernel's cache of jump-matrix powers
 only ever grows, and a renewal grid only ever extends, its times, rows
@@ -39,8 +40,8 @@ from .service import (EXPONENTIAL, generator, routing_matrix, validate_nodes,
                       zero_time_loop)
 
 POISSON_TAIL = 1e-12
-# Beyond this uniformization rate * t, the Poisson series is longer than a
-# scaling-and-squaring matrix exponential is worth; switch to expm.
+# Beyond this uniformization rate * t, the Poisson series is longer than
+# squaring is worth: a time is halved into it, then squared back.
 UNIFORMIZATION_MAX_A = 1e4
 # Bytes for the cached jump-matrix powers and for each weighted sum over them.
 UNIFORMIZATION_BUDGET = 1 << 23
@@ -129,28 +130,23 @@ class OccupancyKernel:
 class MarkovKernel(OccupancyKernel):
     """Customer-path CTMC kernel computed by uniformization.
 
-    The path chain lives on {queues} + {exit}; node j leaves at rate mu_j
-    and routes by its routing row, exit being absorbing. With uniformization
-    rate r and jump matrix P, the transition matrix at time t is
-    sum_n Pois(n; r t) P^n, the Poisson series truncated so the neglected
-    tail is below ``POISSON_TAIL`` and renormalised (:func:`_poisson_head`,
-    :func:`_poisson_weights`). All the times of one call share one series,
-    truncated for the largest of them.
-
-    The jump-matrix powers P^0, P^1, ... are computed once, on first use,
-    and cached, so each call is one weighted sum over the cached powers:
-    ``(weights[..., None, None] * powers).sum(axis=0)``. NumPy reduces that
-    outer axis in order, so the sum is the term-by-term series bit for
-    bit. Times are summed in chunks whose product stays under
-    ``UNIFORMIZATION_BUDGET`` bytes. Where the powers a series needs would
-    themselves exceed that budget, or beyond r t = ``UNIFORMIZATION_MAX_A``,
-    a scaling-and-squaring matrix exponential takes over (the two agree to
-    roundoff where they meet); ``scipy.linalg`` is imported only when a
-    time first needs it.
+    Exit is absorbing, so q(t) = exp(t G) for the J x J sub-generator G
+    (:func:`bqnet.service.generator`); the chain has no exit state. With
+    uniformization rate r and jump matrix P = I + G / r, q(t) is the
+    Poisson series sum_n Pois(n; r t) P^n, cut where its tail is below
+    ``POISSON_TAIL`` and renormalised (:func:`_poisson_head`); the times of
+    one call share one series, cut for the largest. A call is one weighted
+    sum over the cached powers P^n, reduced in order so that it is the
+    term-by-term series bit for bit, in chunks of times under
+    ``UNIFORMIZATION_BUDGET`` bytes. The series stops at r t =
+    ``UNIFORMIZATION_MAX_A``, halved until its powers fit that budget but
+    not below 1; a later time is scaled and squared on its own (Moler &
+    Van Loan 2003, *SIAM Review* 45(1)): q(t) = q(t / 2^k)^(2^k) for the
+    least k that brings t / 2^k within the limit.
     """
 
     representation = "markov-uniformization"
-    # the rows are exp(t A) of the path chain's generator
+    # the rows are exp(t G) of the path chain's sub-generator
     analytic_in_time = True
 
     def __init__(self, nodes, J):
@@ -162,54 +158,61 @@ class MarkovKernel(OccupancyKernel):
                     f"nodes[{idx}] is {node.service.kind}; uniformization requires "
                     "exponential service at every non-absorbing node")
         self.nodes = list(nodes)
-        self.generator = A = generator(nodes, J)
-        self.uniformization_rate = float(np.max(-np.diag(A))) if J else 0.0
-        if self.uniformization_rate > 0:
-            self._jump_matrix = np.eye(J + 1) + A / self.uniformization_rate
-        else:
-            self._jump_matrix = np.eye(J + 1)
-        self._powers = np.empty((0, J + 1, J + 1))
+        self.generator = G = generator(nodes, J)
+        self.uniformization_rate = r = float(np.max(-np.diag(G))) if J else 0.0
+        self._jump_matrix = np.eye(J) + G / r if r > 0 else np.eye(J)
+        self._powers = np.empty((0, J, J))
+        a = UNIFORMIZATION_MAX_A
+        while a > 1.0 and (_poisson_top(a) + 1) * J * J * 8 > UNIFORMIZATION_BUDGET:
+            a = max(1.0, a / 2.0)
+        self._series_limit = a
 
     def _rows_at(self, ts):
-        return self._transition_matrices(ts)[:, : self.J, : self.J]
+        r, limit = self.uniformization_rate, self._series_limit
+        if r * float(np.maximum.reduce(ts, initial=0.0)) <= limit:
+            return self._series(ts)
+        near = r * ts <= limit
+        out = np.empty((ts.size, self.J, self.J))
+        out[near] = self._series(ts[near])
+        for i in np.flatnonzero(~near):
+            t, k = float(ts[i]), 0
+            while r * t > limit:
+                t, k = t / 2.0, k + 1
+            q = self._series(np.array([t]))[0]
+            out[i] = np.clip(np.linalg.matrix_power(q, 2 ** k), 0.0, 1.0)   # k squarings
+        return out
 
-    def _transition_matrices(self, ts):
-        """(len(ts), J+1, J+1) transition matrices, one per time in ``ts`` >= 0."""
-        ts = np.asarray(ts, dtype=float).ravel().tolist()
-        r = self.uniformization_rate
-        small = [i for i, t in enumerate(ts) if r * t <= UNIFORMIZATION_MAX_A]
-        head = _poisson_head(r * max([ts[i] for i in small], default=0.0))
+    def _series(self, ts):
+        """The series at the times ``ts``, all within the limit."""
+        a = self.uniformization_rate * ts
+        head = _poisson_head(float(np.maximum.reduce(a, initial=0.0)))
         n_max = len(head) - 1
-        if (n_max + 1) * (self.J + 1) ** 2 * 8 > UNIFORMIZATION_BUDGET:
-            small = []   # the powers alone would not fit the budget
-        out = np.empty((len(ts), self.J + 1, self.J + 1))
-        for i in set(range(len(ts))).difference(small):
-            from scipy.linalg import expm
-            out[i] = expm(self.generator * ts[i])
-        if small:
-            # one time's column is the head it truncated, renormalised
-            weights = ((head / head.sum())[:, None] if len(small) == 1 else
-                       _poisson_weights(r * np.array([ts[i] for i in small]), n_max))
-            powers = self._jump_powers(n_max)[:, None]
-            step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
-            for lo in range(0, len(small), step):
-                out[small[lo:lo + step]] = (weights[:, lo:lo + step, None, None]
-                                            * powers).sum(axis=0)
+        # one time's column is the head it truncated, renormalised
+        weights = ((head / head.sum())[:, None] if ts.size == 1 else
+                   _poisson_weights(a, n_max))
+        powers = self._jump_powers(n_max)[:, None]
+        step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
+        out = np.empty((ts.size, self.J, self.J))
+        for lo in range(0, ts.size, step):
+            out[lo:lo + step] = (weights[:, lo:lo + step, None, None] * powers).sum(axis=0)
         return np.clip(out, 0.0, 1.0, out=out)
 
     def _jump_powers(self, n):
-        """P^0 .. P^n as an (n+1, J+1, J+1) array, extending the cache as needed."""
+        """P^0 .. P^n as an (n+1, J, J) array, extending the cache as needed."""
         powers = self._powers
         if len(powers) <= n:
-            grown = np.empty((n + 1,) + powers.shape[1:])
+            grown = np.empty((n + 1, self.J, self.J))
             grown[: len(powers)] = powers
-            power = powers[-1] if len(powers) else None
             for k in range(len(powers), n + 1):
-                power = np.eye(self.J + 1) if power is None else power @ self._jump_matrix
-                grown[k] = power
+                grown[k] = grown[k - 1] @ self._jump_matrix if k else np.eye(self.J)
             grown.setflags(write=False)
             self._powers = powers = grown
         return powers[: n + 1]
+
+
+def _poisson_top(a):
+    """Past this n the Poisson(a) tail is below e^-50 (Bernstein's bound)."""
+    return int(a + 10.0 * math.sqrt(a)) + 40
 
 
 def _poisson_head(a):
@@ -218,12 +221,11 @@ def _poisson_head(a):
     n_max is one past the truncation point, the least n whose tail
     P(N > n) <= ``POISSON_TAIL`` (Fox & Glynn 1988, *Comm. ACM* 31(4)).
     The probabilities are one ``exp`` over the log-factorial table up to
-    a + 10 sqrt(a) + 40, beyond which the Poisson tail is below e^-50
-    (Bernstein's bound); the tails are their sums from the top.
+    :func:`_poisson_top`; the tails are their sums from the top.
     """
     if a == 0.0:
         return np.ones(1)
-    top = int(a + 10.0 * math.sqrt(a)) + 40
+    top = _poisson_top(a)
     probs = np.exp(np.arange(top + 1.0) * math.log(a)
                    - log_factorial_table(top)[: top + 1] - a)
     # tails[k] = P(N >= top - k), ascending; the cut is top - #{tails <= q}

@@ -254,17 +254,12 @@ def zero_time_loop(nodes, J, start):
 
 
 def generator(nodes, J):
-    """Generator mu_j (P - I) of one customer's path, (J+1) x (J+1).
+    """Sub-generator mu_j (R - I) of one customer's path, J x J.
 
-    P is the routing matrix with an exit column J; exit and absorbing
-    nodes have zero rows. Every non-absorbing node must be exponential
-    (rate mu_j). ``[:J, :J]`` is the sub-generator mu_j (R - I).
+    R is the routing submatrix (:func:`routing_matrix`). Exit is absorbing
+    and needs no state: the path chain's transient block is exp(t G).
+    Absorbing nodes have zero rows; every other node must be exponential
+    (rate mu_j).
     """
-    A = np.zeros((J + 1, J + 1))
-    for j, node in enumerate(nodes):
-        if node.is_absorbing:
-            continue
-        mu = node.service.rate
-        A[j] = mu * node.routing
-        A[j, j] = -mu * (1.0 - node.routing[j])
-    return A
+    mu = np.array([0.0 if node.is_absorbing else node.service.rate for node in nodes])
+    return mu[:, None] * (routing_matrix(nodes, J) - np.eye(J))

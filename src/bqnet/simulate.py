@@ -203,7 +203,7 @@ def sample_trajectory(nodes, entry, rng, offsets):
     if not 0 <= entry < J:
         raise ValidationError(f"entry node {entry} out of range for J={J}")
     offsets = np.asarray(offsets, dtype=float)
-    if np.any(offsets < 0):
+    if not np.all(offsets >= 0):        # NaN fails, +inf passes
         raise ValidationError("snapshot offsets must be >= 0")
     _check_zero_time_loop(nodes, J, np.arange(J) == entry)
     counts = _walk(nodes, J, np.array([entry]), np.zeros(1),

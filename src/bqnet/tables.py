@@ -227,6 +227,9 @@ _live_indexes = weakref.WeakValueDictionary()
 
 def simplex_index(J, cap):
     """The :class:`SimplexIndex` for ``(J, cap)``, shared while any caller holds it."""
+    # a bool is not an integer cap
+    if not ((type(cap) is int or isinstance(cap, np.integer)) and cap >= 0):
+        raise ValidationError(f"cap must be an integer >= 0, not {cap!r}")
     key = (int(J), int(cap))
     idx = _live_indexes.get(key)
     if idx is None:
@@ -238,8 +241,8 @@ class LatticePMF:
     """Probabilities on the occupancy simplex plus explicit tail mass."""
 
     def __init__(self, J, cap, values, tail_mass=None, meta=None):
-        self.J, self.cap = int(J), int(cap)
         self.index = simplex_index(J, cap)
+        self.J, self.cap = self.index.J, self.index.cap
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (len(self.index),):
             raise ValidationError("lattice values do not match the simplex size")

@@ -122,8 +122,6 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
     the lattice's index, for :func:`recompute_with_pivot`.
     """
     t = _check_time(t)
-    if cap < 0:
-        raise ValidationError("cap must be >= 0")
     index = simplex_index(model.J, cap)
 
     def integrand(tau):
@@ -172,12 +170,14 @@ def recompute_with_pivot(pmf: LatticePMF, n, pivot):
 
     The recursion identity holds for any coordinate with n_pivot >= 1, so
     this should reproduce the stored entry to roundoff; it exists so that
-    pivot invariance can be audited.
+    pivot invariance can be audited. ``pivot`` is an integer in [0, J).
     """
     A = pmf.meta.get("displacement_integrals")
     if A is None:
         raise ValidationError("this lattice carries no displacement integrals")
     index = pmf.index
+    if not ((type(pivot) is int or isinstance(pivot, np.integer)) and 0 <= pivot < index.J):
+        raise ValidationError(f"pivot must be an integer in [0, {index.J}), not {pivot!r}")
     n = tuple(int(v) for v in n)
     if len(n) != index.J or min(n) < 0 or sum(n) > index.cap:
         raise ValidationError(f"{n} is outside the lattice")

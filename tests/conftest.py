@@ -459,20 +459,38 @@ def oracle_renewal_step_solve(nodes, J, times, prefix=None):
 #
 # The Poisson-series accumulation that MarkovKernel's cached jump-matrix
 # powers replaced, kept as its oracle: one matrix product and one weighted
-# add per term, all times of a call sharing one truncation. The weights are
-# the kernel's own, so the comparison is of the summation alone.
+# add per term, all times of a call sharing one truncation. It sums the
+# full path chain, exit state included, whose jump matrix it builds from
+# the nodes' rates and routing rows; the kernel's chain has no exit state
+# and squares the times past its series limit, so ``[:J, :J]`` of the
+# oracle within that limit is the kernel's rows, bit for bit, as long as
+# the exit state adds only +0.0 to them. The weights are the kernel's own,
+# so the comparison is of the summation alone.
+
+
+def oracle_jump_matrix(kernel):
+    """(J+1, J+1) jump matrix of the path chain with its exit state, last."""
+    J, r = kernel.J, kernel.uniformization_rate
+    A = np.zeros((J + 1, J + 1))
+    for j, node in enumerate(kernel.nodes):
+        if not node.is_absorbing:
+            mu = node.service.rate
+            A[j] = mu * node.routing
+            A[j, j] = -mu * (1.0 - node.routing[j])
+    return np.eye(J + 1) + A / r if r > 0 else np.eye(J + 1)
 
 
 def oracle_uniformization(kernel, ts):
-    """(len(ts), J+1, J+1) transition matrices of ``kernel`` at ``ts``."""
+    """(len(ts), J+1, J+1) transition matrices of ``kernel``'s path chain at ``ts``."""
     a = kernel.uniformization_rate * np.asarray(ts, dtype=float)
     head = _poisson_head(float(np.max(a)))
     weights = ((head / head.sum())[:, None] if len(a) == 1 else
                _poisson_weights(a, len(head) - 1))
+    jump = oracle_jump_matrix(kernel)
     power = np.eye(kernel.J + 1)
     acc = weights[0][:, None, None] * power
     for n in range(1, len(weights)):
-        power = power @ kernel._jump_matrix
+        power = power @ jump
         acc += weights[n][:, None, None] * power
     return np.clip(acc, 0.0, 1.0)
 

@@ -69,11 +69,15 @@ def test_package_exports_resolve():
 
 # Modules that cold start must not pay for: each is imported on demand by
 # the one branch that needs it.
-ON_DEMAND = ("scipy.stats", "scipy.integrate", "scipy.linalg", "mpmath")
+ON_DEMAND = ("scipy.stats", "scipy.integrate", "mpmath")
+# Imported by no branch of the package: the Markov kernel squares its far
+# times instead of calling a matrix exponential. scipy.stats and
+# scipy.integrate load it for themselves.
+NEVER_LOADED = ("scipy.linalg",)
 # scipy.special too, outside the pmfs pinned to scipy.stats: the default
 # path takes its log-factorials, Poisson weights, Erlang CDF and zeta
 # values from NumPy and math
-DEFAULT_PATH = ON_DEMAND + ("scipy.special",)
+DEFAULT_PATH = ON_DEMAND + NEVER_LOADED + ("scipy.special",)
 
 RENEWAL_TANDEM = {
     "J": 2,
@@ -108,6 +112,16 @@ def loaded_after(body, modules, cwd):
 
 def test_import_loads_no_on_demand_module(tmp_path):
     assert loaded_after("import bqnet", DEFAULT_PATH, tmp_path) == []
+
+
+def test_far_markov_times_and_ergodicity_never_load_scipy_linalg(tmp_path):
+    # r t = 1e5 is ten times the series limit: the series at t / 16, squared
+    body = ("from bqnet import MarkovKernel, ServiceLaw, ServiceNode, cli\n"
+            "node = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 1.0])\n"
+            "MarkovKernel([node], 1).placement_rows(1e5)\n"
+            "code = cli.main(['ergodicity', '--config', 'mm_infty', '-o', 'e.out'])\n"
+            "assert code == 0, code")
+    assert loaded_after(body, NEVER_LOADED, tmp_path) == []
 
 
 # Loaded only by a simulation on more than one worker: concurrent.futures,

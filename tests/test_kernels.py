@@ -4,6 +4,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from bqnet import (ArrivalProcess, BatchLaw, KernelDomainError, MarkovKernel,
@@ -18,7 +20,7 @@ from bqnet.kernels import (POISSON_TAIL, UNIFORMIZATION_MAX_A, _poisson_head,
                            _poisson_weights)
 from bqnet.service import ERLANG_SUM_MAX_SHAPE
 
-from conftest import (oracle_grid_rows, oracle_renewal_solve,
+from conftest import (oracle_grid_rows, oracle_jump_matrix, oracle_renewal_solve,
                       oracle_renewal_step_solve, oracle_uniformization)
 
 BUNDLED_MARKOV = ["mm_infty", "tandem_batch", "zeta_batch", "vivax"]
@@ -27,17 +29,18 @@ LN2 = math.log(2.0)
 
 
 def scalar_uniformization(kernel, t):
-    """The transition matrix at one time, one Poisson term at a time, on
-    the kernel's own weights."""
+    """The path chain's (J+1, J+1) transition matrix at one time, exit
+    state included, one Poisson term at a time, on the kernel's own weights."""
     a = kernel.uniformization_rate * t
     if a == 0.0:
         return np.eye(kernel.J + 1)
     head = _poisson_head(a)
     weights = head / head.sum()
+    jump = oracle_jump_matrix(kernel)
     power = np.eye(kernel.J + 1)
     out = weights[0] * power
     for n in range(1, len(weights)):
-        power = power @ kernel._jump_matrix
+        power = power @ jump
         out = out + weights[n] * power
     return np.clip(out, 0.0, 1.0)
 
@@ -156,12 +159,12 @@ class TestMarkovKernel:
             ServiceNode(ServiceLaw.exponential(1.0), [0.3, 0.3, 0.3])
 
     def test_chapman_kolmogorov(self, tandem_kernel):
+        # exit is absorbing, so q alone is a semigroup: q(s + t) = q(s) q(t)
         rng = np.random.default_rng(7)
         for _ in range(6):
             s, t = rng.uniform(0.05, 3.0, 2)
-            left = tandem_kernel._transition_matrices([s + t])[0]
-            right = (tandem_kernel._transition_matrices([s])[0]
-                     @ tandem_kernel._transition_matrices([t])[0])
+            left = tandem_kernel.placement_rows(s + t)
+            right = tandem_kernel.placement_rows(s) @ tandem_kernel.placement_rows(t)
             assert np.max(np.abs(left - right)) <= 1e-9
 
     def test_row_substochastic_dense_grid(self, tandem_kernel):
@@ -172,16 +175,18 @@ class TestMarkovKernel:
         assert np.all(sums <= 1.0 + 1e-10)
 
     def test_large_time_matches_expm_crossover(self, tandem_kernel):
+        # r t = 9,800 is one series, 10,200 that series at half the time squared
         from scipy.linalg import expm
         for t in [4900.0, 5100.0]:
-            got = tandem_kernel._transition_matrices([t])[0]
+            got = tandem_kernel.placement_rows(t)
             want = expm(tandem_kernel.generator * t)
             assert np.max(np.abs(got - want)) <= 1e-10
 
     @pytest.mark.parametrize("name", BUNDLED_MARKOV)
     def test_mixed_stack_is_each_part_alone(self, name):
-        # times on both sides of the expm crossover, one of them twice: each
-        # side computes the same bits as it would alone
+        # times on both sides of the series limit, one of them twice: each
+        # side computes the same bits as it would alone, and the squared
+        # side is the matrix exponential to roundoff
         from scipy.linalg import expm
         nodes = load_config(bundled_config_path(name)).nodes
         J = len(nodes)
@@ -189,13 +194,14 @@ class TestMarkovKernel:
         crossover = UNIFORMIZATION_MAX_A / kernel.uniformization_rate
         ts = [0.3, 1.5 * crossover, 2.0, 0.3, 1.1 * crossover]
         small, large = [0, 2, 3], [1, 4]
-        got = kernel._transition_matrices(ts)
-        alone = MarkovKernel(nodes, J)._transition_matrices([ts[i] for i in small])
+        got = kernel.placement_rows_many(ts)
+        alone = MarkovKernel(nodes, J).placement_rows_many([ts[i] for i in small])
         assert np.array_equal(got[small], alone)
         assert np.array_equal(got[0], got[3])
         for i in large:
-            assert np.array_equal(got[i], np.clip(expm(kernel.generator * ts[i]), 0.0, 1.0))
-            assert np.array_equal(got[i], MarkovKernel(nodes, J)._transition_matrices([ts[i]])[0])
+            want = np.clip(expm(kernel.generator * ts[i]), 0.0, 1.0)
+            assert np.max(np.abs(got[i] - want)) <= 1e-10
+            assert np.array_equal(got[i], MarkovKernel(nodes, J).placement_rows(ts[i]))
 
     def test_generator_matches_entrywise_formula(self):
         from bqnet.ergodicity import _service_certificates
@@ -204,34 +210,34 @@ class TestMarkovKernel:
                  ServiceNode(ServiceLaw.exponential(0.7), [0.3, 0.2, 0.25, 0.25]),
                  ServiceNode(ServiceLaw.exponential(2.9), [0.0, 0.6, 0.0, 0.4])]
         J = 3
-        want = np.zeros((J + 1, J + 1))
+        # the sub-generator: the exit column is not a state
+        want = np.zeros((J, J))
         for j, node in enumerate(nodes):
             mu, row = node.service.rate, node.routing
-            for k in range(J + 1):
+            for k in range(J):
                 want[j, k] = mu * row[k]
             want[j, j] = -mu * (1.0 - row[j])
         assert np.array_equal(generator(nodes, J), want)
         assert np.array_equal(MarkovKernel(nodes, J).generator, want)
-        delta = float(-np.max(np.linalg.eigvals(want[:J, :J]).real))
+        delta = float(-np.max(np.linalg.eigvals(want).real))
         assert _service_certificates(nodes, J)["delta"] == delta
         absorbing = [ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.5, 0.5]),
                      ServiceNode(ServiceLaw.absorbing())]
-        assert generator(absorbing, 2).tolist() == [[-1.0, 0.5, 0.5], [0.0] * 3,
-                                                    [0.0] * 3]
+        assert generator(absorbing, 2).tolist() == [[-1.0, 0.5], [0.0, 0.0]]
 
     @pytest.mark.parametrize("name", ["mm_infty", "tandem_batch", "zeta_batch",
                                       "vivax"])
     def test_single_time_is_the_scalar_series(self, name):
         # one time asked for alone, in a stack of one, or summed term by
-        # term as a scalar Poisson series: the same bits
+        # term as a scalar Poisson series of the chain with its exit
+        # state: the same bits
         nodes = load_config(bundled_config_path(name)).nodes
         J = len(nodes)
         for t in (0.0, 0.01, 0.37, 1.0, 3.0, 10.0, 64.0):
-            alone = MarkovKernel(nodes, J)._transition_matrices([t])[0]
             stacked = MarkovKernel(nodes, J).placement_rows_many([t])[0]
-            assert np.array_equal(alone[:J, :J], stacked)
             assert np.array_equal(MarkovKernel(nodes, J).placement_rows(t), stacked)
-            assert np.array_equal(alone, scalar_uniformization(MarkovKernel(nodes, J), t))
+            scalar = scalar_uniformization(MarkovKernel(nodes, J), t)
+            assert np.array_equal(scalar[:J, :J], stacked)
 
     def test_poisson_truncation_and_weights_are_scipy_stats(self):
         # the cut, read off the tail summed from the top, is poisson.isf's;
@@ -275,21 +281,22 @@ class TestMarkovKernel:
         n_max = len(_poisson_head(kernel.uniformization_rate * 5.0)) - 1
         # room for the powers and three times' products at once
         monkeypatch.setattr(kernels_module, "UNIFORMIZATION_BUDGET",
-                            3 * (n_max + 1) * (J + 1) ** 2 * 8)
+                            3 * (n_max + 1) * J ** 2 * 8)
         assert np.array_equal(kernel.placement_rows_many(ts),
                               oracle_uniformization(kernel, ts)[:, :J, :J])
 
     @pytest.mark.parametrize("name", BUNDLED_MARKOV)
-    def test_expm_beyond_the_power_budget(self, name, monkeypatch):
+    def test_squaring_beyond_the_power_budget(self, name, monkeypatch):
         nodes = load_config(bundled_config_path(name)).nodes
         J = len(nodes)
         ts = np.linspace(0.0, 6.0, 25)
         want = MarkovKernel(nodes, J).placement_rows_many(ts)
-        # too small for even P^0: every time goes through expm
+        # too small for even P^0: the series stops at r t = 1, its 16
+        # powers, and every later time is that series squared
         monkeypatch.setattr(kernels_module, "UNIFORMIZATION_BUDGET", 8)
         kernel = MarkovKernel(nodes, J)
         got = kernel.placement_rows_many(ts)
-        assert len(kernel._powers) == 0
+        assert len(kernel._powers) <= len(_poisson_head(1.0)) == 16
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_construction_builds_no_powers(self, tandem_nodes):
@@ -305,6 +312,43 @@ class TestMarkovKernel:
         for pos, t in enumerate(ts):
             single = tandem_kernel.placement_rows(float(t))
             assert np.max(np.abs(many[pos] - single)) <= 1e-13
+
+
+@st.composite
+def markov_networks(draw):
+    """J <= 6 exponential networks with absorbing nodes and sparse routing,
+    exit probabilities from 0 (a closed class) to 1, some leaking slowly."""
+    J = draw(st.integers(1, 6))
+    nodes = []
+    for _ in range(J):
+        if draw(st.integers(0, 4)) == 0:
+            nodes.append(ServiceNode(ServiceLaw.absorbing()))
+            continue
+        inner = [draw(st.sampled_from([0.0, 0.0, 1.0])) * draw(st.floats(0.01, 1.0))
+                 for _ in range(J)]
+        exit_weight = draw(st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.0]))
+        row = np.array(inner + [exit_weight if sum(inner) else 1.0])
+        nodes.append(ServiceNode(ServiceLaw.exponential(draw(st.floats(0.1, 10.0))),
+                                 row / row.sum()))
+    return nodes
+
+
+@given(nodes=markov_networks(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_markov_rows_are_the_exit_chain_and_squared_past_the_limit(nodes, data):
+    # within the series limit the rows are [:J, :J] of the chain with its
+    # exit state, bit for bit; past it, the squared series is expm
+    from scipy.linalg import expm
+    J = len(nodes)
+    kernel = MarkovKernel(nodes, J)
+    r = kernel.uniformization_rate or 1.0
+    a = data.draw(st.lists(st.floats(0.0, 200.0), min_size=1, max_size=5))
+    ts = np.array(a) / r
+    got = kernel.placement_rows_many(ts)
+    assert np.array_equal(got, oracle_uniformization(kernel, ts)[:, :J, :J])
+    far = data.draw(st.floats(1.01, 100.0)) * UNIFORMIZATION_MAX_A / r
+    want = np.clip(expm(kernel.generator * far), 0.0, 1.0)
+    assert np.max(np.abs(kernel.placement_rows(far) - want)) <= 1e-10
 
 
 def test_erlang_cdf_is_the_regularised_incomplete_gamma():

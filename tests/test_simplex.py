@@ -20,8 +20,8 @@ from hypothesis.extra import numpy as hnp
 
 from bqnet import (ArrivalProcess, BatchLaw, CompoundSnapshot, LatticePMF,
                    NetworkModel, ResourceBudgetError, ServiceLaw, ServiceNode,
-                   bundled_config_path, compound_lattice, load_config,
-                   recompute_with_pivot, transient_pmf)
+                   ValidationError, bundled_config_path, compound_lattice,
+                   load_config, recompute_with_pivot, transient_pmf)
 from bqnet.cli import main
 from bqnet.tables import SIMPLEX_BUDGET, SimplexIndex, simplex_index, simplex_rank
 from bqnet.transient import _run_recursion
@@ -195,6 +195,19 @@ def test_pair_table_budget():
         SimplexIndex(1, 5000).pairs
 
 
+def test_cap_must_be_a_nonnegative_integer():
+    # 2.5 would build a cap-2 lattice and True a cap-1 one; NaN has no int
+    model = load_config(bundled_config_path("tandem_batch"))
+    kernel = model.build_kernel()
+    snap = CompoundSnapshot(model.batch, kernel, 1.0)
+    for cap in (2.5, 2.0, True, math.nan, -1, "3", None):
+        with pytest.raises(ValidationError, match="cap must be an integer >= 0"):
+            transient_pmf(model, kernel, 1.0, cap)
+        with pytest.raises(ValidationError, match="cap must be an integer >= 0"):
+            compound_lattice(snap, cap)
+    assert compound_lattice(snap, np.int64(2))[0][1] is simplex_index(2, 2)
+
+
 def test_simplex_budget_fails_fast(tmp_path, monkeypatch):
     # cap 40000 at J=2 is 800,060,001 vectors, 5.96 GiB for the index alone;
     # the document asks for 10^9 queues
@@ -237,6 +250,12 @@ def test_pivot_audit_j3_finite_table():
             worst = max(worst, abs(recompute_with_pivot(pmf, n, pivot)
                                    - pmf.prob(n)))
     assert worst <= 1e-9
+    # a pivot is an integer coordinate in [0, J): -1 is not the last one
+    for pivot in (3, -1, 1.5, True, np.float64(1.0), None):
+        with pytest.raises(ValidationError, match=r"pivot must be an integer in \[0, 3\)"):
+            recompute_with_pivot(pmf, (1, 1, 1), pivot)
+    assert recompute_with_pivot(pmf, (1, 1, 1), np.int64(2)) == recompute_with_pivot(
+        pmf, (1, 1, 1), 2)
 
 
 @pytest.mark.parametrize("t", [1.0, 4.0, 10.0])

@@ -255,6 +255,12 @@ class TestTrajectories:
         with pytest.raises(SimulationBudgetError, match="never depart"):
             sample_trajectory(nodes, 0, rng, [math.inf])
 
+    def test_nan_offset_is_refused(self, tandem_nodes):
+        rng = np.random.default_rng(12)
+        for offsets in ([1.0, math.nan], [math.nan], [-1.0]):
+            with pytest.raises(ValidationError, match="offsets must be >= 0"):
+                sample_trajectory(tandem_nodes, 0, rng, offsets)
+
     def test_budget_error_on_zero_service_loop(self):
         nodes = [ServiceNode(ServiceLaw.deterministic(0.0), [1.0, 0.0])]
         rng = np.random.default_rng(13)
