@@ -65,7 +65,7 @@ import numpy as np
 from . import batch as batchmod
 from .errors import DomainError, ResourceBudgetError, ValidationError
 from .logmath import log_factorial, xlogy
-from .tables import LatticePMF, simplex_index, simplex_rank
+from .tables import LatticePMF, coordinate_sum, simplex_index, simplex_rank
 
 ROW_TOL = 1e-12
 NEGATIVE_CLAMP = 1e-10
@@ -76,8 +76,11 @@ _SERIES_MAX_TERMS = 1_000_000
 _SERIES_CHUNK = 256
 # Bytes of working arrays per chunk of nodes in lattice_stack (and per
 # block of a finite table's points), and the bytes each node needs per
-# working cell: a placement's log powers, one pair-table row of a
-# convolution (two gathers and their product), or one term of a table.
+# working cell: one pair-table row of a convolution (two gathers and their
+# product), one term of a table, or J per position of a placement. A
+# placement's sums run one coordinate slice at a time and hold fewer cells
+# than that, but the count fixes how many nodes share a chunk, and with it
+# how a long finite table's points are blocked and summed, so it stays.
 LATTICE_BUDGET = 1 << 22
 _BYTES_PER_CELL = 24
 
@@ -110,8 +113,9 @@ def checked_rows(rows):
     probability to within ``ROW_TOL``.
     """
     rows = np.array(rows, dtype=float)
-    if (rows.shape[-1] != rows.shape[-2] or np.any(rows < -ROW_TOL)
-            or np.any(rows.sum(axis=-1) > 1.0 + ROW_TOL)):
+    J = rows.shape[-1]
+    if (J != rows.shape[-2] or np.any(rows < -ROW_TOL)
+            or np.any(coordinate_sum(lambda k: rows[..., k], J) > 1.0 + ROW_TOL)):
         raise ValidationError("kernel placement rows are not (J, J) substochastic rows")
     return np.clip(rows, 0.0, 1.0)
 
@@ -152,6 +156,13 @@ def lattice_stack(batch, rows, idx, out=None):
     written into ``out`` when given, and ``tails[k]`` bounds what node k's
     truncated series left out. Nodes are taken in chunks whose working
     arrays stay under ``LATTICE_BUDGET`` bytes.
+
+    Every sum over the J coordinates, of a row (qbar) or of the log
+    weights, adds J slices, one per coordinate
+    (:func:`bqnet.tables.coordinate_sum`): NumPy reduces a length-J last
+    axis about 13x slower, and the slices give the same bits. A mixture
+    of weight 1, as every iid or independent batch and a one-vector table
+    is, goes to ``values`` as it is, not as 0.0 + 1.0 * its lattice.
     """
     m = rows.shape[0]
     if batch.variant == batchmod.IID_ASSIGNMENT:
@@ -166,16 +177,18 @@ def lattice_stack(batch, rows, idx, out=None):
         mixtures = [(p, [(batchmod.UnivariateLaw.degenerate(int(n)), j)
                          for j, n in enumerate(vec) if n > 0])
                     for vec, p in zip(batch.vectors, batch.probs)]
-    # a placement's largest working arrays are its (|idx|, J) log powers
     step = _nodes_per_chunk(len(idx) * idx.J)
     values = np.empty((m, len(idx))) if out is None else out
     tails = np.zeros(m)
     for lo in range(0, m, step):
         chunk = rows[lo:lo + step]
-        mixed = 0.0
+        mixed = None
         for p, parts in mixtures:
             placed = [_placement(law, chunk[:, j], idx) for law, j in parts]
-            mixed = mixed + p * _convolve_all(idx, [v for v, _ in placed], len(chunk))
+            term = _convolve_all(idx, [v for v, _ in placed], len(chunk))
+            # probabilities are never -0.0, so 0.0 + 1.0 * term is term
+            term = term if p == 1.0 else p * term
+            mixed = term if mixed is None else mixed + term
             for _, tail in placed:
                 tails[lo:lo + step] += tail
         values[lo:lo + step] = mixed
@@ -219,14 +232,14 @@ def _placement(law, q, idx):
     tails)``, values (m, |idx|) with exp(log q^i - log i! + log G^(|i|)(1 -
     qbar)), exactly 0 where some q_k = 0 < i_k, and tails (m,) the series
     tail bounds.
+
+    Both sums over the J coordinates, the log weights (:func:`_log_weight`)
+    and qbar, add J slices, one per coordinate, in NumPy's own order:
+    about 13x faster than a reduction over a length-J last axis, and
+    bit-identical to it.
     """
-    # log(q^i / i!) with 0 * log 0 = 0; -inf marks an impossible position.
-    # Each node's sum over coordinates runs alone, so a node's values do
-    # not depend on the other nodes of its chunk.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_power = np.where(idx.array > 0, idx.array * np.log(q)[:, None, :], 0.0)
-    log_weight = log_power.sum(axis=2) - idx.log_factorial
-    qbar = q.sum(axis=1)
+    log_weight = _log_weight(q, idx)
+    qbar = coordinate_sum(lambda k: q[:, k], idx.J)
     if law.family in _CLOSED_FORM_FAMILIES:
         log_g, tails = _closed_log_derivatives(law, qbar, idx.cap), np.zeros(len(q))
     else:
@@ -237,6 +250,25 @@ def _placement(law, q, idx):
     with np.errstate(invalid="ignore"):
         values = np.exp(log_weight + log_g[:, degree])
     return np.where(np.isneginf(log_weight), 0.0, values), tails
+
+
+def _log_weight(q, idx):
+    """log(q^i / i!) at every position i of ``idx`` for each row of the
+    (m, J) stack ``q``, as (m, |idx|), with 0 log 0 = 0 and -inf at an
+    impossible position.
+
+    The sum over coordinates adds J (m, |idx|) slices where(i_k > 0,
+    i_k log q_k, 0), one per row of ``idx.columns``, in NumPy's order
+    (:func:`bqnet.tables.coordinate_sum`): the same bits as reducing an
+    (m, |idx|, J) array over its last axis, about 13x faster. Each node's
+    sum runs alone, so a node's values do not depend on the other nodes of
+    its chunk.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        return coordinate_sum(
+            lambda k: np.where(idx.columns[k] > 0, idx.columns[k] * log_q[:, k, None], 0.0),
+            idx.J) - idx.log_factorial
 
 
 def _closed_log_derivatives(law, qbar, cap):
@@ -260,7 +292,9 @@ def _closed_log_derivatives(law, qbar, cap):
         if fam == batchmod.LOGARITHMIC:
             # G(s) = log(1 - rho s) / log(1 - rho)
             rho = law.rho
-            log_base = np.log(1.0 - rho * (1.0 - qbar))
+            # a checked row may sum to 1 + ROW_TOL; its exit mass is 0, not
+            # negative, or G(1 - qbar) would be the log of a negative number
+            log_base = np.log(1.0 - rho * (1.0 - np.minimum(qbar, 1.0)))
             out = (log_factorial(m - 1.0) + m * math.log(rho) - m * log_base
                    - math.log(-math.log1p(-rho)))
             out[:, :1] = np.log(log_base / math.log1p(-rho))
@@ -332,7 +366,8 @@ def _series_log_derivatives(law, qbar, offset):
     with np.errstate(divide="ignore"):
         log_leave = np.log(np.maximum(1.0 - qbar, 0.0))
         out = np.full(offset.shape, -np.inf)
-        out[:, 0] = np.log(1.0 - law.pgf_gap(qbar))
+        # G(1 - qbar) at qbar = 1 + ROW_TOL would be the log of a negative number
+        out[:, 0] = np.log(1.0 - law.pgf_gap(np.minimum(qbar, 1.0)))
     tails = np.zeros(nodes)
     # the series run for degrees m = 1..cap
     m = np.arange(1, degrees)

@@ -43,7 +43,7 @@ import numpy as np
 from .arrivals import PIECEWISE
 from .errors import SimulationBudgetError, ValidationError
 from .service import zero_time_loop
-from .tables import dump_json, simplex_rank, write_occupancy_csv
+from .tables import coordinate_sum, dump_json, simplex_rank, write_occupancy_csv
 
 BLOCK_SIZE = 4096
 EXITED = -1
@@ -200,8 +200,9 @@ def _walk(nodes, J, entry, epoch, cell, snaps, rng, size):
 def sample_trajectory(nodes, entry, rng, offsets):
     """Locations of a single customer at each offset after its arrival."""
     J = len(nodes)
-    if not 0 <= entry < J:
-        raise ValidationError(f"entry node {entry} out of range for J={J}")
+    # a bool or a float is not a node: True would walk node 1, 0.5 node 0
+    if not ((type(entry) is int or isinstance(entry, np.integer)) and 0 <= entry < J):
+        raise ValidationError(f"entry node {entry!r} must be an integer in [0, {J})")
     offsets = np.asarray(offsets, dtype=float)
     if not np.all(offsets >= 0):        # NaN fails, +inf passes
         raise ValidationError("snapshot offsets must be >= 0")
@@ -299,14 +300,14 @@ def _simulate_block(model, times, seed, block, count, cap):
         raise SimulationBudgetError(
             f"a block of {count} replications holds {customers:.3g} customers "
             f"> budget {MAX_BLOCK_CUSTOMERS}")
-    totals = batches.sum(axis=1)
+    totals = coordinate_sum(lambda k: batches[:, k], J)
     entry = np.tile(np.arange(J, dtype=np.min_scalar_type(J)), arr_times.size)
     counts = _walk(model.nodes, J, np.repeat(entry, batches.ravel()),
                    np.repeat(arr_times, totals), np.repeat(arr_reps * J, totals),
                    snaps, rng, count * J)
     tallies = []
     for occupancy in counts.reshape(snaps.size, count, J):
-        inside = occupancy.sum(axis=1) <= cap
+        inside = coordinate_sum(lambda k: occupancy[:, k], J) <= cap
         vectors = occupancy[inside]
         keys, first, reps = np.unique(simplex_rank(vectors), return_index=True,
                                       return_counts=True)

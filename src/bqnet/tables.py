@@ -8,10 +8,13 @@ compare tooling can treat them uniformly.
 
 A vector's only key is its graded-lex position, :func:`simplex_rank`,
 which no cap changes. The simplex itself is a :class:`SimplexIndex`,
-whose ``array`` lists the vectors by position; its :class:`PairTable`
-lists every split n = a + b on it, which makes truncated convolution
-gathers plus one ``np.add.reduceat`` and each degree of the occupancy
-recursion of :mod:`bqnet.transient` gathers plus one ``np.bincount``.
+whose ``columns`` hold the vectors by position, coordinate-major; its
+:class:`PairTable` lists every split n = a + b on it, which makes
+truncated convolution gathers plus one ``np.add.reduceat`` and each
+degree of the occupancy recursion of :mod:`bqnet.transient` gathers plus
+one ``np.bincount``. Sums over the J coordinates add J slices
+(:func:`coordinate_sum`), in NumPy's order, never a reduction over a
+length-J axis.
 """
 
 from __future__ import annotations
@@ -30,9 +33,13 @@ from .errors import ResourceBudgetError, ValidationError
 ENTRY_CLAMP = -1e-12
 MASS_TOL = 1e-9
 PAIR_TABLE_BUDGET = 1 << 23
+# Coordinates (rows times J) of the pair-table rows made at once. Each of
+# their (J, rows) working arrays takes 256 KiB and stays in cache, so a
+# table's peak memory is its own four arrays, 32 bytes a row, at any J.
+PAIR_BLOCK = 1 << 15
 # Coordinates (vectors times J) of one simplex index. Building one takes
-# ~80 bytes per vector at J=1 and ~20 per coordinate at J=8, so an index at
-# the budget stays under ~170 MiB. A bigger one at J <= 8 has a pair table
+# ~65 bytes per vector at J=1 and ~19 per coordinate at J=8, so an index at
+# the budget stays under ~140 MiB. A bigger one at J <= 8 has a pair table
 # above PAIR_TABLE_BUDGET, so no occupancy recursion could use it anyway.
 SIMPLEX_BUDGET = 1 << 21
 RANK_LIMIT = 1 << 63
@@ -55,6 +62,45 @@ def _multisets(J, top):
     return table
 
 
+def coordinate_sum(term, J):
+    """``term(0) + ... + term(J - 1)``, added in the order in which NumPy
+    reduces a contiguous length-J last axis.
+
+    ``term(k)`` is coordinate k's array, for example a contiguous slice of
+    a coordinate-major table. Adding J such arrays runs about 13x faster
+    than one reduction over a length-J last axis, whose inner loop is J
+    long (0.15 ms against 2.0 ms over 2049 x 66 rows at J = 2). The order
+    is NumPy's pairwise summation: one running sum below 8 terms, eight
+    running sums over k mod 8 combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)) and then the last J mod 8 terms up to 128,
+    and above that two halves split at a multiple of 8. So a float sum is
+    bit-identical to ``np.stack([term(k) ...], axis=-1).sum(axis=-1)`` at
+    every J. The result may be ``term(0)`` itself when J = 1.
+    """
+    if J < 8:
+        out = term(0)
+        for k in range(1, J):
+            out = out + term(k)
+        return out
+    if J > 128:
+        half = J // 2 - J // 2 % 8
+        return (coordinate_sum(term, half)
+                + coordinate_sum(lambda k: term(half + k), J - half))
+    full = J - J % 8
+
+    def lane(j):
+        out = term(j)
+        for k in range(j + 8, full, 8):
+            out = out + term(k)
+        return out
+
+    out = (((lane(0) + lane(1)) + (lane(2) + lane(3)))
+           + ((lane(4) + lane(5)) + (lane(6) + lane(7))))
+    for k in range(full, J):
+        out = out + term(k)
+    return out
+
+
 def simplex_rank(vecs):
     """Graded-lex positions of the rows of ``vecs``, an (m, J) array of
     nonnegative integers (the combinatorial number system).
@@ -64,24 +110,50 @@ def simplex_rank(vecs):
     position in ``SimplexIndex(J, cap).array`` for every cap at or above
     the row's total. Raises :class:`ResourceBudgetError` when a row's total
     d makes C(d + J, J), the number of vectors of total <= d, reach 2**63.
+
+    The work is coordinate by coordinate on the columns ``vecs[:, k]``,
+    which are contiguous when ``vecs`` is the transpose of a
+    coordinate-major (J, m) array.
     """
     vecs = np.asarray(vecs, dtype=np.int64)
     J = vecs.shape[1]
-    remaining = vecs.sum(axis=1)
+    remaining = coordinate_sum(lambda k: vecs[:, k], J)
     top = int(remaining.max()) if remaining.size else 0
     if math.comb(top + J, J) >= RANK_LIMIT:
         raise ResourceBudgetError(
             f"simplex positions for J={J} at total {top} exceed int64")
     counts = _multisets(J, top)
     # vectors of smaller total come first
-    pos = counts[remaining, J]
+    pos = counts[:, J][remaining]
     for k in range(J - 1):
         # vectors of this total that agree before coordinate k and are
         # larger at it: compositions of less than ``remaining`` into the
         # J - k - 1 later coordinates
         remaining = remaining - vecs[:, k]
-        pos = pos + counts[remaining, J - k - 1]
+        pos = pos + counts[:, J - k - 1][remaining]
     return pos
+
+
+def _lex_vectors(J, cap):
+    """Every vector with total <= cap in increasing lexicographic order, as
+    a coordinate-major (J, count) array built one coordinate at a time."""
+    cols, total = [], np.zeros(1, dtype=np.int64)
+    for _ in range(J):
+        room = cap - total + 1
+        first = np.repeat(np.cumsum(room) - room, room)
+        cols = [np.repeat(c, room) for c in cols]
+        cols.append(np.arange(len(first)) - first)
+        total = np.repeat(total, room) + cols[-1]
+    return np.array(cols)
+
+
+def _at_pivot(n, a):
+    """a_p for each column of the coordinate-major (J, m) arrays ``n`` and
+    ``a``, where p is the last nonzero coordinate of n; 0 where n = 0."""
+    out = np.zeros_like(a[0])
+    for n_k, a_k in zip(n, a):
+        out = np.where(n_k > 0, a_k, out)
+    return out
 
 
 class PairTable:
@@ -96,6 +168,11 @@ class PairTable:
     row ``total_start[n]``. ``pivot_weight[r]`` is
     a_p as a float, where p is the last nonzero coordinate of n (0 for
     n = 0).
+
+    :meth:`SimplexIndex.pairs` writes the rows in this order as it makes
+    them, one coordinate at a time on (J, rows) arrays, so no sort runs and
+    no reduction over a length-J axis, which NumPy runs about 13x slower
+    than J slice adds (:func:`coordinate_sum`).
     """
 
     def __init__(self, part, rest, total, degree_start, total_start, pivot_weight):
@@ -114,9 +191,11 @@ class SimplexIndex:
     decreasing lexicographic order, so ``(cap, 0, ..., 0)`` comes first
     among those of total ``cap``. The index at a smaller cap is therefore
     a prefix of this one, and the vectors of total d are the positions
-    ``degree_start[d]:degree_start[d + 1]``. :attr:`array` lists the
-    vectors by position, and :func:`simplex_rank` maps vectors back to
-    positions.
+    ``degree_start[d]:degree_start[d + 1]``. :attr:`columns` is the
+    coordinate-major (J, |index|) table of the vectors by position, so
+    coordinate k of every vector is the contiguous row ``columns[k]``;
+    :attr:`array` is its (|index|, J) transpose, one vector per row, and
+    :func:`simplex_rank` maps vectors back to positions.
 
     :attr:`pairs` is the :class:`PairTable` of the simplex. It turns the
     truncated convolution of two value arrays, or of two stacks of them,
@@ -141,69 +220,67 @@ class SimplexIndex:
         # vectors of total < d number C(d - 1 + J, J) = _multisets(J, cap + 1)[d, J]
         self.degree_start = _multisets(J, cap + 1)[:, J]
         self.degree_start.flags.writeable = False
-        # every vector with total <= cap, one coordinate at a time
-        vecs = np.zeros((1, 0), dtype=np.int64)
-        for _ in range(J):
-            room = cap - vecs.sum(axis=1)
-            vecs = np.repeat(vecs, room + 1, axis=0)
-            first = np.repeat(np.cumsum(room + 1) - (room + 1), room + 1)
-            vecs = np.column_stack([vecs, np.arange(len(vecs)) - first])
-        self.array = np.empty_like(vecs)
-        self.array[simplex_rank(vecs)] = vecs
-        self.array.flags.writeable = False
-        # last nonzero coordinate of each vector (the recursion's pivot)
-        # and its value
-        self._pivot = J - 1 - np.argmax(self.array[:, ::-1] > 0, axis=1)
-        self.pivot_count = self.array[np.arange(len(self.array)), self._pivot]
+        vecs = _lex_vectors(J, cap)
+        self.columns = np.empty_like(vecs)
+        self.columns[:, simplex_rank(vecs.T)] = vecs
+        self.columns.flags.writeable = False
+        self.array = self.columns.T
+        # the value of the last nonzero coordinate of each vector, the
+        # recursion's pivot (0 for the zero vector)
+        self.pivot_count = _at_pivot(self.columns, self.columns)
         self.pivot_count.flags.writeable = False
 
     def __len__(self):
-        return len(self.array)
+        return self.columns.shape[1]
 
     @functools.cached_property
     def log_factorial(self):
         """log(i_1! ... i_J!) for every vector i, built on first use."""
-        out = logmath.log_factorial(self.array).sum(axis=1)
+        out = coordinate_sum(lambda k: logmath.log_factorial(self.columns[k]), self.J)
         out.flags.writeable = False
         return out
 
     @functools.cached_property
     def pairs(self):
-        """The :class:`PairTable` of this simplex, built on first use."""
+        """The :class:`PairTable` of this simplex, built on first use.
+
+        Its rows come out in their final order. Each n, in position order,
+        gets prod_k (n_k + 1) rows, one per a in the box [0, n], and a runs
+        over the box by a mixed-radix count with the last coordinate
+        fastest, which is lexicographic order. The count, n - a and both
+        ranks (:func:`simplex_rank`) work on coordinate-major (J, rows)
+        arrays one coordinate at a time, as J slice operations run about
+        13x faster than reductions over a length-J last axis, on blocks of
+        ``PAIR_BLOCK`` coordinates.
+        """
         J, cap = self.J, self.cap
         size = math.comb(cap + 2 * J, 2 * J)
         if size > PAIR_TABLE_BUDGET:
             raise ResourceBudgetError(
                 f"the simplex pair table for J={J}, cap={cap} has {size} rows "
                 f"> budget {PAIR_TABLE_BUDGET}; lower the cap")
-        start = self.degree_start
-        parts, rests, totals, keys = [], [], [], []
-        for d in range(cap + 1):
-            # a of total d, b of total <= cap - d
-            a = np.arange(start[d], start[d + 1])
-            b = np.arange(start[cap - d + 1])
-            a, b = np.repeat(a, b.size), np.tile(b, a.size)
-            avec = self.array[a]
-            nvec = avec + self.array[b]
-            # position of a in the product order of the box [0, n]; at most
-            # the number of splits of n, so it fits the budget
-            key = np.zeros(a.size, dtype=np.int64)
-            for k in range(J):
-                key = key * (nvec[:, k] + 1) + avec[:, k]
-            parts.append(a)
-            rests.append(b)
-            totals.append(simplex_rank(nvec))
-            keys.append(key)
-        total = np.concatenate(totals)
-        order = np.lexsort((np.concatenate(keys), total))
-        part = np.concatenate(parts)[order]
-        rest = np.concatenate(rests)[order]
-        total = total[order]
-        weight = self.array[part, self._pivot[total]].astype(float)
+        splits = 1
+        for col in self.columns:
+            splits = splits * (col + 1)
+        total_start = np.cumsum(splits) - splits
+        total = np.repeat(np.arange(len(self)), splits)
+        part, rest, weight = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)
+        step = max(1, PAIR_BLOCK // J)
+        for lo in range(0, size, step):
+            block = slice(lo, lo + step)
+            owner = total[block]
+            n = self.columns[:, owner]
+            a = np.empty_like(n)
+            count = np.arange(lo, lo + owner.size) - total_start[owner]
+            for k in range(J - 1, 0, -1):
+                count, a[k] = np.divmod(count, n[k] + 1)
+            a[0] = count
+            part[block], rest[block] = simplex_rank(a.T), simplex_rank((n - a).T)
+            weight[block] = _at_pivot(n, a)
         for arr in (part, rest, total, weight):
             arr.flags.writeable = False
-        return PairTable(part, rest, total, np.searchsorted(total, start),
-                         np.searchsorted(total, np.arange(start[-1])), weight)
+        return PairTable(part, rest, total, np.append(total_start, size)[self.degree_start],
+                         total_start, weight)
 
     def convolve(self, x, y):
         """(x * y)[..., n] = sum over a + b = n of x[..., a] y[..., b], for
@@ -302,14 +379,18 @@ class LatticePMF:
 
     @classmethod
     def from_json_dict(cls, doc):
-        J, cap = int(doc["J"]), int(doc["cap"])
-        if J < 1 or cap < 0:
-            raise ValidationError(f"a lattice needs J >= 1 and cap >= 0, not J={J}, cap={cap}")
+        J, cap = doc["J"], doc["cap"]
+        # JSON integers only: int() would read 1.7 as 1 and true as 1
+        if not (type(J) is int and type(cap) is int and J >= 1 and cap >= 0):
+            raise ValidationError(f"a lattice needs integers J >= 1 and cap >= 0, "
+                                  f"not J={J!r}, cap={cap!r}")
         # the size budget comes before anything is built from the document
         index = simplex_index(J, cap)
         rows = doc["entries"]
         if any(len(row) != J + 1 for row in rows):
             raise ValidationError(f"every entry of a J={J} lattice holds {J + 1} numbers")
+        if any(type(n) is not int for row in rows for n in row[:-1]):
+            raise ValidationError("an entry's occupancy counts must be integers")
         vecs = np.array([row[:-1] for row in rows], dtype=np.int64).reshape(len(rows), J)
         if np.any(vecs < 0) or np.any(vecs.sum(axis=1) > cap):
             raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")

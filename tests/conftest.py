@@ -7,12 +7,14 @@ from scipy import linalg, special, stats
 from bqnet import (ArrivalProcess, BatchLaw, MarkovKernel, NetworkModel,
                    ServiceLaw, ServiceNode, SimulationBudgetError, UnivariateLaw)
 from bqnet.arrivals import PIECEWISE
-from bqnet.batch import (BINOMIAL, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
+from bqnet.batch import (BINOMIAL, FINITE, GEOMETRIC, LOGARITHMIC, NEG_BINOMIAL,
                          POISSON, ZETA)
+from bqnet.compound import _closed_log_derivatives, _series_log_derivatives
 from bqnet.kernels import _poisson_head, _poisson_weights
 from bqnet.logmath import log_factorial, xlogy
 from bqnet.service import routing_matrix
 from bqnet.simulate import EXITED, MAX_CUSTOMER_EVENTS
+from bqnet.tables import simplex_rank
 
 
 @pytest.fixture(scope="session")
@@ -157,6 +159,72 @@ def oracle_iid_batch_pgf(law, entry_probs):
 
 # -- per-position compounding oracle ---------------------------------------------
 #
+# The full reductions over a length-J last axis that the coordinate-major
+# placement and pair table replaced, kept verbatim as their oracles: the
+# (nodes, |idx|, J) log powers summed over their last axis, and the pair
+# table built degree by degree and put in order by one lexsort.
+
+
+def oracle_log_weight(q, idx):
+    """log(q^i / i!) for each row of the (m, J) stack ``q`` at every
+    position of ``idx``, by one reduction over an (m, |idx|, J) array.
+
+    The vectors are taken row-major, so that the (m, |idx|, J) array is
+    C-contiguous and NumPy sums its last axis pairwise, as it does a
+    contiguous axis; over a strided one it adds in another order.
+    """
+    vecs = np.ascontiguousarray(idx.array)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_power = np.where(vecs > 0, vecs * np.log(q)[:, None, :], 0.0)
+    return log_power.sum(axis=2) - log_factorial(vecs).sum(axis=1)
+
+
+def oracle_placement(law, q, idx):
+    """``bqnet.compound._placement`` with every coordinate sum a reduction
+    over a last axis of length J."""
+    log_weight = oracle_log_weight(q, idx)
+    qbar = q.sum(axis=1)
+    if law.family in (BINOMIAL, POISSON, NEG_BINOMIAL, LOGARITHMIC, FINITE):
+        log_g, tails = _closed_log_derivatives(law, qbar, idx.cap), np.zeros(len(q))
+    else:
+        offset = np.maximum.reduceat(log_weight, idx.degree_start[:-1], axis=1)
+        log_g, tails = _series_log_derivatives(law, qbar, offset)
+    degree = np.repeat(np.arange(idx.cap + 1), np.diff(idx.degree_start))
+    with np.errstate(invalid="ignore"):
+        values = np.exp(log_weight + log_g[:, degree])
+    return np.where(np.isneginf(log_weight), 0.0, values), tails
+
+
+def oracle_pair_table(idx):
+    """(part, rest, total, degree_start, total_start, pivot_weight) of the
+    pair table of ``idx``: every split built degree by degree, then sorted
+    by total and by a's place in the box [0, n]."""
+    J, cap, start = idx.J, idx.cap, idx.degree_start
+    pivot = J - 1 - np.argmax(idx.array[:, ::-1] > 0, axis=1)
+    parts, rests, totals, keys = [], [], [], []
+    for d in range(cap + 1):
+        a = np.arange(start[d], start[d + 1])
+        b = np.arange(start[cap - d + 1])
+        a, b = np.repeat(a, b.size), np.tile(b, a.size)
+        avec = idx.array[a]
+        nvec = avec + idx.array[b]
+        key = np.zeros(a.size, dtype=np.int64)
+        for k in range(J):
+            key = key * (nvec[:, k] + 1) + avec[:, k]
+        parts.append(a)
+        rests.append(b)
+        totals.append(simplex_rank(nvec))
+        keys.append(key)
+    total = np.concatenate(totals)
+    order = np.lexsort((np.concatenate(keys), total))
+    part = np.concatenate(parts)[order]
+    rest = np.concatenate(rests)[order]
+    total = total[order]
+    weight = idx.array[part, pivot[total]].astype(float)
+    return (part, rest, total, np.searchsorted(total, start),
+            np.searchsorted(total, np.arange(start[-1])), weight)
+
+
 # The per-position closed forms and truncated series that the one-formula
 # lattice in bqnet.compound replaced, kept verbatim as its oracle.
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
                    ResourceBudgetError, ServiceLaw, ServiceNode,
@@ -15,7 +17,7 @@ from bqnet import (BatchLaw, CompoundSnapshot, MarkovKernel,
 from bqnet import compound as compound_module
 from bqnet import logmath
 from bqnet import transient as transient_module
-from bqnet.compound import (ROW_TOL, _closed_log_derivatives, _placement,
+from bqnet.compound import (ROW_TOL, _closed_log_derivatives, _log_weight, _placement,
                             _series_log_derivatives, checked_rows, lattice_stack)
 from bqnet.quadrature import QuadratureSpec
 from bqnet.tables import SimplexIndex, simplex_index
@@ -23,8 +25,8 @@ from bqnet.transient import transient_pmf
 
 import conftest
 from conftest import (brute_force_iid_compound, oracle_binomial_log_derivatives,
-                      oracle_iid_lattice, oracle_series_log_derivatives,
-                      truncation_support)
+                      oracle_iid_lattice, oracle_log_weight, oracle_placement,
+                      oracle_series_log_derivatives, truncation_support)
 
 
 class FixedRowKernel:
@@ -543,6 +545,58 @@ def assert_series_match(law, leave, cap, routine=_series_log_derivatives,
     assert np.all(got_scaled[~normal] < 1e-280)
     assert np.all(np.abs(got_tails - want_tails) <= 1e-12 * want_tails)
     return got_tails
+
+
+def index_under(J, cells=4000):
+    """A strategy for simplex indexes of dimension J with at most about
+    ``cells`` vectors times J."""
+    top = max(c for c in range(40) if J * math.comb(c + J, J) <= cells)
+    return st.integers(0, top).map(lambda cap: simplex_index(J, cap))
+
+
+@pytest.mark.parametrize("law", ALL_FAMILIES)
+def test_row_summing_to_one_plus_an_ulp(law):
+    # (0, 1/9, 4/9, 1/9, 1/9, 1/9, 1/9) sums to 1 + 2.2e-16: checked_rows
+    # lets it through, and its exit mass is 0, so P(C = 0) = P(N = 0), not
+    # the NaN of a log of a negative number
+    q = np.array([0.0, 1 / 9, 4 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9])
+    assert q.sum() > 1.0
+    rows = np.zeros((2, 7, 7))
+    rows[:, 0] = q
+    rows[1, 0, 2] -= 2.2e-16
+    assert rows[1, 0].sum() <= 1.0
+    batch = BatchLaw.iid_assignment(law, np.eye(7)[0])
+    values, _ = lattice_stack(batch, checked_rows(rows), simplex_index(7, 2))
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values[0] - values[1])) <= 1e-15
+
+
+class TestCoordinateMajor:
+    """The coordinate-by-coordinate sums against the full reductions over a
+    length-J last axis that they replaced: the same bits at every J."""
+
+    @given(data=st.data(), J=st.integers(1, 9), nodes=st.integers(1, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_log_weight_matches_full_reduction(self, data, J, nodes):
+        idx = data.draw(index_under(J))
+        # exact zeros and ones in every row position
+        entries = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-300, 1.0))
+        q = data.draw(hnp.arrays(np.float64, (nodes, J), elements=entries))
+        got = _log_weight(q, idx)
+        assert np.array_equal(got, oracle_log_weight(q, idx))
+        assert got.shape == (nodes, len(idx))
+
+    @given(data=st.data(), J=st.integers(1, 9), nodes=st.integers(1, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_lattice_matches_full_reduction(self, data, J, nodes):
+        idx = data.draw(index_under(J, cells=1500))
+        batch = data.draw(batch_laws(J))
+        rows = checked_rows(np.stack([data.draw(placement_rows(J)) for _ in range(nodes)]))
+        values, tails = lattice_stack(batch, rows, idx)
+        with mock.patch.object(compound_module, "_placement", oracle_placement):
+            want, want_tails = lattice_stack(batch, rows, idx)
+        assert np.array_equal(values, want)
+        assert np.array_equal(tails, want_tails)
 
 
 class TestSeriesProduct:

@@ -165,6 +165,23 @@ class TestTables:
         with pytest.raises(ValidationError, match="cap >= 0"):
             LatticePMF.from_json_dict(doc)
 
+    @pytest.mark.parametrize("J, cap", [(1.7, 2), (2, 2.9), (2.0, 2), (True, 2),
+                                        (2, False), ("2", 2), (None, 2)])
+    def test_lattice_json_non_integer_shape(self, J, cap):
+        # int() would load J = 1.7, cap = 2.9 as J = 1, cap = 2
+        doc = LatticePMF(2, 2, np.full(6, 0.125)).to_json_dict()
+        doc.update(J=J, cap=cap)
+        with pytest.raises(ValidationError, match="integers J >= 1 and cap >= 0"):
+            LatticePMF.from_json_dict(doc)
+
+    @pytest.mark.parametrize("count", [1.5, 1.0, True, "1", None])
+    def test_lattice_json_non_integer_occupancy(self, count):
+        # [1.5, 0, p] would be truncated to n = (1, 0)
+        doc = LatticePMF(2, 2, np.full(6, 0.125)).to_json_dict()
+        doc["entries"][1] = [count, 0, 0.125]
+        with pytest.raises(ValidationError, match="counts must be integers"):
+            LatticePMF.from_json_dict(doc)
+
     def test_lattice_json_entry_of_the_wrong_width(self):
         for entry in ([1, 0.125], [1, 0, 0, 0.125], [0.125]):
             doc = LatticePMF(2, 2, np.full(6, 0.125)).to_json_dict()

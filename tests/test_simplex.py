@@ -23,10 +23,11 @@ from bqnet import (ArrivalProcess, BatchLaw, CompoundSnapshot, LatticePMF,
                    ValidationError, bundled_config_path, compound_lattice,
                    load_config, recompute_with_pivot, transient_pmf)
 from bqnet.cli import main
-from bqnet.tables import SIMPLEX_BUDGET, SimplexIndex, simplex_index, simplex_rank
+from bqnet.tables import (SIMPLEX_BUDGET, SimplexIndex, coordinate_sum, simplex_index,
+                          simplex_rank)
 from bqnet.transient import _run_recursion
 
-from conftest import oracle_iid_lattice
+from conftest import oracle_iid_lattice, oracle_pair_table
 
 
 def oracle_compositions(total, parts):
@@ -188,6 +189,43 @@ def test_simplex_rank_budget_at_int64():
     over[1, 0] = top + 1
     with pytest.raises(ResourceBudgetError):
         simplex_rank(over)
+
+
+@pytest.mark.parametrize("J", [*range(1, 21), 64, 127, 128, 129, 136, 255, 256, 257, 300, 1000])
+def test_coordinate_sum_is_numpys_reduction(J):
+    # NumPy reduces a contiguous last axis pairwise: eight lanes from
+    # J = 8, halves split at a multiple of 8 above 128
+    rng = np.random.default_rng(J)
+    x = rng.standard_normal((40, J)) * 10.0 ** rng.integers(-12, 12, (40, J))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    assert np.array_equal(coordinate_sum(lambda k: x[:, k], J), x.sum(axis=1))
+    stacked = x.reshape(4, 10, J)
+    assert np.array_equal(coordinate_sum(lambda k: stacked[..., k], J),
+                          stacked.sum(axis=-1))
+    ints = rng.integers(0, 50, (40, J))
+    assert np.array_equal(coordinate_sum(lambda k: ints[:, k], J), ints.sum(axis=1))
+
+
+def assert_pairs_match_oracle(idx):
+    pairs = idx.pairs
+    got = (pairs.part, pairs.rest, pairs.total, pairs.degree_start,
+           pairs.total_start, pairs.pivot_weight)
+    for have, want in zip(got, oracle_pair_table(idx)):
+        assert np.array_equal(have, want) and have.dtype == want.dtype
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_pair_table_matches_lexsort_oracle(J, data):
+    # caps whose table stays under 10^5 rows, far below PAIR_TABLE_BUDGET,
+    # so that the oracle's per-degree build stays quick
+    top = max(c for c in range(500) if math.comb(c + 2 * J, 2 * J) <= 100_000)
+    assert_pairs_match_oracle(SimplexIndex(J, data.draw(st.integers(0, top))))
+
+
+@pytest.mark.parametrize("J, cap", [(2, 25), (4, 10), (8, 6)])
+def test_pair_table_matches_lexsort_oracle_at_bench_sizes(J, cap):
+    assert_pairs_match_oracle(SimplexIndex(J, cap))
 
 
 def test_pair_table_budget():

@@ -277,6 +277,15 @@ class TestTrajectories:
         with pytest.raises(SimulationBudgetError):
             sample_trajectory([feeds, loop], 0, rng, [1.0])
 
+    def test_entry_node_must_be_an_integer_in_range(self, tandem_nodes):
+        # 0.5 would walk node 0 and True node 1
+        rng = np.random.default_rng(15)
+        for entry in (0.5, True, False, np.float64(1.0), 2, -1, "0", None):
+            with pytest.raises(ValidationError, match=r"must be an integer in \[0, 2\)"):
+                sample_trajectory(tandem_nodes, entry, rng, [0.0])
+        for entry in (np.int64(1), np.uint8(1), 1):
+            assert sample_trajectory(tandem_nodes, entry, rng, [0.0]).tolist() == [1]
+
     def test_exit_marker(self, single_exp_node):
         rng = np.random.default_rng(14)
         locs = sample_trajectory([single_exp_node], 0, rng, [200.0])
