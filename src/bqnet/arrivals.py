@@ -2,9 +2,12 @@
 
 Two rate shapes are supported: piecewise constant (a constant rate is
 the one-piece rate, :meth:`ArrivalProcess.constant`) and sinusoidal. Each
-exposes the instantaneous rate, the exact cumulative rate, and pieces
-covering [0, horizon] with an exact finite rate bound on each, the
-simulator's thinning majorant (:meth:`ArrivalProcess.segments`).
+kind has exactly one constructor (:meth:`~ArrivalProcess.constant`,
+:meth:`~ArrivalProcess.piecewise`, :meth:`~ArrivalProcess.sinusoidal`),
+which checks its parameters and builds the rate. Each rate exposes the
+instantaneous rate, the exact cumulative rate, and pieces covering
+[0, horizon] with an exact finite rate bound on each, the simulator's
+thinning majorant (:meth:`ArrivalProcess.segments`).
 """
 
 from __future__ import annotations
@@ -20,55 +23,49 @@ SINUSOIDAL = "sinusoidal"
 
 
 class ArrivalProcess:
-    """Non-homogeneous Poisson arrival rate lambda(t) on t >= 0."""
+    """Non-homogeneous Poisson arrival rate lambda(t), built by its kind's class method."""
 
-    def __init__(self, kind, **params):
+    def __init__(self, kind, **fields):
         self.kind = kind
-        self.params = dict(params)
-        if kind == PIECEWISE:
-            breaks, rates = np.asarray(params["breakpoints"]), np.asarray(params["rates"])
-            if breaks.dtype.kind not in "iuf" or rates.dtype.kind not in "iuf":
-                raise ValidationError("breakpoints and rates must be numbers")
-            breaks, rates = breaks.astype(float), rates.astype(float)
-            if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
-                raise ValidationError("breakpoints must start at 0")
-            if not (np.all(np.diff(breaks) > 0) and np.isfinite(breaks[-1])):
-                raise ValidationError("breakpoints must be finite and strictly increasing")
-            if rates.shape != breaks.shape:
-                raise ValidationError("need one rate per breakpoint")
-            if not np.all((rates >= 0) & np.isfinite(rates)):
-                raise ValidationError("arrival rates must be finite and >= 0")
-            self._breaks = breaks
-            self._rates = rates
-            # Cumulative rate at each breakpoint, for O(log n) evaluation.
-            seg = rates[:-1] * np.diff(breaks)
-            self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        elif kind == SINUSOIDAL:
-            a, b = float(params["base"]), float(params["amplitude"])
-            w, phi = float(params["frequency"]), float(params.get("phase", 0.0))
-            if not (math.isfinite(a) and a > 0):
-                raise ValidationError("sinusoidal base rate must be finite and > 0")
-            if not abs(b) <= a:
-                raise ValidationError("sinusoidal amplitude must satisfy |b| <= a")
-            if not (math.isfinite(w) and math.isfinite(phi)):
-                raise ValidationError("sinusoidal frequency and phase must be finite")
-            self._a, self._b, self._w, self._phi = a, b, w, phi
-        else:
-            raise ValidationError(f"unknown arrival kind {kind!r}")
+        # one setattr each: vars(self).update would slow every attribute read
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     @classmethod
     def constant(cls, rate):
         """The rate that is always ``rate``: one piece from time 0."""
-        return cls(PIECEWISE, breakpoints=[0.0], rates=[rate])
+        return cls.piecewise([0.0], [rate])
 
     @classmethod
     def piecewise(cls, breakpoints, rates):
-        return cls(PIECEWISE, breakpoints=list(breakpoints), rates=list(rates))
+        breaks, rates = np.asarray(breakpoints), np.asarray(rates)
+        if breaks.dtype.kind not in "iuf" or rates.dtype.kind not in "iuf":
+            raise ValidationError("breakpoints and rates must be numbers")
+        breaks, rates = breaks.astype(float), rates.astype(float)
+        if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
+            raise ValidationError("breakpoints must start at 0")
+        if not (np.all(np.diff(breaks) > 0) and np.isfinite(breaks[-1])):
+            raise ValidationError("breakpoints must be finite and strictly increasing")
+        if rates.shape != breaks.shape:
+            raise ValidationError("need one rate per breakpoint")
+        if not np.all((rates >= 0) & np.isfinite(rates)):
+            raise ValidationError("arrival rates must be finite and >= 0")
+        # Cumulative rate at each breakpoint, for O(log n) evaluation.
+        seg = rates[:-1] * np.diff(breaks)
+        return cls(PIECEWISE, _breaks=breaks, _rates=rates,
+                   _cum=np.concatenate([[0.0], np.cumsum(seg)]))
 
     @classmethod
     def sinusoidal(cls, base, amplitude, frequency, phase=0.0):
-        return cls(SINUSOIDAL, base=base, amplitude=amplitude,
-                   frequency=frequency, phase=phase)
+        a, b = float(base), float(amplitude)
+        w, phi = float(frequency), float(phase)
+        if not (math.isfinite(a) and a > 0):
+            raise ValidationError("sinusoidal base rate must be finite and > 0")
+        if not abs(b) <= a:
+            raise ValidationError("sinusoidal amplitude must satisfy |b| <= a")
+        if not (math.isfinite(w) and math.isfinite(phi)):
+            raise ValidationError("sinusoidal frequency and phase must be finite")
+        return cls(SINUSOIDAL, _a=a, _b=b, _w=w, _phi=phi)
 
     def rate(self, t, horizon=math.inf):
         """Instantaneous rate lambda(t); vectorised over ``t``.
@@ -126,4 +123,4 @@ class ArrivalProcess:
         return out
 
     def __repr__(self):
-        return f"ArrivalProcess({self.kind}, {self.params})"
+        return f"ArrivalProcess({self.kind})"

@@ -8,10 +8,13 @@ the three shapes that each unlock a different fast path:
                         assigned an entry queue by a probability vector p
 * ``independent-marginals`` -- one univariate law per queue, independent
 
-A constant batch (:meth:`BatchLaw.constant`) is the finite table with one
-vector, and a degenerate size (:meth:`UnivariateLaw.degenerate`) the
-finite table with one point. One formula, :func:`_finite_table_gap`, gives
-the PGF gap of every finite table, univariate or multivariate.
+Each family and each variant has exactly one constructor, the
+:class:`UnivariateLaw` or :class:`BatchLaw` class method of its name,
+which checks its parameters and builds the law. A constant batch
+(:meth:`BatchLaw.constant`) is the finite table with one vector, and a
+degenerate size (:meth:`UnivariateLaw.degenerate`) the finite table with
+one point. One formula, :func:`_finite_table_gap`, gives the PGF gap of
+every finite table, univariate or multivariate.
 
 Univariate families include the (a, b)-recursive class (binomial, Poisson,
 negative binomial, logarithmic, geometric) plus zeta, finite-table, and a
@@ -58,100 +61,83 @@ _LWT_BODY_MAX = 100_000
 
 
 class UnivariateLaw:
-    """A nonnegative-integer batch-size distribution from a named family."""
+    """A nonnegative-integer batch-size law, built by its family's class method."""
 
-    def __init__(self, family, **params):
+    def __init__(self, family, **fields):
         self.family = family
-        self.params = dict(params)
-        if family == BINOMIAL:
-            N, alpha = params["count"], params["prob"]
-            if not (float(N).is_integer() and N >= 1):
-                raise ValidationError("binomial count must be a positive integer")
-            if not 0.0 <= alpha <= 1.0:
-                raise ValidationError("binomial probability must lie in [0, 1]")
-            self.count, self.prob = int(N), float(alpha)
-        elif family == POISSON:
-            if not (math.isfinite(params["mean"]) and params["mean"] >= 0):
-                raise ValidationError("poisson mean must be finite and >= 0")
-            self.mu = float(params["mean"])
-        elif family == NEG_BINOMIAL:
-            r, nu = params["shape"], params["scale"]
-            if not (math.isfinite(r) and math.isfinite(nu) and r > 0 and nu > 0):
-                raise ValidationError("negative binomial needs finite shape > 0 and scale > 0")
-            self.shape, self.scale = float(r), float(nu)
-        elif family == LOGARITHMIC:
-            rho = params["rho"]
-            if not 0.0 < rho < 1.0:
-                raise ValidationError("logarithmic parameter must lie in (0, 1)")
-            self.rho = float(rho)
-        elif family == GEOMETRIC:
-            beta = params["beta"]
-            if not 0.0 <= beta < 1.0:
-                raise ValidationError("geometric ratio must lie in [0, 1)")
-            self.beta = float(beta)
-        elif family == ZETA:
-            s = params["exponent"]
-            if not (math.isfinite(s) and s > 1.0):
-                raise ValidationError("zeta exponent must be finite and > 1")
-            self.exponent = float(s)
-            self._zeta_init()
-        elif family == FINITE:
-            table = dict(params["table"])
-            if not table:
-                raise ValidationError("finite table must be non-empty")
-            for n, p in table.items():
-                if not (float(n).is_integer() and 0 <= n <= MAX_SAMPLE
-                        and math.isfinite(p) and p >= 0):
-                    raise ValidationError("finite table needs nonnegative integer support "
-                                          "up to 2^62 and finite probabilities")
-            total = float(sum(table.values()))
-            if abs(total - 1.0) > 1e-10:
-                raise ValidationError(f"finite table probabilities sum to {total}, not 1")
-            self.support = np.array(sorted(table), dtype=np.int64)
-            self.probs = np.array([table[int(n)] for n in self.support], dtype=float)
-        elif family == LOG_WEIGHTED_TAIL:
-            self._lwt_init()
-        else:
-            raise ValidationError(f"unknown univariate family {family!r}")
+        # one setattr each: vars(self).update would slow every attribute read
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def binomial(cls, count, prob):
-        return cls(BINOMIAL, count=count, prob=prob)
+        if not (float(count).is_integer() and count >= 1):
+            raise ValidationError("binomial count must be a positive integer")
+        if not 0.0 <= prob <= 1.0:
+            raise ValidationError("binomial probability must lie in [0, 1]")
+        return cls(BINOMIAL, count=int(count), prob=float(prob))
 
     @classmethod
     def poisson(cls, mean):
-        return cls(POISSON, mean=mean)
+        if not (math.isfinite(mean) and mean >= 0):
+            raise ValidationError("poisson mean must be finite and >= 0")
+        return cls(POISSON, mu=float(mean))
 
     @classmethod
     def negative_binomial(cls, shape, scale):
-        return cls(NEG_BINOMIAL, shape=shape, scale=scale)
+        if not (math.isfinite(shape) and math.isfinite(scale) and shape > 0 and scale > 0):
+            raise ValidationError("negative binomial needs finite shape > 0 and scale > 0")
+        return cls(NEG_BINOMIAL, shape=float(shape), scale=float(scale))
 
     @classmethod
     def logarithmic(cls, rho):
-        return cls(LOGARITHMIC, rho=rho)
+        if not 0.0 < rho < 1.0:
+            raise ValidationError("logarithmic parameter must lie in (0, 1)")
+        return cls(LOGARITHMIC, rho=float(rho))
 
     @classmethod
     def geometric(cls, beta):
-        return cls(GEOMETRIC, beta=beta)
+        if not 0.0 <= beta < 1.0:
+            raise ValidationError("geometric ratio must lie in [0, 1)")
+        return cls(GEOMETRIC, beta=float(beta))
 
     @classmethod
     def zeta(cls, exponent):
-        return cls(ZETA, exponent=exponent)
+        if not (math.isfinite(exponent) and exponent > 1.0):
+            raise ValidationError("zeta exponent must be finite and > 1")
+        law = cls(ZETA, exponent=float(exponent))
+        law._zeta_init()
+        return law
 
     @classmethod
     def degenerate(cls, value):
         """The size that is always ``value``: a finite table with one point."""
-        return cls(FINITE, table={value: 1.0})
+        return cls.finite_table({value: 1.0})
 
     @classmethod
     def finite_table(cls, table):
-        return cls(FINITE, table=table)
+        table = dict(table)
+        if not table:
+            raise ValidationError("finite table must be non-empty")
+        for n, p in table.items():
+            if not (float(n).is_integer() and 0 <= n <= MAX_SAMPLE
+                    and math.isfinite(p) and p >= 0):
+                raise ValidationError("finite table needs nonnegative integer support "
+                                      "up to 2^62 and finite probabilities")
+        total = float(sum(table.values()))
+        if abs(total - 1.0) > 1e-10:
+            raise ValidationError(f"finite table probabilities sum to {total}, not 1")
+        support = np.array(sorted(table), dtype=np.int64)
+        return cls(FINITE, support=support,
+                   probs=np.array([table[int(n)] for n in support], dtype=float))
 
     @classmethod
     def log_weighted_tail(cls):
-        return cls(LOG_WEIGHTED_TAIL)
+        law = cls(LOG_WEIGHTED_TAIL)
+        law._lwt_init()
+        return law
 
     # -- PMF ---------------------------------------------------------------
 
@@ -487,7 +473,7 @@ class UnivariateLaw:
         return out
 
     def __repr__(self):
-        return f"UnivariateLaw({self.family}, {self.params})"
+        return f"UnivariateLaw({self.family})"
 
 
 FINITE_TABLE = "finite-table"
@@ -520,69 +506,60 @@ def check_occupancy_vector(n, J):
 
 
 class BatchLaw:
-    """Multivariate batch-size distribution over the J queues."""
+    """Multivariate batch-size law over the J queues, built by its variant's class method."""
 
-    def __init__(self, variant, J, **kwargs):
-        self.variant = variant
-        self.J = int(J)
+    def __init__(self, variant, J, **fields):
         if J < 1:
             raise ValidationError("batch dimension must be >= 1")
-        if variant == FINITE_TABLE:
-            table = dict(kwargs["table"])
-            if not table:
-                raise ValidationError("finite batch table must be non-empty")
-            vectors, probs = [], []
-            for vec, p in sorted(table.items()):
-                vec = tuple(vec)
-                if len(vec) != J or not all(float(v).is_integer() and 0 <= v <= MAX_SAMPLE
-                                            for v in vec):
-                    raise ValidationError(f"batch table key {vec} is not a nonnegative "
-                                          f"integer {J}-vector with entries up to 2^62")
-                if not (math.isfinite(p) and p >= 0):
-                    raise ValidationError("batch table probabilities must be finite and >= 0")
-                vectors.append(tuple(int(v) for v in vec))
-                probs.append(float(p))
-            total = math.fsum(probs)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValidationError(
-                    f"batch table probabilities sum to {total!r}, not 1")
-            self.vectors = np.array(vectors, dtype=np.int64)
-            self.probs = np.array(probs)
-        elif variant == IID_ASSIGNMENT:
-            law, probs = kwargs["law"], np.asarray(kwargs["entry_probs"], dtype=float)
-            if probs.shape != (J,):
-                raise ValidationError("entry probabilities must have length J")
-            if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
-                    or abs(probs.sum() - 1.0) > PROB_SUM_TOL):
-                raise ValidationError("entry probabilities must be finite, >= 0 and sum to 1")
-            self.law = law
-            self.entry_probs = probs
-        elif variant == INDEPENDENT:
-            laws = list(kwargs["laws"])
-            if len(laws) != J:
-                raise ValidationError("need one marginal law per queue")
-            self.laws = laws
-        else:
-            raise ValidationError(f"unknown batch variant {variant!r}")
+        self.variant = variant
+        self.J = int(J)
+        # one setattr each: vars(self).update would slow every attribute read
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     @classmethod
     def finite_table(cls, table, J):
-        return cls(FINITE_TABLE, J, table=table)
+        table = dict(table)
+        if not table:
+            raise ValidationError("finite batch table must be non-empty")
+        vectors, probs = [], []
+        for vec, p in sorted(table.items()):
+            vec = tuple(vec)
+            if len(vec) != J or not all(float(v).is_integer() and 0 <= v <= MAX_SAMPLE
+                                        for v in vec):
+                raise ValidationError(f"batch table key {vec} is not a nonnegative "
+                                      f"integer {J}-vector with entries up to 2^62")
+            if not (math.isfinite(p) and p >= 0):
+                raise ValidationError("batch table probabilities must be finite and >= 0")
+            vectors.append(tuple(int(v) for v in vec))
+            probs.append(float(p))
+        total = math.fsum(probs)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(
+                f"batch table probabilities sum to {total!r}, not 1")
+        return cls(FINITE_TABLE, J, vectors=np.array(vectors, dtype=np.int64),
+                   probs=np.array(probs))
 
     @classmethod
     def iid_assignment(cls, law, entry_probs):
-        return cls(IID_ASSIGNMENT, len(tuple(entry_probs)), law=law,
-                   entry_probs=tuple(entry_probs))
+        probs = np.asarray(tuple(entry_probs), dtype=float)
+        if probs.ndim != 1:
+            raise ValidationError("entry probabilities must have length J")
+        if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
+                or abs(probs.sum() - 1.0) > PROB_SUM_TOL):
+            raise ValidationError("entry probabilities must be finite, >= 0 and sum to 1")
+        return cls(IID_ASSIGNMENT, len(probs), law=law, entry_probs=probs)
 
     @classmethod
     def independent(cls, laws):
-        return cls(INDEPENDENT, len(list(laws)), laws=list(laws))
+        laws = list(laws)
+        return cls(INDEPENDENT, len(laws), laws=laws)
 
     @classmethod
     def constant(cls, vector):
         """The batch that is always ``vector``: a finite table with one row."""
         vector = tuple(vector)
-        return cls(FINITE_TABLE, len(vector), table={vector: 1.0})
+        return cls.finite_table({vector: 1.0}, len(vector))
 
     # -- PGF -----------------------------------------------------------------
 
@@ -751,8 +728,6 @@ def _multinomial_weight(n, probs):
 
 def _safe_outer(a, b):
     """Outer product treating inf * 0 as 0."""
-    out = np.empty((a.size, b.size))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i, j] = 0.0 if (x == 0.0 or y == 0.0) else x * y
-    return out
+    with np.errstate(invalid="ignore"):
+        product = np.multiply.outer(a, b)
+    return np.where((a == 0.0)[:, None] | (b == 0.0), 0.0, product)

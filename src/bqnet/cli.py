@@ -41,11 +41,11 @@ DEFAULT_MIN_EXPECTED = 5.0
 
 def _resolve_config(value):
     path = Path(value)
-    if path.exists():
+    if path.is_file():
         return path
     if not value.endswith(".json") or "/" not in value:
         bundled = bundled_config_path(value)
-        if bundled.exists():
+        if bundled.is_file():
             return bundled
     raise FileNotFoundError(value)
 
@@ -227,7 +227,7 @@ def _cmd_simulate(args):
 
 def _cmd_compare(args):
     for path in (args.analytic, args.empirical):
-        if not Path(path).exists():
+        if not Path(path).is_file():
             raise FileNotFoundError(path)
     report = compare_outputs(args.analytic, args.empirical, args.tol,
                              min_expected=args.min_expected)
@@ -303,7 +303,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
         return MISSING_FILE_EXIT
     except ValidationError as exc:

@@ -65,11 +65,10 @@ import numpy as np
 from . import batch as batchmod
 from .errors import DomainError, ResourceBudgetError, ValidationError
 from .logmath import log_factorial, xlogy
-from .tables import LatticePMF, coordinate_sum, simplex_index, simplex_rank
+from .tables import MASS_TOL, LatticePMF, coordinate_sum, simplex_index, simplex_rank
 
 ROW_TOL = 1e-12
 NEGATIVE_CLAMP = 1e-10
-MASS_TOL = 1e-9
 POISSON_MULTINOMIAL_BUDGET = 1 << 26
 _SERIES_CUTOFF = 1e-18
 _SERIES_MAX_TERMS = 1_000_000

@@ -8,6 +8,12 @@ also the key that names its kind) and ``_note``, and no other key. No
 value is a boolean. Each J-shaped list (a batch ``vector``,
 ``entry_probs`` or ``marginals``, an inline table row, ``nodes`` and each
 ``routing`` row) has its length checked once, by ``_sized_list``.
+
+A kind table maps each kind to its builder and to its keys, which are
+the file format. The arrival, batch-size family and service tables name
+each kind's one constructor, which the block's keys are passed to by name
+(a finite-table family's JSON table is made a dict first); the batch and
+kernel blocks are built by their own readers.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .arrivals import ArrivalProcess
 from .batch import BatchLaw, UnivariateLaw
 from .errors import ValidationError
 from .model import AnalysisDefaults, NetworkModel, renewal_grid
-from .service import ServiceLaw, ServiceNode
+from .service import ABSORBING, ServiceLaw, ServiceNode
 from .tables import read_occupancy_csv
 
 # the types of the JSON values that are neither a container nor a boolean
@@ -30,42 +36,51 @@ _SCALARS = {int, float, str, type(None)}
 _ROOT_KEYS = {"J", "arrival", "kernel", "batch", "nodes", "analysis"}
 # the type each analysis key's value takes; a missing key keeps its default
 _ANALYSIS_KEYS = {"cap": int, "rtol": float, "seed": int}
-_ARRIVAL_KEYS = {
-    "constant": {"rate"},
-    "piecewise-constant": {"breakpoints", "rates"},
-    "sinusoidal": {"base", "amplitude", "frequency", "phase"},
+_ARRIVAL_KINDS = {
+    "constant": (ArrivalProcess.constant, {"rate"}),
+    "piecewise-constant": (ArrivalProcess.piecewise, {"breakpoints", "rates"}),
+    "sinusoidal": (ArrivalProcess.sinusoidal, {"base", "amplitude", "frequency", "phase"}),
 }
 # a finite table is inline ("table") or read from a CSV ("path")
-_BATCH_KEYS = {
-    "constant": {"vector"},
-    "iid-assignment": {"entry_probs", "family"},
-    "independent-marginals": {"marginals"},
-    "finite-table": {"table", "path"},
+_BATCH_KINDS = {
+    "constant": (None, {"vector"}),
+    "iid-assignment": (None, {"entry_probs", "family"}),
+    "independent-marginals": (None, {"marginals"}),
+    "finite-table": (None, {"table", "path"}),
 }
-_FAMILY_KEYS = {
-    "binomial": {"count", "prob"},
-    "poisson": {"mean"},
-    "negative-binomial": {"shape", "scale"},
-    "logarithmic": {"rho"},
-    "geometric": {"beta"},
-    "zeta": {"exponent"},
-    "degenerate": {"value"},
-    "finite-table": {"table"},
-    "log-weighted-tail": set(),
+
+
+def _family_table(table):
+    """A finite-table family from a JSON object (its keys are strings, which
+    the constructor rejects) or a list of [n, p] pairs."""
+    pairs = table.items() if isinstance(table, dict) else table
+    return UnivariateLaw.finite_table({float(n): float(p) for n, p in pairs})
+
+
+_FAMILY_KINDS = {
+    "binomial": (UnivariateLaw.binomial, {"count", "prob"}),
+    "poisson": (UnivariateLaw.poisson, {"mean"}),
+    "negative-binomial": (UnivariateLaw.negative_binomial, {"shape", "scale"}),
+    "logarithmic": (UnivariateLaw.logarithmic, {"rho"}),
+    "geometric": (UnivariateLaw.geometric, {"beta"}),
+    "zeta": (UnivariateLaw.zeta, {"exponent"}),
+    "degenerate": (UnivariateLaw.degenerate, {"value"}),
+    "finite-table": (_family_table, {"table"}),
+    "log-weighted-tail": (UnivariateLaw.log_weighted_tail, set()),
 }
 # the grid keys are optional; a tabulated kernel needs its path
-_KERNEL_KEYS = {
-    "auto": set(),
-    "markov-uniformization": set(),
-    "renewal-grid": {"end", "nodes"},
-    "tabulated": {"path"},
+_KERNEL_KINDS = {
+    "auto": (None, set()),
+    "markov-uniformization": (None, set()),
+    "renewal-grid": (None, {"end", "nodes"}),
+    "tabulated": (None, {"path"}),
 }
-_SERVICE_KEYS = {
-    "exponential": {"rate"},
-    "erlang": {"shape", "rate"},
-    "deterministic": {"duration"},
-    "tabulated": {"times", "values"},
-    "absorbing": set(),
+_SERVICE_KINDS = {
+    "exponential": (ServiceLaw.exponential, {"rate"}),
+    "erlang": (ServiceLaw.erlang, {"shape", "rate"}),
+    "deterministic": (ServiceLaw.deterministic, {"duration"}),
+    "tabulated": (ServiceLaw.tabulated, {"times", "values"}),
+    "absorbing": (ServiceLaw.absorbing, set()),
 }
 
 
@@ -143,8 +158,8 @@ def _check_keys(block, allowed, required, path, collector):
 
 def _read_kind(block, key, table, noun, path, collector, optional=frozenset()):
     """``(kind, params)`` of a block whose ``key`` names a kind in ``table``,
-    a map from kind to parameter keys; ``(None, None)`` once the failures
-    are recorded.
+    a kind table, and holds that kind's keys; ``(None, None)`` once the
+    failures are recorded.
     """
     if not isinstance(block, dict) or key not in block:
         collector.error(path, f"expected an object with a {key!r} key")
@@ -153,9 +168,17 @@ def _read_kind(block, key, table, noun, path, collector, optional=frozenset()):
     if not isinstance(kind, str) or kind not in table:
         collector.error(path, f"unknown {noun} {kind!r}")
         return None, None
-    if not _check_keys(block, table[kind] | {key}, table[kind] - optional, path, collector):
+    keys = table[kind][1]
+    if not _check_keys(block, keys | {key}, keys - optional, path, collector):
         return None, None
-    return kind, {k: block[k] for k in table[kind] if k in block}
+    return kind, {k: block[k] for k in keys if k in block}
+
+
+def _build_kind(block, key, table, noun, path, collector, optional=frozenset()):
+    """What the builder of the kind that ``block[key]`` names in ``table``
+    makes of the block's keys; None once the failures are recorded."""
+    kind, params = _read_kind(block, key, table, noun, path, collector, optional)
+    return None if kind is None else collector.attempt(path, lambda: table[kind][0](**params))
 
 
 def _sized_list(value, size, path, collector):
@@ -166,28 +189,10 @@ def _sized_list(value, size, path, collector):
     return None
 
 
-def _build_univariate(block, path, collector):
-    name, params = _read_kind(block, "name", _FAMILY_KEYS, "family", path, collector)
-    if name is None:
-        return None
-
-    def build():
-        if name == "degenerate":
-            return UnivariateLaw.degenerate(params["value"])
-        if name == "finite-table":
-            # object keys are strings; UnivariateLaw rejects non-integers
-            table = params["table"]
-            pairs = table.items() if isinstance(table, dict) else table
-            params["table"] = {float(n): float(p) for n, p in pairs}
-        return UnivariateLaw(name, **params)
-
-    return collector.attempt(path, build)
-
-
 def _load_batch_table(block, J, base_dir, path, collector):
     if "path" in block:
         csv_path = collector.attempt(path, lambda: Path(base_dir) / block["path"])
-        if csv_path is not None and not csv_path.exists():
+        if csv_path is not None and not csv_path.is_file():
             collector.error(path, f"batch table file {csv_path} not found")
         elif csv_path is not None:
             read = collector.attempt(path, lambda: read_occupancy_csv(csv_path))
@@ -209,7 +214,7 @@ def _load_batch_table(block, J, base_dir, path, collector):
 
 
 def _build_batch(block, J, base_dir, collector):
-    variant, params = _read_kind(block, "variant", _BATCH_KEYS, "batch variant", "batch",
+    variant, params = _read_kind(block, "variant", _BATCH_KINDS, "batch variant", "batch",
                                  collector, optional={"table", "path"})
     if variant == "constant":
         vec = _sized_list(params["vector"], J, "batch.vector", collector)
@@ -217,13 +222,14 @@ def _build_batch(block, J, base_dir, collector):
             return collector.attempt("batch", lambda: BatchLaw.constant(vec))
     elif variant == "iid-assignment":
         probs = _sized_list(params["entry_probs"], J, "batch.entry_probs", collector)
-        law = _build_univariate(params["family"], "batch.family", collector)
+        law = _build_kind(params["family"], "name", _FAMILY_KINDS, "family",
+                          "batch.family", collector)
         if probs is not None and law is not None:
             return collector.attempt("batch", lambda: BatchLaw.iid_assignment(law, probs))
     elif variant == "independent-marginals":
         margs = _sized_list(params["marginals"], J, "batch.marginals", collector) or []
-        laws = [_build_univariate(m, f"batch.marginals[{i}]", collector)
-                for i, m in enumerate(margs)]
+        laws = [_build_kind(m, "name", _FAMILY_KINDS, "family", f"batch.marginals[{i}]",
+                            collector) for i, m in enumerate(margs)]
         if laws and all(law is not None for law in laws):
             return collector.attempt("batch", lambda: BatchLaw.independent(laws))
     elif variant == "finite-table":
@@ -253,17 +259,14 @@ def _build_analysis(block, collector):
 def _build_node(spec, J, path, collector):
     if not _check_keys(spec, {"service", "routing"}, {"service"}, path, collector):
         return None
-    kind, params = _read_kind(spec["service"], "kind", _SERVICE_KEYS, "service kind",
-                              f"{path}.service", collector)
-    if kind is None:
-        return None
-    law = collector.attempt(f"{path}.service", lambda: ServiceLaw(kind, **params))
+    law = _build_kind(spec["service"], "kind", _SERVICE_KINDS, "service kind",
+                      f"{path}.service", collector)
     if law is None:
         return None
     routing = spec.get("routing")
     # ServiceNode refuses an absorbing node's routing row
-    if kind != "absorbing" and _sized_list(routing, J + 1, f"{path}.routing",
-                                           collector) is None:
+    if law.kind != ABSORBING and _sized_list(routing, J + 1, f"{path}.routing",
+                                             collector) is None:
         return None
     return collector.attempt(f"{path}.routing", lambda: ServiceNode(law, routing))
 
@@ -280,17 +283,14 @@ def parse_config(raw, base_dir="."):
         collector.error("J", "queue count must be a positive integer")
         collector.raise_if_failed()
 
-    kind, params = _read_kind(raw.get("arrival"), "kind", _ARRIVAL_KEYS, "arrival kind",
-                              "arrival", collector, optional={"phase"})
-    arrival = None if kind is None else collector.attempt(
-        "arrival", lambda: ArrivalProcess.constant(**params) if kind == "constant"
-        else ArrivalProcess(kind, **params))
+    arrival = _build_kind(raw.get("arrival"), "kind", _ARRIVAL_KINDS, "arrival kind",
+                          "arrival", collector, optional={"phase"})
 
     # a kernel block that names no representation is "auto"
     kernel = raw.get("kernel", {})
     representation, kernel_spec = _read_kind(
         {"representation": "auto", **kernel} if isinstance(kernel, dict) else kernel,
-        "representation", _KERNEL_KEYS, "kernel representation", "kernel", collector,
+        "representation", _KERNEL_KINDS, "kernel representation", "kernel", collector,
         optional={"end", "nodes"})
     if representation == "renewal-grid":
         collector.attempt("kernel", lambda: renewal_grid(kernel_spec))

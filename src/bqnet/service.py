@@ -2,8 +2,10 @@
 
 A node holds one service law (exponential, Erlang, deterministic, a
 tabulated CDF, or absorbing) and a routing row over the J queues plus an
-exit column. Absorbing nodes hold customers forever and carry no routing
-row.
+exit column. Each law kind has exactly one constructor, the
+:class:`ServiceLaw` class method of its name, which checks its parameters
+and builds the law. Absorbing nodes hold customers forever and carry no
+routing row.
 """
 
 from __future__ import annotations
@@ -26,57 +28,48 @@ ABSORBING = "absorbing"
 
 
 class ServiceLaw:
-    """Service-time distribution at a single node."""
+    """Service-time distribution at a single node, built by its kind's class method."""
 
-    def __init__(self, kind, **params):
+    def __init__(self, kind, **fields):
         self.kind = kind
-        self.params = dict(params)
-        if kind == EXPONENTIAL:
-            if not (math.isfinite(params["rate"]) and params["rate"] > 0):
-                raise ValidationError("exponential rate must be finite and > 0")
-            self.rate = float(params["rate"])
-        elif kind == ERLANG:
-            shape, rate = params["shape"], params["rate"]
-            if not (float(shape).is_integer() and shape >= 1):
-                raise ValidationError("erlang shape must be a positive integer")
-            if not (math.isfinite(rate) and rate > 0):
-                raise ValidationError("erlang rate must be finite and > 0")
-            self.shape, self.rate = int(shape), float(rate)
-        elif kind == DETERMINISTIC:
-            if not (math.isfinite(params["duration"]) and params["duration"] >= 0):
-                raise ValidationError("deterministic duration must be finite and >= 0")
-            self.duration = float(params["duration"])
-        elif kind == TABULATED:
-            times = np.asarray(params["times"], dtype=float)
-            values = np.asarray(params["values"], dtype=float)
-            if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
-                raise ValidationError("tabulated CDF needs matching time/value arrays")
-            if not (times[0] >= 0 and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
-                raise ValidationError("tabulated CDF times must be finite, strictly "
-                                      "increasing and >= 0")
-            if not np.all(np.diff(values) >= 0):
-                raise ValidationError("tabulated CDF must be nondecreasing")
-            if not np.all((values >= 0) & (values <= 1)):
-                raise ValidationError("tabulated CDF values must lie in [0, 1]")
-            self.times, self.values = times, values
-        elif kind != ABSORBING:
-            raise ValidationError(f"unknown service kind {kind!r}")
+        # one setattr each: vars(self).update would slow every attribute read
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     @classmethod
     def exponential(cls, rate):
-        return cls(EXPONENTIAL, rate=rate)
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValidationError("exponential rate must be finite and > 0")
+        return cls(EXPONENTIAL, rate=float(rate))
 
     @classmethod
     def erlang(cls, shape, rate):
-        return cls(ERLANG, shape=shape, rate=rate)
+        if not (float(shape).is_integer() and shape >= 1):
+            raise ValidationError("erlang shape must be a positive integer")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValidationError("erlang rate must be finite and > 0")
+        return cls(ERLANG, shape=int(shape), rate=float(rate))
 
     @classmethod
     def deterministic(cls, duration):
-        return cls(DETERMINISTIC, duration=duration)
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ValidationError("deterministic duration must be finite and >= 0")
+        return cls(DETERMINISTIC, duration=float(duration))
 
     @classmethod
     def tabulated(cls, times, values):
-        return cls(TABULATED, times=list(times), values=list(values))
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
+            raise ValidationError("tabulated CDF needs matching time/value arrays")
+        if not (times[0] >= 0 and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
+            raise ValidationError("tabulated CDF times must be finite, strictly "
+                                  "increasing and >= 0")
+        if not np.all(np.diff(values) >= 0):
+            raise ValidationError("tabulated CDF must be nondecreasing")
+        if not np.all((values >= 0) & (values <= 1)):
+            raise ValidationError("tabulated CDF values must lie in [0, 1]")
+        return cls(TABULATED, times=times, values=values)
 
     @classmethod
     def absorbing(cls):
@@ -134,7 +127,7 @@ class ServiceLaw:
         return np.full(size, np.inf)
 
     def __repr__(self):
-        return f"ServiceLaw({self.kind}, {self.params})"
+        return f"ServiceLaw({self.kind})"
 
 
 # Largest Erlang shape whose CDF is the float64 sum below. The sum starts

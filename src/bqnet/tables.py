@@ -32,6 +32,7 @@ from .errors import ResourceBudgetError, ValidationError
 
 ENTRY_CLAMP = -1e-12
 MASS_TOL = 1e-9
+_JSON_META_KEYS = ("t", "quadrature_nodes", "quadrature_rule")
 PAIR_TABLE_BUDGET = 1 << 23
 # Coordinates (rows times J) of the pair-table rows made at once. Each of
 # their (J, rows) working arrays takes 256 KiB and stays in cache, so a
@@ -369,7 +370,7 @@ class LatticePMF:
             "tail_mass": self.tail_mass,
             "entries": [[*map(int, vec), float(p)] for vec, p in self.items()],
         }
-        for key in ("t", "quadrature_nodes", "quadrature_rule"):
+        for key in _JSON_META_KEYS:
             if key in self.meta:
                 doc[key] = self.meta[key]
         return doc
@@ -396,8 +397,7 @@ class LatticePMF:
             raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")
         values = np.zeros(len(index))
         values[simplex_rank(vecs)] = [row[-1] for row in rows]
-        meta = {k: doc[k] for k in ("t", "quadrature_nodes", "quadrature_rule")
-                if k in doc}
+        meta = {k: doc[k] for k in _JSON_META_KEYS if k in doc}
         return cls(J, cap, values, tail_mass=doc.get("tail_mass"), meta=meta)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bqnet import BatchLaw, DomainError, UnivariateLaw, ValidationError
+from bqnet.batch import _safe_outer
 
 from conftest import truncation_support
 
@@ -381,6 +382,32 @@ class TestBatchLaw:
             warnings.simplefilter("error")
             assert law.factorial_moments(1).tolist() == [math.inf, math.inf, 0.0]
             assert law.factorial_moments(2)[2].tolist() == [0.0, 0.0, 0.0]
+
+    def test_independent_second_moments_with_infinite_means(self):
+        # off the diagonal, E[S_j] E[S_k] with inf * 0 read as 0
+        laws = [UnivariateLaw.zeta(1.5), UnivariateLaw.degenerate(0),
+                UnivariateLaw.poisson(2.0), UnivariateLaw.zeta(2.5)]
+        means = [math.inf, 0.0, 2.0, UnivariateLaw.zeta(2.5).mean()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = BatchLaw.independent(laws).factorial_moments(2)
+        for j, k in np.ndindex(4, 4):
+            if j != k:
+                want = 0.0 if 0.0 in (means[j], means[k]) else means[j] * means[k]
+                assert out[j, k] == want
+        assert out.diagonal().tolist() == [law.second_factorial() for law in laws]
+
+    def test_safe_outer_matches_the_loop(self):
+        values = np.array([0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 1e-300])
+        want = np.empty((values.size, values.size))
+        for i, x in enumerate(values):
+            for j, y in enumerate(values):
+                want[i, j] = 0.0 if (x == 0.0 or y == 0.0) else x * y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _safe_outer(values, values)
+        assert got.tobytes() == want.tobytes()
+        assert _safe_outer(values[:3], values[2:]).tobytes() == want[:3, 2:].tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda: BatchLaw.finite_table({(1.5, 0): 1.0}, 2),

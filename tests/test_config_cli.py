@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bqnet import ValidationError, bundled_config_path, load_config
+from bqnet import ValidationError, bundled_config_path, config, load_config
 from bqnet.cli import _resolve_config, compare_outputs, main
 from bqnet.tables import (LatticePMF, canonical_json, read_occupancy_csv,
                           simplex_rank, write_occupancy_csv)
@@ -27,7 +28,7 @@ class TestConfigLoading:
         assert model.J == 1
         # a constant rate is the piecewise-constant rate with one piece
         assert model.arrival.kind == "piecewise-constant"
-        assert model.arrival.params == {"breakpoints": [0.0], "rates": [1.0]}
+        assert model.arrival.segments(5.0) == [(0.0, 5.0, 1.0)]
         # a constant batch is the finite table with one vector
         assert model.batch.variant == "finite-table"
         assert model.batch.vectors.tolist() == [[1]]
@@ -45,6 +46,25 @@ class TestConfigLoading:
     def test_bundled_zeta(self):
         model = load_config(bundled_config_path("zeta_batch"))
         assert model.batch.law.family == "zeta"
+
+    @pytest.mark.parametrize("table", ["_ARRIVAL_KINDS", "_FAMILY_KINDS", "_SERVICE_KINDS"])
+    def test_kind_keys_are_the_constructor_parameters(self, table):
+        # the keys are the file format: renaming a constructor's parameter
+        # must fail here, not change what a config may say
+        for kind, (build, keys) in getattr(config, table).items():
+            assert set(inspect.signature(build).parameters) == keys, kind
+
+    def test_batch_table_path_to_a_directory(self, tmp_path):
+        # a directory where the table file should be is a missing file
+        (tmp_path / "batch.csv").mkdir()
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = {"variant": "finite-table", "path": "batch.csv"}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as err:
+            load_config(path)
+        assert err.value.failures == [
+            f"batch.table: batch table file {tmp_path / 'batch.csv'} not found"]
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
     def test_shipped_config_loads(self, path):
@@ -254,6 +274,35 @@ class TestCli:
             _resolve_config("no_such_model")
         assert main(["zero-prob", "--config", "no_such_model", "--t", "1"]) == 66
         assert "file not found: no_such_model" in capsys.readouterr().err
+
+    def test_directory_named_like_a_bundled_config(self, tmp_path, capsys, monkeypatch):
+        # a directory is not a config file: the bundled config of that name is
+        # read, and a directory given as a path is a missing file
+        (tmp_path / "mm_infty").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert _resolve_config("mm_infty") == bundled_config_path("mm_infty")
+        assert main(["pmf", "--config", "mm_infty", "--t", "3", "--cap", "5",
+                     "-o", "pmf.csv", "--meta", "pmf.json"]) == 0
+        assert main(["zero-prob", "--config", str(tmp_path / "mm_infty"), "--t", "1"]) == 66
+        assert "file not found" in capsys.readouterr().err
+
+    def test_tabulated_kernel_path_to_a_directory_exit_66(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kernel.csv").mkdir()
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        del raw["nodes"]
+        raw["kernel"] = {"representation": "tabulated", "path": "kernel.csv"}
+        (tmp_path / "model.json").write_text(json.dumps(raw))
+        assert main(["zero-prob", "--config", "model.json", "--t", "1"]) == 66
+        assert "file not found" in capsys.readouterr().err
+
+    def test_compare_with_a_directory_exit_66(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["pmf", "--config", "mm_infty", "--t", "1", "-o", "a.csv", "--meta", "a.json"])
+        (tmp_path / "b.csv").mkdir()
+        assert main(["compare", "a.csv", "b.csv", "--tol", "0.1"]) == 66
+        assert "file not found: b.csv" in capsys.readouterr().err
 
     def test_main_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
