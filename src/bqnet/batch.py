@@ -122,7 +122,7 @@ class UnivariateLaw:
         if not table:
             raise ValidationError("finite table must be non-empty")
         for n, p in table.items():
-            if not (float(n).is_integer() and 0 <= n <= MAX_SAMPLE
+            if not (0 <= n <= MAX_SAMPLE and float(n).is_integer()
                     and math.isfinite(p) and p >= 0):
                 raise ValidationError("finite table needs nonnegative integer support "
                                       "up to 2^62 and finite probabilities")
@@ -525,7 +525,7 @@ class BatchLaw:
         vectors, probs = [], []
         for vec, p in sorted(table.items()):
             vec = tuple(vec)
-            if len(vec) != J or not all(float(v).is_integer() and 0 <= v <= MAX_SAMPLE
+            if len(vec) != J or not all(0 <= v <= MAX_SAMPLE and float(v).is_integer()
                                         for v in vec):
                 raise ValidationError(f"batch table key {vec} is not a nonnegative "
                                       f"integer {J}-vector with entries up to 2^62")

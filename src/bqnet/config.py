@@ -12,8 +12,8 @@ value is a boolean. Each J-shaped list (a batch ``vector``,
 A kind table maps each kind to its builder and to its keys, which are
 the file format. The arrival, batch-size family and service tables name
 each kind's one constructor, which the block's keys are passed to by name
-(a finite-table family's JSON table is made a dict first); the batch and
-kernel blocks are built by their own readers.
+(``_build_family`` checks a finite-table family's JSON table and makes it
+a dict first); the batch and kernel blocks are built by their own readers.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ _BATCH_KINDS = {
 }
 
 
-def _family_table(table):
-    """A finite-table family from a JSON object (its keys are strings, which
-    the constructor rejects) or a list of [n, p] pairs."""
-    pairs = table.items() if isinstance(table, dict) else table
-    return UnivariateLaw.finite_table({float(n): float(p) for n, p in pairs})
-
-
 _FAMILY_KINDS = {
     "binomial": (UnivariateLaw.binomial, {"count", "prob"}),
     "poisson": (UnivariateLaw.poisson, {"mean"}),
@@ -65,7 +58,7 @@ _FAMILY_KINDS = {
     "geometric": (UnivariateLaw.geometric, {"beta"}),
     "zeta": (UnivariateLaw.zeta, {"exponent"}),
     "degenerate": (UnivariateLaw.degenerate, {"value"}),
-    "finite-table": (_family_table, {"table"}),
+    "finite-table": (UnivariateLaw.finite_table, {"table"}),
     "log-weighted-tail": (UnivariateLaw.log_weighted_tail, set()),
 }
 # the grid keys are optional; a tabulated kernel needs its path
@@ -181,6 +174,24 @@ def _build_kind(block, key, table, noun, path, collector, optional=frozenset()):
     return None if kind is None else collector.attempt(path, lambda: table[kind][0](**params))
 
 
+def _build_family(block, path, collector):
+    """A batch-size family; a finite table is [n, p] pairs of JSON numbers, or
+    an object from each n, a key of at most 19 digits (as 2^62 has), to p."""
+    if isinstance(block, dict) and block.get("name") == "finite-table" and "table" in block:
+        table = block["table"]
+        pairs = ([[int(n) if n.isascii() and n.isdigit() and len(n) <= 19 else n, p]
+                  for n, p in table.items()] if isinstance(table, dict) else table)
+        if not (isinstance(pairs, list) and all(isinstance(pair, list) and len(pair) == 2
+                                                and {type(x) for x in pair} <= {int, float}
+                                                for pair in pairs)):
+            collector.error(f"{path}.table", "expected [n, p] pairs of numbers, or an "
+                            "object from nonnegative integers n up to 2^62 to numbers p")
+            _read_kind(block, "name", _FAMILY_KINDS, "family", path, collector)  # key failures too
+            return None
+        block = {**block, "table": dict(pairs)}
+    return _build_kind(block, "name", _FAMILY_KINDS, "family", path, collector)
+
+
 def _sized_list(value, size, path, collector):
     """``value`` if it is a list of ``size`` entries; else None, the failure recorded."""
     if isinstance(value, list) and len(value) == size:
@@ -222,14 +233,13 @@ def _build_batch(block, J, base_dir, collector):
             return collector.attempt("batch", lambda: BatchLaw.constant(vec))
     elif variant == "iid-assignment":
         probs = _sized_list(params["entry_probs"], J, "batch.entry_probs", collector)
-        law = _build_kind(params["family"], "name", _FAMILY_KINDS, "family",
-                          "batch.family", collector)
+        law = _build_family(params["family"], "batch.family", collector)
         if probs is not None and law is not None:
             return collector.attempt("batch", lambda: BatchLaw.iid_assignment(law, probs))
     elif variant == "independent-marginals":
         margs = _sized_list(params["marginals"], J, "batch.marginals", collector) or []
-        laws = [_build_kind(m, "name", _FAMILY_KINDS, "family", f"batch.marginals[{i}]",
-                            collector) for i, m in enumerate(margs)]
+        laws = [_build_family(m, f"batch.marginals[{i}]", collector)
+                for i, m in enumerate(margs)]
         if laws and all(law is not None for law in laws):
             return collector.attempt("batch", lambda: BatchLaw.independent(laws))
     elif variant == "finite-table":

@@ -7,9 +7,10 @@ analytic formula in this package consumes kernels through one contract:
 
     placement_rows_many(ts) -> (len(ts), J, J) array, one matrix per time
     whose row j is (q^j_1 ... q^j_J)
+    placement_rows(t)       -> (J, J) array, the matrix at one time
 
-and ``placement_rows(t)``, the stack of one, ``placement_rows_many([t])[0]``.
-A customer's exit probability 1 - Q_j(t) is implied by the row, not stored.
+bit for bit ``placement_rows_many([t])[0]``, with no stack built. A
+customer's exit probability 1 - Q_j(t) is implied by the row, not stored.
 Every time must be finite and >= 0; any other raises KernelDomainError.
 Three interchangeable constructions are provided: uniformization of the
 customer-path CTMC without an exit state, squared past a time limit
@@ -81,9 +82,11 @@ class OccupancyKernel:
 
     ``analytic_in_time`` says whether the rows are analytic functions of
     t, so that a time integral of them may use a high-order rule.
-    ``placement_rows_many`` is the one entry point: it checks the times,
-    lets ``_cover`` make the representation reach the largest, and hands
-    them to the subclass's ``_rows_at``.
+    There are two entry points, bit for bit the same at one time:
+    ``placement_rows_many`` takes a stack of times and hands it to the
+    subclass's ``_rows_at``, ``placement_rows`` takes one float and hands
+    it to ``_row_at``. Both check the times and let ``_cover`` make the
+    representation reach the largest first.
     """
 
     representation = "abstract"
@@ -93,8 +96,10 @@ class OccupancyKernel:
         self.J = J
 
     def placement_rows(self, t):
-        """Placement rows at one time, shape (J, J)."""
-        return self.placement_rows_many([t])[0]
+        """Placement rows at one time, shape (J, J): ``placement_rows_many([t])[0]``."""
+        t = float(t)
+        self._reach(t, t)
+        return self._row_at(t)
 
     def placement_rows_many(self, ts):
         """Stack of placement rows, shape (len(ts), J, J).
@@ -103,19 +108,23 @@ class OccupancyKernel:
         """
         ts = np.asarray(ts, dtype=float).ravel()
         if ts.size:
-            lo, hi = float(np.minimum.reduce(ts)), float(np.maximum.reduce(ts))
-            # each comparison asks for the values it accepts, so NaN fails it
-            if not (lo >= 0.0 and hi < math.inf):
-                raise KernelDomainError(f"kernel evaluated at time {hi if lo >= 0.0 else lo}; "
-                                        "times must be finite and >= 0")
-            self._cover(hi)
+            self._reach(float(np.minimum.reduce(ts)), float(np.maximum.reduce(ts)))
         return self._rows_at(ts)
+
+    def _reach(self, lo, hi):
+        """Check the least and largest time asked for, then ``_cover`` the largest."""
+        # each comparison asks for the values it accepts, so NaN fails it
+        if not (lo >= 0.0 and hi < math.inf):
+            raise KernelDomainError(f"kernel evaluated at time {hi if lo >= 0.0 else lo}; "
+                                    "times must be finite and >= 0")
+        self._cover(hi)
 
     def _cover(self, t):
         """Make the representation reach ``t`` or raise :class:`KernelDomainError`."""
 
     def _rows_at(self, ts):
-        """Placement rows at the checked, covered times ``ts`` (a 1-D array)."""
+        """Placement rows at the checked, covered times ``ts`` (a 1-D array);
+        a subclass's ``_row_at(t)`` gives the same rows at one float, unstacked."""
         raise NotImplementedError
 
     def survival_vectors(self, ts):
@@ -175,21 +184,27 @@ class MarkovKernel(OccupancyKernel):
         out = np.empty((ts.size, self.J, self.J))
         out[near] = self._series(ts[near])
         for i in np.flatnonzero(~near):
-            t, k = float(ts[i]), 0
-            while r * t > limit:
-                t, k = t / 2.0, k + 1
-            q = self._series(np.array([t]))[0]
-            out[i] = np.clip(np.linalg.matrix_power(q, 2 ** k), 0.0, 1.0)   # k squarings
+            out[i] = self._row_at(float(ts[i]))
         return out
 
+    def _row_at(self, t):
+        r, k = self.uniformization_rate, 0
+        while r * t > self._series_limit:
+            t, k = t / 2.0, k + 1
+        # the head r t truncated, renormalised, weighs the cached powers
+        head = _poisson_head(r * t)
+        out = ((head / head.sum())[:, None, None] * self._jump_powers(len(head) - 1)).sum(axis=0)
+        np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
+        return out if k == 0 else np.clip(np.linalg.matrix_power(out, 2 ** k), 0.0, 1.0)
+
     def _series(self, ts):
-        """The series at the times ``ts``, all within the limit."""
+        """The series at the times ``ts``, all within the limit; one time
+        alone is ``_row_at``'s."""
+        if ts.size == 1:
+            return self._row_at(float(ts[0]))[None]
         a = self.uniformization_rate * ts
-        head = _poisson_head(float(np.maximum.reduce(a, initial=0.0)))
-        n_max = len(head) - 1
-        # one time's column is the head it truncated, renormalised
-        weights = ((head / head.sum())[:, None] if ts.size == 1 else
-                   _poisson_weights(a, n_max))
+        n_max = len(_poisson_head(float(np.maximum.reduce(a, initial=0.0)))) - 1
+        weights = _poisson_weights(a, n_max)
         powers = self._jump_powers(n_max)[:, None]
         step = max(1, UNIFORMIZATION_BUDGET // (powers.nbytes or 1))
         out = np.empty((ts.size, self.J, self.J))
@@ -287,6 +302,11 @@ class GridKernel(OccupancyKernel):
         times, ends, rows, slopes = self._grid
         i = ends.searchsorted(ts, side="right")
         return rows[i] + slopes[i] * (ts - times[i])[:, None, None]
+
+    def _row_at(self, t):
+        times, ends, rows, slopes = self._grid
+        i = ends.searchsorted(t, side="right")
+        return rows[i] + slopes[i] * (t - times[i])
 
 
 class RenewalKernel(GridKernel):

@@ -362,6 +362,63 @@ class TestCli:
         assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
         assert "nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table", [
+        # a JSON string is not a number, in either form; an object's keys are
+        # strings, as every JSON key is, and must spell the integers n
+        [["1", "0.5"], [2, "0.5"]],
+        {"1": "0.5", "2": 0.5},
+        {"1.0": 1.0},
+        {" 1": 1.0},
+        {"-1": 1.0},
+        [[1, 0.5, 0.5]],
+        5,
+    ])
+    @pytest.mark.parametrize("where", ["family", "marginals"])
+    def test_family_table_entries_are_numbers_exit_2(self, tmp_path, capsys, table, where):
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        law = {"name": "finite-table", "table": table}
+        raw["batch"] = ({"variant": "iid-assignment", "entry_probs": [1.0], "family": law}
+                        if where == "family" else
+                        {"variant": "independent-marginals", "marginals": [law]})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
+        field = "batch.family.table" if where == "family" else "batch.marginals[0].table"
+        assert f"{field}: expected [n, p] pairs of numbers" in capsys.readouterr().err
+
+    def test_family_table_failure_keeps_the_blocks_other_failures(self):
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = {"variant": "iid-assignment", "entry_probs": [1.0],
+                        "family": {"name": "finite-table", "table": [["1", 1.0]], "foo": 1}}
+        with pytest.raises(ValidationError) as err:
+            config.parse_config(raw)
+        assert [f.split(":")[0] for f in err.value.failures] == ["batch.family.table",
+                                                                 "batch.family"]
+        assert "unexpected keys ['foo']" in err.value.failures[1]
+
+    @pytest.mark.parametrize("table", [{"1": 0.25, "02": 0.75}, [[1, 0.25], [2.0, 0.75]]])
+    def test_family_table_of_numbers_loads(self, table):
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = {"variant": "iid-assignment", "entry_probs": [1.0],
+                        "family": {"name": "finite-table", "table": table}}
+        law = config.parse_config(raw).batch.law
+        assert law.support.tolist() == [1, 2] and law.probs.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("batch", [
+        {"variant": "finite-table", "table": [[10 ** 400, 1.0]]},
+        {"variant": "iid-assignment", "entry_probs": [1.0],
+         "family": {"name": "finite-table", "table": [[10 ** 400, 1.0]]}},
+    ])
+    def test_support_point_past_every_float_exit_2(self, tmp_path, capsys, batch):
+        # an integer too large for a float is refused by its bound, before
+        # any conversion to float can overflow
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = batch
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
+        assert "up to 2^62" in capsys.readouterr().err
+
     @pytest.mark.parametrize("batch", [
         # NaN compares false both with 0 and with a sum tolerance
         {"variant": "finite-table", "table": [[1, math.nan]]},

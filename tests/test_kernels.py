@@ -725,3 +725,51 @@ class TestTimeDomain:
 
     def test_empty_stack(self, kernel):
         assert kernel.placement_rows_many([]).shape == (0, 2, 2)
+
+
+def _stacked_path(*args, **kwargs):
+    raise AssertionError("one time went through the stacked path")
+
+
+def _single_times(kern):
+    """t = 0, every knot, every midpoint, random times and the grid end of a
+    grid kernel; a Markov kernel's times on both sides of its series limit."""
+    if isinstance(kern, kernels_module.GridKernel):
+        times = kern._times
+        return np.concatenate([[0.0], times, 0.5 * (times[1:] + times[:-1]),
+                               np.random.default_rng(29).uniform(0.0, times[-1], 50),
+                               [times[-1]]])
+    limit = kern._series_limit / kern.uniformization_rate
+    return np.array([0.0, 1e-9, 0.37, 2.0, np.nextafter(limit, 0.0), limit,
+                     np.nextafter(limit, math.inf), 1.5 * limit, 5.0 * limit])
+
+
+class TestSingleTime:
+    def test_one_time_is_the_stack_of_one(self, kernel):
+        for t in _single_times(kernel):
+            assert np.array_equal(kernel.placement_rows(float(t)),
+                                  kernel.placement_rows_many([t])[0])
+
+    def test_number_types_give_the_same_rows(self, kernel):
+        for t in (0, 1, 2, 0.7, 1.3):
+            want = kernel.placement_rows_many([t])[0]
+            for value in (t, float(t), np.float64(t), np.array(t), np.array(float(t))):
+                assert np.array_equal(kernel.placement_rows(value), want)
+
+    def test_one_time_past_the_end_extends_as_a_stack_does(self):
+        one, many = (RenewalKernel(RENEWAL_NETWORKS["tandem"], 2,
+                                   TimeGrid(end=2.0, nodes=257)) for _ in range(2))
+        t = 5.3                                    # two doublings, to t = 8
+        assert np.array_equal(one.placement_rows(t), many.placement_rows_many([t])[0])
+        assert one._times[-1] == many._times[-1] == 8.0
+        for got, want in zip(one._grid, many._grid, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_answers_without_the_stacked_path(self, kernel, monkeypatch):
+        ts = _single_times(kernel)
+        want = [kernel.placement_rows_many([t])[0] for t in ts]
+        monkeypatch.setattr(kernels_module.OccupancyKernel, "placement_rows_many",
+                            _stacked_path)
+        monkeypatch.setattr(type(kernel), "_rows_at", _stacked_path)
+        for t, rows in zip(ts, want):
+            assert np.array_equal(kernel.placement_rows(t), rows)
