@@ -57,6 +57,9 @@ class ArrivalProcess:
 
     @classmethod
     def sinusoidal(cls, base, amplitude, frequency, phase=0.0):
+        if np.asarray([base, amplitude, frequency, phase]).dtype.kind not in "iuf":
+            raise ValidationError("sinusoidal base, amplitude, frequency and phase "
+                                  "must be numbers")
         a, b = float(base), float(amplitude)
         w, phi = float(frequency), float(phase)
         if not (math.isfinite(a) and a > 0):

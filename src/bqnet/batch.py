@@ -187,8 +187,7 @@ class UnivariateLaw:
     # -- PGF ---------------------------------------------------------------
 
     def pgf(self, z):
-        """E[z^S] for scalar z in [0, 1] (small overshoot above 1 tolerated
-        by the closed-form families, for derivative probes)."""
+        """E[z^S] for scalar z in [0, 1]."""
         return 1.0 - self.pgf_gap(1.0 - z)
 
     def pgf_gap(self, eps):
@@ -480,17 +479,13 @@ FINITE_TABLE = "finite-table"
 IID_ASSIGNMENT = "iid-assignment"
 INDEPENDENT = "independent-marginals"
 
-# Overshoot above z = 1 tolerated by pgf() so finite-difference probes of
-# moments can straddle the boundary.
-PGF_OVERSHOOT = 1e-3
-
 
 def check_pgf_argument(z, J):
-    """``z`` as a float J-vector in the unit box (up to ``PGF_OVERSHOOT``)."""
+    """``z`` as a float J-vector in the unit box [0, 1]^J."""
     z = np.asarray(z, dtype=float)
     if z.shape != (J,):
         raise ValidationError(f"PGF argument must have length {J}")
-    if not np.all((z >= 0.0) & (z <= 1.0 + PGF_OVERSHOOT)):
+    if not np.all((z >= 0.0) & (z <= 1.0)):
         raise ValidationError("PGF argument entries must lie in [0, 1]")
     return z
 

@@ -8,6 +8,10 @@ non-finite entry, or a vector listed twice. The environment
 variable ``BQNET_SEED`` overrides the config seed (an explicit --seed
 flag beats both).
 
+``pgf``, ``zero-prob``, ``moments`` and ``ergodicity`` share one runner,
+``_analyze``: it loads the config, builds the kernel and emits the
+document that the subcommand's query returns, to stdout and to ``-o``.
+
 The argument parser is built on the first :func:`main` call, not at
 import, and lives as long as the process: every later ``main`` call (a
 benchmark worker's, a test suite's, any Python caller's) parses with the
@@ -142,37 +146,37 @@ def compare_outputs(analytic_path, empirical_path, tol,
     }
 
 
-def _cmd_pgf(args):
+def _analyze(args):
+    """Load the config, build its kernel and emit what ``args.query`` makes of
+    them, to stdout and to ``-o``."""
     model = load_config(_resolve_config(args.config))
-    kernel = model.build_kernel()
+    _emit(args.query(args, model, model.build_kernel()), args.output)
+    return 0
+
+
+def _pgf(args, model, kernel):
     z = _parse_z(args.z, model.J)
-    value = transient_pgf(model, kernel, args.t, z, _quad(model))
-    _emit({"kind": "pgf", "t": args.t, "z": z, "value": value}, args.output)
-    return 0
+    return {"kind": "pgf", "t": args.t, "z": z,
+            "value": transient_pgf(model, kernel, args.t, z, _quad(model))}
 
 
-def _cmd_zero_prob(args):
-    model = load_config(_resolve_config(args.config))
-    kernel = model.build_kernel()
-    value = transient_zero_prob(model, kernel, args.t, _quad(model))
-    _emit({"kind": "zero-prob", "t": args.t, "value": value}, args.output)
-    return 0
+def _zero_prob(args, model, kernel):
+    return {"kind": "zero-prob", "t": args.t,
+            "value": transient_zero_prob(model, kernel, args.t, _quad(model))}
 
 
-def _cmd_moments(args):
-    model = load_config(_resolve_config(args.config))
-    kernel = model.build_kernel()
+def _moments(args, model, kernel):
     result = transient_moments(model, kernel, args.t, _quad(model))
-    doc = {
-        "kind": "moments",
-        "t": args.t,
-        "mean": None if result.mean is None else [float(x) for x in result.mean],
-        "covariance": None if result.covariance is None
-        else [[float(x) for x in row] for row in result.covariance],
-        "undefined_reason": result.undefined_reason,
-    }
-    _emit(doc, args.output)
-    return 0
+    mean, cov = result.mean, result.covariance
+    return {"kind": "moments", "t": args.t,
+            "mean": None if mean is None else mean.tolist(),
+            "covariance": None if cov is None else cov.tolist(),
+            "undefined_reason": result.undefined_reason}
+
+
+def _ergodicity(args, model, kernel):
+    return classify_ergodicity(model, kernel,
+                               polynomial_tail_alpha=args.tail_alpha).to_json_dict()
 
 
 def _cmd_pmf(args):
@@ -188,15 +192,6 @@ def _cmd_pmf(args):
     pmf.to_json(meta_path)
     _emit({"kind": "pmf-artifacts", "csv": str(csv_path), "meta": str(meta_path),
            "tail_mass": pmf.tail_mass, "cap": cap, "t": args.t})
-    return 0
-
-
-def _cmd_ergodicity(args):
-    model = load_config(_resolve_config(args.config))
-    kernel = model.build_kernel()
-    verdict = classify_ergodicity(model, kernel,
-                                  polynomial_tail_alpha=args.tail_alpha)
-    _emit(verdict.to_json_dict(), args.output)
     return 0
 
 
@@ -253,7 +248,7 @@ def build_parser():
     add_config(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--z", required=True, help="comma-separated z vector")
-    p.set_defaults(func=_cmd_pgf)
+    p.set_defaults(func=_analyze, query=_pgf)
 
     p = sub.add_parser("pmf", help="transient occupancy PMF table")
     add_config(p)
@@ -265,18 +260,18 @@ def build_parser():
     p = sub.add_parser("zero-prob", help="empty-network probability")
     add_config(p)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=_cmd_zero_prob)
+    p.set_defaults(func=_analyze, query=_zero_prob)
 
     p = sub.add_parser("moments", help="transient mean and covariance")
     add_config(p)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=_cmd_moments)
+    p.set_defaults(func=_analyze, query=_moments)
 
     p = sub.add_parser("ergodicity", help="stability classification")
     add_config(p)
     p.add_argument("--tail-alpha", type=float, default=None,
                    help="caller-asserted polynomial tail exponent")
-    p.set_defaults(func=_cmd_ergodicity)
+    p.set_defaults(func=_analyze, query=_ergodicity)
 
     p = sub.add_parser("simulate", help="Monte Carlo occupancy estimate")
     add_config(p)

@@ -7,7 +7,10 @@ block obeys three rules. An object takes its own keys (a kind-keyed block
 also the key that names its kind) and ``_note``, and no other key. No
 value is a boolean. Each J-shaped list (a batch ``vector``,
 ``entry_probs`` or ``marginals``, an inline table row, ``nodes`` and each
-``routing`` row) has its length checked once, by ``_sized_list``.
+``routing`` row) has its length checked once, by ``_sized_list``; those
+of numbers (all but ``marginals`` and ``nodes``) are checked by
+``_number_list`` to hold JSON numbers only, so a string such as ``"1"``
+is refused there, not converted.
 
 A kind table maps each kind to its builder and to its keys, which are
 the file format. The arrival, batch-size family and service tables name
@@ -200,6 +203,16 @@ def _sized_list(value, size, path, collector):
     return None
 
 
+def _number_list(value, size, path, collector):
+    """``value`` if it is a list of ``size`` JSON numbers; else None, the failure
+    recorded (a boolean entry passes, as ``_find_booleans`` reports it)."""
+    value = _sized_list(value, size, path, collector)
+    if value is None or {type(x) for x in value} <= {int, float, bool}:
+        return value
+    collector.error(path, "every entry must be a number")
+    return None
+
+
 def _load_batch_table(block, J, base_dir, path, collector):
     if "path" in block:
         csv_path = collector.attempt(path, lambda: Path(base_dir) / block["path"])
@@ -217,7 +230,7 @@ def _load_batch_table(block, J, base_dir, path, collector):
     if not isinstance(rows, list):
         collector.error(path, "inline table must be a list of [n_1,...,n_J,prob] rows")
         return None
-    rows = [_sized_list(row, J + 1, f"{path}[{i}]", collector) for i, row in enumerate(rows)]
+    rows = [_number_list(row, J + 1, f"{path}[{i}]", collector) for i, row in enumerate(rows)]
     if any(row is None for row in rows):
         return None
     # BatchLaw validates the entries
@@ -228,11 +241,11 @@ def _build_batch(block, J, base_dir, collector):
     variant, params = _read_kind(block, "variant", _BATCH_KINDS, "batch variant", "batch",
                                  collector, optional={"table", "path"})
     if variant == "constant":
-        vec = _sized_list(params["vector"], J, "batch.vector", collector)
+        vec = _number_list(params["vector"], J, "batch.vector", collector)
         if vec is not None:
             return collector.attempt("batch", lambda: BatchLaw.constant(vec))
     elif variant == "iid-assignment":
-        probs = _sized_list(params["entry_probs"], J, "batch.entry_probs", collector)
+        probs = _number_list(params["entry_probs"], J, "batch.entry_probs", collector)
         law = _build_family(params["family"], "batch.family", collector)
         if probs is not None and law is not None:
             return collector.attempt("batch", lambda: BatchLaw.iid_assignment(law, probs))
@@ -275,8 +288,8 @@ def _build_node(spec, J, path, collector):
         return None
     routing = spec.get("routing")
     # ServiceNode refuses an absorbing node's routing row
-    if law.kind != ABSORBING and _sized_list(routing, J + 1, f"{path}.routing",
-                                             collector) is None:
+    if law.kind != ABSORBING and _number_list(routing, J + 1, f"{path}.routing",
+                                              collector) is None:
         return None
     return collector.attempt(f"{path}.routing", lambda: ServiceNode(law, routing))
 

@@ -7,7 +7,8 @@ over all time; the classifier prefers symbolic certificates (moment
 conditions, and absorbing nodes that arriving customers can reach), which
 can certify divergence, and falls back to quadrature, which can certify
 convergence but reports slow decay as an infinity signal and anything
-murkier as inconclusive -- never a silent number.
+murkier as inconclusive -- never a silent number. Past the divergence
+certificates the ladder picks its criterion, then computes E[W] once.
 """
 
 from __future__ import annotations
@@ -210,12 +211,13 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
     """Stability verdict for a homogeneous-arrival network.
 
     Decision ladder: an absorbing node that arriving customers can reach
-    (some customers then never leave, so E[W] is infinite); finite mean
-    batch with finite network occupancy times; logarithmic batch moment
-    under certified exponential tails
-    (an if-and-only-if for all-exponential networks); fractional moment
-    under a caller-asserted polynomial tail bound Q_j(t) <= t^-alpha;
-    and finally the E[W] quadrature. Numerical divergence alone never
+    (some customers then never leave, so E[W] is infinite); divergent
+    logarithmic batch moment under two-sided exponential tails; finite
+    mean batch with finite network occupancy times; logarithmic batch
+    moment under certified exponential tails (with the divergent rung, an
+    if-and-only-if for all-exponential networks); fractional moment under
+    a caller-asserted polynomial tail bound Q_j(t) <= t^-alpha; and
+    finally the E[W] quadrature. Numerical divergence alone never
     produces a non-ergodic verdict.
     """
     if not model.arrival.is_homogeneous():
@@ -235,28 +237,27 @@ def classify_ergodicity(model, kernel, polynomial_tail_alpha=None):
     if absorbing_reached and float(model.arrival.rate(0.0)) > 0.0:
         return StabilityVerdict(NON_ERGODIC, ABSORBING_REACHABLE, math.inf,
                                 diagnostics)
-
-    def with_ew(verdict):
-        ew = expected_batch_occupancy(model, kernel)
-        if ew.is_finite:
-            verdict.expected_batch_time = ew.value
-            verdict.diagnostics["ew_horizon"] = ew.horizon
-        return verdict
-
-    if certs["finite_network_time"] and batch.mean_is_finite():
-        return with_ew(StabilityVerdict(ERGODIC, FINITE_MEAN_BATCH, None,
-                                        diagnostics))
-    if certs["exponential_upper_tail"] and batch.log_moment_finite():
-        return with_ew(StabilityVerdict(ERGODIC, LOG_MOMENT, None, diagnostics))
+    # checked first: a finite mean implies a finite log moment, so this
+    # rung excludes both moment rungs below
     if certs["exponential_two_sided_tail"] and not batch.log_moment_finite():
         return StabilityVerdict(NON_ERGODIC, DIVERGENT_LOG_MOMENT, math.inf,
                                 diagnostics)
-    if polynomial_tail_alpha is not None:
+    criterion = None
+    if certs["finite_network_time"] and batch.mean_is_finite():
+        criterion = FINITE_MEAN_BATCH
+    elif certs["exponential_upper_tail"] and batch.log_moment_finite():
+        criterion = LOG_MOMENT
+    elif polynomial_tail_alpha is not None:
         diagnostics["alpha"] = polynomial_tail_alpha
         if batch.fractional_moment_finite(polynomial_tail_alpha):
-            return with_ew(StabilityVerdict(ERGODIC, FRACTIONAL_MOMENT, None,
-                                            diagnostics))
+            criterion = FRACTIONAL_MOMENT
     ew = expected_batch_occupancy(model, kernel)
+    if criterion is not None:
+        # a certificate decides; E[W] is reported where the quadrature found it
+        if ew.is_finite:
+            diagnostics["ew_horizon"] = ew.horizon
+        return StabilityVerdict(ERGODIC, criterion, ew.value if ew.is_finite else None,
+                                diagnostics)
     diagnostics["ew_status"] = ew.status
     diagnostics["ew_horizon"] = ew.horizon
     if ew.decay_exponent is not None and math.isfinite(ew.decay_exponent):

@@ -58,8 +58,10 @@ class ServiceLaw:
 
     @classmethod
     def tabulated(cls, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        times, values = np.asarray(times), np.asarray(values)
+        if times.dtype.kind not in "iuf" or values.dtype.kind not in "iuf":
+            raise ValidationError("tabulated CDF times and values must be numbers")
+        times, values = times.astype(float), values.astype(float)
         if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
             raise ValidationError("tabulated CDF needs matching time/value arrays")
         if not (times[0] >= 0 and np.all(np.diff(times) > 0) and np.isfinite(times[-1])):

@@ -21,8 +21,10 @@ one total degree at a time: all entries of degree d come from one gather
 over the simplex pair table (:class:`bqnet.tables.PairTable`) and one
 ``np.bincount``. The stored entries use p = the last nonzero coordinate
 of n; :func:`recompute_with_pivot` re-derives an entry with another p.
-Terms are added in a fixed order, and every time integral (the PGF
-exponent, the displacement integrals and the moments) runs through
+Terms are added in a fixed order. Every time integral (the PGF exponent,
+the displacement integrals and the moments) is int_0^t lambda(tau)
+f(C(t - tau)) dtau, taken by one front from the query's per-node terms f
+and convergence test: it picks the rule and runs
 :func:`bqnet.quadrature.simpson_refine`, whose nested doubling evaluates
 each node once, so results are bit-deterministic for a fixed node count.
 The integrand is analytic in tau when the kernel is
@@ -71,24 +73,32 @@ def _check_time(t):
     return float(t)
 
 
-def _extrapolates(model, kernel, t):
-    """Whether the time integrals at ``t`` are analytic in tau: an analytic
-    kernel and one arrival-rate piece on [0, t]."""
-    return kernel.analytic_in_time and len(model.arrival.segments(t)) == 1
+def _time_integral(model, kernel, t, quad, terms, description, converged):
+    """int_0^t lambda(tau) terms(t - tau) dtau as ``(estimate, nodes, rule)``:
+    Romberg where that is analytic in tau (an analytic kernel and one rate
+    piece on [0, t]), else Simpson. ``terms`` returns a fresh float array,
+    node axis first, that is weighted by lambda(tau) in place."""
+    extrapolate = kernel.analytic_in_time and len(model.arrival.segments(t)) == 1
+
+    def integrand(tau):
+        values = terms(t - tau)
+        np.multiply(values.T, model.arrival.rate(tau, horizon=t), out=values.T)
+        return values
+
+    estimate, nodes = simpson_refine(integrand, 0.0, t, quad, description, converged,
+                                     extrapolate=extrapolate)
+    return estimate, nodes, SIMPSON_ROMBERG if extrapolate else SIMPSON
 
 
 def transient_pgf(model, kernel, t, z, quad: QuadratureSpec = DEFAULT_QUAD):
     """E[prod z_k^{N_k(t)}] for z in the unit box."""
     t = _check_time(t)
     one_minus_z = 1.0 - check_pgf_argument(z, model.J)
-
-    def integrand(tau):
-        # lambda(tau) [1 - G_C(t - tau)(z)], the exponent's integrand
-        gaps = model.batch.pgf_gap(kernel.placement_rows_many(t - tau) @ one_minus_z)
-        return np.asarray(model.arrival.rate(tau, horizon=t), dtype=float) * gaps
-
-    exponent, _ = simpson_refine(integrand, 0.0, t, quad, "transient PGF quadrature",
-                                 extrapolate=_extrapolates(model, kernel, t))
+    # the exponent's terms are 1 - G_C(u)(z)
+    exponent, _, _ = _time_integral(
+        model, kernel, t, quad,
+        lambda u: model.batch.pgf_gap(kernel.placement_rows_many(u) @ one_minus_z),
+        "transient PGF quadrature", converged_elementwise)
     return math.exp(-exponent)
 
 
@@ -124,15 +134,13 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
     t = _check_time(t)
     index = simplex_index(model.J, cap)
 
-    def integrand(tau):
-        # per node: lambda * lattice, lambda * P[C(t - tau) != 0] and
-        # lambda * the lattice's series tail bound
-        rows = checked_rows([kernel.placement_rows(float(u)) for u in t - tau])
-        out = np.empty((tau.size, len(index) + 2))
+    def terms(u):
+        # per node: the lattice, P[C(u) != 0] and the lattice's series tail bound
+        rows = checked_rows([kernel.placement_rows(float(v)) for v in u])
+        out = np.empty((u.size, len(index) + 2))
         _, tails = lattice_stack(model.batch, rows, index, out[:, :-2])
         out[:, -2] = 1.0 - out[:, 0]
         out[:, -1] = tails
-        out *= np.asarray(model.arrival.rate(tau, horizon=t), dtype=float)[:, None]
         return out
 
     # the lattice of the latest estimate: the next doubling's ``previous`` is
@@ -149,12 +157,10 @@ def transient_pmf(model, kernel, t, cap, quad: QuadratureSpec = DEFAULT_QUAD):
     def settled(previous, current, spec):
         return converged_elementwise(recursion(previous), recursion(current), spec)
 
-    extrapolate = _extrapolates(model, kernel, t)
-    estimate, m = simpson_refine(integrand, 0.0, t, quad, "PMF quadrature", settled,
-                                 extrapolate=extrapolate)
+    estimate, m, rule = _time_integral(model, kernel, t, quad, terms, "PMF quadrature",
+                                       settled)
     pmf = LatticePMF(model.J, cap, recursion(estimate),
-                     meta={"t": t, "quadrature_nodes": m,
-                           "quadrature_rule": SIMPSON_ROMBERG if extrapolate else SIMPSON,
+                     meta={"t": t, "quadrature_nodes": m, "quadrature_rule": rule,
                            "displacement_integrals": estimate[:-2],
                            "series_tail_bound": float(estimate[-1])})
     if pmf.tail_mass > TAIL_WARNING:
@@ -217,29 +223,26 @@ def transient_moments(model, kernel, t, quad: QuadratureSpec = DEFAULT_QUAD):
     f2 = model.batch.factorial_moments(2)
     cov_defined = bool(np.all(np.isfinite(f2)))
 
-    def integrand(tau):
-        q = kernel.placement_rows_many(t - tau)    # (m, J, J): q[node, j, k]
+    def terms(u):
+        q = kernel.placement_rows_many(u)           # (m, J, J): q[node, j, k]
         mean_term = np.einsum("j,mjk->mk", f1, q)
-        terms = [mean_term]
+        columns = [mean_term]
         if cov_defined:
             # q^T f2 q per node as two stacked (J, J) products, then the
             # mean on the diagonal; as one three-operand einsum it runs
             # NumPy's generic loop at O(m J^5)
             second = np.swapaxes(q, 1, 2) @ (f2 @ q)
             second[:, np.arange(J), np.arange(J)] += mean_term
-            terms.append(second.reshape(tau.size, J * J))
-        lam = np.asarray(model.arrival.rate(tau, horizon=t), dtype=float)
-        return lam[:, None] * np.concatenate(terms, axis=1)
+            columns.append(second.reshape(u.size, J * J))
+        return np.concatenate(columns, axis=1)
 
     def settled(previous, current, spec):
         scale = max(float(np.max(np.abs(current[:J]))), 1.0)
         return np.max(np.abs(current - previous)) <= spec.rtol * scale + spec.atol
 
-    extrapolate = _extrapolates(model, kernel, t)
-    estimate, m = simpson_refine(integrand, 0.0, t, quad, "moment quadrature",
-                                 settled, extrapolate=extrapolate)
+    estimate, m, rule = _time_integral(model, kernel, t, quad, terms, "moment quadrature",
+                                       settled)
     return TransientMoments(estimate[:J],
                             estimate[J:].reshape(J, J) if cov_defined else None,
                             None if cov_defined else "batch second moment is infinite",
-                            quadrature_nodes=m,
-                            quadrature_rule=SIMPSON_ROMBERG if extrapolate else SIMPSON)
+                            quadrature_nodes=m, quadrature_rule=rule)

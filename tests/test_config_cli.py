@@ -250,6 +250,22 @@ def _sinusoid(**params):
     return "arrival", {**rate, **params}, ZERO_PROB
 
 
+_CERTIFIED = ('"exponential_two_sided_tail":true,"exponential_upper_tail":true,'
+              '"finite_network_time":true,"spectral_radius_routing":0.0')
+ERGODICITY_STDOUT = {
+    "mm_infty": ('{"criterion":"finite-mean-batch","diagnostics":{"delta":1.0,'
+                 '"ew_horizon":64.0,' + _CERTIFIED + '},'
+                 '"expected_batch_time":1.0000000000005942,"verdict":"ergodic"}'),
+    "zeta_batch": ('{"criterion":"log-moment","diagnostics":{"delta":1.0,'
+                   '"ew_horizon":128.0,' + _CERTIFIED + '},'
+                   '"expected_batch_time":2.3056800286526546,"verdict":"ergodic"}'),
+    "vivax": ('{"criterion":"absorbing-reachable","diagnostics":{'
+              '"exponential_two_sided_tail":false,"exponential_upper_tail":false,'
+              '"finite_network_time":false,"spectral_radius_routing":0.0},'
+              '"expected_batch_time":"infinity","verdict":"non-ergodic"}'),
+}
+
+
 class TestCli:
     def test_missing_config_exit_66(self, capsys):
         assert main(["pmf", "--config", "no-such-file.json",
@@ -385,6 +401,49 @@ class TestCli:
         assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
         field = "batch.family.table" if where == "family" else "batch.marginals[0].table"
         assert f"{field}: expected [n, p] pairs of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, value, field, message", [
+        ("nodes", [{"service": {"kind": "exponential", "rate": 1.0},
+                    "routing": ["0", "1"]}], "nodes[0].routing", "every entry must be a number"),
+        ("batch", {"variant": "iid-assignment", "entry_probs": ["1"],
+                   "family": {"name": "poisson", "mean": 1.0}},
+         "batch.entry_probs", "every entry must be a number"),
+        *[(*_sinusoid(**{key: value})[:2], "arrival",
+           "sinusoidal base, amplitude, frequency and phase must be numbers")
+          for key, value in [("base", "1"), ("amplitude", "0.5"), ("frequency", "1"),
+                             ("phase", "0")]],
+        (*_service(kind="tabulated", times=["0", "1"], values=[0.0, 1.0])[:2],
+         "nodes[0].service", "tabulated CDF times and values must be numbers"),
+        (*_service(kind="tabulated", times=[0.0, 1.0], values=["0", "1"])[:2],
+         "nodes[0].service", "tabulated CDF times and values must be numbers"),
+    ], ids=["routing", "entry_probs", "sinusoidal-base", "sinusoidal-amplitude",
+            "sinusoidal-frequency", "sinusoidal-phase", "tabulated-times",
+            "tabulated-values"])
+    def test_string_numbers_exit_2(self, tmp_path, capsys, block, value, field, message):
+        # float() and np.asarray(..., dtype=float) would read "1" as 1.0
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw[block] = value
+        with pytest.raises(ValidationError) as err:
+            config.parse_config(raw)
+        assert err.value.failures == [f"{field}: {message}"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(ZERO_PROB + ["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("batch, field", [
+        ({"variant": "finite-table", "table": [["1", 1.0]]}, "batch.table[0]"),
+        ({"variant": "finite-table", "table": [[1, 0.5], [2, "0.5"]]}, "batch.table[1]"),
+        ({"variant": "finite-table", "table": [[1, None]]}, "batch.table[0]"),
+        ({"variant": "constant", "vector": ["1"]}, "batch.vector"),
+        ({"variant": "constant", "vector": [None]}, "batch.vector"),
+    ], ids=["table-size", "table-prob", "table-null", "vector-string", "vector-null"])
+    def test_batch_row_entries_are_numbers_exit_2(self, batch, field):
+        # not a Python comparison error under the block path
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw["batch"] = batch
+        with pytest.raises(ValidationError) as err:
+            config.parse_config(raw)
+        assert err.value.failures == [f"{field}: every entry must be a number"]
 
     def test_family_table_failure_keeps_the_blocks_other_failures(self):
         raw = json.loads(bundled_config_path("mm_infty").read_text())
@@ -574,6 +633,22 @@ class TestCli:
         assert main(["moments", "--config", "mm_infty", "--t", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mean"][0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-7)
+
+    def test_pgf_argument_above_one_exit_2(self, capsys):
+        assert main(["pgf", "--config", "mm_infty", "--t", "3", "--z", "1.0005"]) == 2
+        assert "PGF argument entries must lie in [0, 1]" in capsys.readouterr().err
+        assert main(["pgf", "--config", "mm_infty", "--t", "3", "--z", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1.0
+
+    @pytest.mark.parametrize("flags", [[], ["--tail-alpha", "2"], ["--tail-alpha", "1.2"]],
+                             ids=["no-flag", "alpha-2", "alpha-1.2"])
+    @pytest.mark.parametrize("name", ["mm_infty", "zeta_batch", "vivax"])
+    def test_ergodicity_stdout_is_pinned(self, capsys, name, flags):
+        # the documents these models gave before the stability ladder was
+        # made to compute E[W] once, byte for byte; no bundled model reaches
+        # the fractional rung, so the asserted tail changes nothing
+        assert main(["ergodicity", "--config", name, *flags]) == 0
+        assert capsys.readouterr().out == ERGODICITY_STDOUT[name] + "\n"
 
     def test_ergodicity_zeta_config(self, capsys):
         assert main(["ergodicity", "--config", "zeta_batch"]) == 0

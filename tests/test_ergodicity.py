@@ -7,6 +7,7 @@ from bqnet import (ArrivalProcess, BatchLaw, DomainError, MarkovKernel,
                    NetworkModel, ServiceLaw, ServiceNode, TabulatedKernel,
                    UnivariateLaw, bundled_config_path, classify_ergodicity,
                    expected_batch_occupancy, load_config, transient_zero_prob)
+from bqnet import ergodicity as ergodicity_module
 
 from conftest import truncation_support
 
@@ -312,3 +313,57 @@ class TestClassification:
             model_for(BatchLaw.iid_assignment(UnivariateLaw.log_weighted_tail(),
                                               [1.0])), exp_kernel)
         assert inf_verdict.to_json_dict()["expected_batch_time"] == "infinity"
+
+
+def _tabulated_zeta_model():
+    # tabulated service carries only the finite-network-time certificate,
+    # so a zeta(1.4) batch, whose mean is infinite, reaches the fractional rung
+    times = np.linspace(0.0, 12.0, 121)
+    values = 1.0 - np.exp(-times)
+    values[-1] = 1.0
+    node = ServiceNode(ServiceLaw.tabulated(times, values), [0.0, 1.0])
+    model = model_for(BatchLaw.iid_assignment(UnivariateLaw.zeta(1.4), [1.0]), node=node)
+    return model, model.build_kernel()
+
+
+def _markov(batch, node=None):
+    model = model_for(batch, node)
+    return model, MarkovKernel(model.nodes, 1)
+
+
+def _tabulated_exponential():
+    times = np.linspace(0.0, 64.0, 1 << 15)
+    kernel = TabulatedKernel(times, np.exp(-times)[:, None, None])
+    model = NetworkModel(J=1, arrival=ArrivalProcess.constant(1.0),
+                         batch=BatchLaw.constant([1]), nodes=None,
+                         kernel_spec={"representation": "tabulated"})
+    return model, kernel
+
+
+@pytest.mark.parametrize("setup, alpha, criterion, calls", [
+    (lambda: _markov(BatchLaw.constant([1]), ServiceNode(ServiceLaw.absorbing())),
+     None, "absorbing-reachable", 0),
+    (lambda: _markov(BatchLaw.iid_assignment(UnivariateLaw.log_weighted_tail(), [1.0])),
+     None, "divergent-log-moment", 0),
+    (lambda: _markov(BatchLaw.constant([1])), None, "finite-mean-batch", 1),
+    (lambda: _markov(BatchLaw.iid_assignment(UnivariateLaw.zeta(1.5), [1.0])),
+     2.0, "log-moment", 1),
+    (_tabulated_zeta_model, 4.0, "fractional-moment", 1),
+    (_tabulated_zeta_model, 1.2, None, 1),
+    (_tabulated_exponential, None, "finite-E[W]-quadrature", 1),
+], ids=["absorbing", "divergent-log-moment", "finite-mean", "log-moment",
+        "fractional-moment", "fractional-rung-missed", "quadrature"])
+def test_each_verdict_computes_ew_at_most_once(monkeypatch, setup, alpha, criterion, calls):
+    model, kernel = setup()
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return expected_batch_occupancy(*args)
+
+    monkeypatch.setattr(ergodicity_module, "expected_batch_occupancy", counted)
+    verdict = classify_ergodicity(model, kernel, polynomial_tail_alpha=alpha)
+    assert verdict.criterion == criterion
+    assert len(seen) == calls
+    # the asserted tail is reported only where the ladder reached its rung
+    assert ("alpha" in verdict.diagnostics) == (criterion in ("fractional-moment", None))

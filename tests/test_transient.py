@@ -52,6 +52,37 @@ class TestTransientPGF:
             transient_pgf(mm_model, mm_kernel, 1.0, [1.5])
 
 
+# every batch-size family, as a one-queue iid batch, and the other variants
+_PGF_BATCHES = {
+    "binomial": BatchLaw.iid_assignment(UnivariateLaw.binomial(4, 0.3), [1.0]),
+    "poisson": BatchLaw.iid_assignment(UnivariateLaw.poisson(2.0), [1.0]),
+    "negative-binomial": BatchLaw.iid_assignment(
+        UnivariateLaw.negative_binomial(2.0, 0.5), [1.0]),
+    "logarithmic": BatchLaw.iid_assignment(UnivariateLaw.logarithmic(0.5), [1.0]),
+    "geometric": BatchLaw.iid_assignment(UnivariateLaw.geometric(0.5), [1.0]),
+    "zeta": BatchLaw.iid_assignment(UnivariateLaw.zeta(2.5), [1.0]),
+    "finite-table": BatchLaw.iid_assignment(
+        UnivariateLaw.finite_table({1: 0.5, 3: 0.5}), [1.0]),
+    "log-weighted-tail": BatchLaw.iid_assignment(UnivariateLaw.log_weighted_tail(), [1.0]),
+    "constant": BatchLaw.constant([2]),
+    "batch-finite-table": BatchLaw.finite_table({(1,): 0.5, (2,): 0.5}, 1),
+    "independent-marginals": BatchLaw.independent([UnivariateLaw.poisson(1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PGF_BATCHES))
+def test_pgf_argument_above_one_is_refused(name, single_exp_node):
+    # the unit box is closed at 1 and ends there, for every family: the
+    # closed forms would answer past 1 and the zeta gap raise DomainError
+    model = NetworkModel(J=1, arrival=ArrivalProcess.constant(1.0),
+                         batch=_PGF_BATCHES[name], nodes=[single_exp_node])
+    kernel = MarkovKernel([single_exp_node], 1)
+    assert transient_pgf(model, kernel, 3.0, [1.0]) == 1.0
+    for pgf in (lambda z: transient_pgf(model, kernel, 3.0, z), model.batch.pgf):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            pgf([1.0005])
+
+
 class TestTransientPMF:
     def test_mm_infinity_poisson(self, mm_model, mm_kernel):
         pmf = transient_pmf(mm_model, mm_kernel, 1.0, 20)
@@ -221,16 +252,19 @@ class TestMoments:
 
     def test_mean_matches_pgf_finite_differences(self, batch_tandem_model,
                                                  tandem_kernel):
+        # the PGF argument lies in the unit box, so the slope at z = 1 is the
+        # second-order one-sided difference (3 G(1) - 4 G(1 - h) + G(1 - 2h)) / 2h,
+        # whose error is O(h^2) like the central difference's
         t, h = 2.0, 1e-5
         result = transient_moments(batch_tandem_model, tandem_kernel, t)
         quad = QuadratureSpec(rtol=1e-10)
         for k in range(2):
-            z_hi = np.ones(2)
-            z_lo = np.ones(2)
-            z_hi[k] += h
-            z_lo[k] -= h
-            fd = (transient_pgf(batch_tandem_model, tandem_kernel, t, z_hi, quad)
-                  - transient_pgf(batch_tandem_model, tandem_kernel, t, z_lo, quad)) / (2 * h)
+            g = []
+            for step in (0.0, h, 2 * h):
+                z = np.ones(2)
+                z[k] -= step
+                g.append(transient_pgf(batch_tandem_model, tandem_kernel, t, z, quad))
+            fd = (3 * g[0] - 4 * g[1] + g[2]) / (2 * h)
             assert fd == pytest.approx(result.mean[k], rel=1e-4)
 
     def test_undefined_moment_signal(self, single_exp_node):
