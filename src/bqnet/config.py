@@ -101,13 +101,14 @@ class _Collector:
         self.failures.append(f"{path}: {message}")
 
     def attempt(self, path, fn):
-        """Run a constructor, folding its ValidationError into the list."""
+        """Run a constructor, folding its ValidationError into the list; a
+        number too large for a float is malformed, as a bad value is."""
         try:
             return fn()
         except ValidationError as exc:
             for msg in exc.failures:
                 self.error(path, msg)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             self.error(path, f"malformed block ({exc})")
         return None
 
@@ -275,8 +276,9 @@ def _build_analysis(block, collector):
             collector.error(f"analysis.{key}",
                             "expected an integer" if kind is int else "expected a number")
         else:
-            fields[key] = kind(value)
-    return collector.attempt("analysis", lambda: AnalysisDefaults(**fields))
+            fields[key] = value
+    return collector.attempt("analysis", lambda: AnalysisDefaults(
+        **{key: _ANALYSIS_KEYS[key](value) for key, value in fields.items()}))
 
 
 def _build_node(spec, J, path, collector):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, KernelDomainError
-from .quadrature import QuadratureSpec, simpson_points, simpson_refine
+from .quadrature import QuadratureSpec, simpson_refine
 from .service import (ABSORBING, DETERMINISTIC, ERLANG, EXPONENTIAL, generator,
                       reachable, routing_matrix)
 
@@ -94,7 +94,7 @@ def expected_batch_occupancy(model, kernel):
         # a panel's first rule, evaluated ahead: the integrand at each
         # horizon is the last of its values and, as ``at_lo``, the next
         # panel's first
-        x = simpson_points(lo, hi, _PANEL_QUAD.initial_nodes)
+        x = np.linspace(lo, hi, _PANEL_QUAD.initial_nodes)
         if at_lo is None:
             return integrand(x)
         return np.concatenate(([at_lo], integrand(x[1:])))

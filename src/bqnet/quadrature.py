@@ -57,11 +57,6 @@ SIMPSON = "simpson"
 SIMPSON_ROMBERG = "simpson-romberg"
 
 
-def simpson_points(a: float, b: float, m: int) -> np.ndarray:
-    """The nodes of :func:`simpson_nodes`, without the weights."""
-    return np.linspace(a, b, m)
-
-
 def _simpson_weights(m: int, h: float) -> np.ndarray:
     w = np.full(m, 2.0)
     w[1::2] = 4.0
@@ -73,7 +68,7 @@ def simpson_nodes(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Return the nodes and weights of composite Simpson with ``m`` nodes."""
     if m < 3 or m % 2 == 0:
         raise ValidationError("Simpson rule needs an odd node count >= 3")
-    return simpson_points(a, b, m), _simpson_weights(m, (b - a) / (m - 1))
+    return np.linspace(a, b, m), _simpson_weights(m, (b - a) / (m - 1))
 
 
 def converged_elementwise(previous, current, spec):
@@ -115,8 +110,8 @@ def simpson_refine(f, a: float, b: float, spec: QuadratureSpec,
     Refinement stops at the first doubling where ``converged(previous,
     current, spec)`` holds, by default the elementwise
     |current - previous| <= rtol * |current| + atol. ``values``, when
-    given, are ``f`` at the initial rule's nodes (:func:`simpson_points`
-    with ``spec.initial_nodes``) that the caller has already evaluated.
+    given, are ``f`` at ``np.linspace(a, b, spec.initial_nodes)``, the
+    initial rule's nodes, already evaluated by the caller.
 
     With ``extrapolate`` the estimates are the diagonal of the Romberg
     table on the same nodes, for integrands analytic on [a, b]: the

@@ -100,31 +100,21 @@ def _router(row, J, dtype):
     """Next node (J = exit) as a function of routing uniforms in [0, 1).
 
     It counts the entries of ``cumsum(row)`` at or below u, capped at J:
-    ``min(searchsorted(cumsum(row), u, side="right"), J)`` by the same
-    comparisons, made as one vector comparison per distinct cumulative
-    value. On a 2-core Xeon with NumPy 2.4 these ran several times faster
-    than the binary search per uniform for rows with up to ~150
-    destinations, and half as fast for a row to 300. Absorbing nodes
-    (``row`` None) have no next node.
+    ``min(searchsorted(cumsum(row), u, side="right"), J)``. A row that sends
+    every u in [0, 1) to one node, as a deterministic route does, returns
+    that node without a search. Absorbing nodes (``row`` None) have no next
+    node.
     """
     if row is None:
         def absorbed(u):
             raise SimulationBudgetError("absorbing customers should never depart")
         return absorbed
     cum = np.cumsum(row)
-    breaks = np.unique(cum[cum > 0])
-    # reached[i]: the next node once u has passed breaks[:i]
-    reached = np.minimum(np.searchsorted(cum, np.concatenate([[0.0], breaks]),
-                                         side="right"), J)
-    steps = [(v, k) for v, k in zip(breaks.tolist(), np.diff(reached).tolist()) if k]
-
-    def route(u):
-        nxt = np.full(u.size, reached[0], dtype=dtype)
-        for v, k in steps:
-            nxt += np.multiply(u >= v, k, dtype=dtype)
-        return nxt
-
-    return route
+    low, high = np.minimum(np.searchsorted(cum, [0.0, np.nextafter(1.0, 0.0)],
+                                           side="right"), J).tolist()
+    if low == high:
+        return lambda u: np.full(u.size, low, dtype)
+    return lambda u: np.minimum(np.searchsorted(cum, u, side="right"), J).astype(dtype)
 
 
 def _per_node(node, fill):

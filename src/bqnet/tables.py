@@ -392,13 +392,23 @@ class LatticePMF:
             raise ValidationError(f"every entry of a J={J} lattice holds {J + 1} numbers")
         if any(type(n) is not int for row in rows for n in row[:-1]):
             raise ValidationError("an entry's occupancy counts must be integers")
+        # float() would read "0.5" as 0.5 and true as 1.0; a null tail is implied
+        tail = doc.get("tail_mass")
+        if type(tail) not in (int, float, type(None)) or any(
+                type(row[-1]) not in (int, float) for row in rows):
+            raise ValidationError("lattice probabilities and tail mass must be numbers")
         vecs = np.array([row[:-1] for row in rows], dtype=np.int64).reshape(len(rows), J)
         if np.any(vecs < 0) or np.any(vecs.sum(axis=1) > cap):
             raise ValidationError(f"an entry lies outside the J={J}, cap={cap} simplex")
+        ranks = simplex_rank(vecs)
+        _, first, seen = np.unique(ranks, return_index=True, return_counts=True)
+        if np.any(seen > 1):
+            twice = tuple(vecs[first[np.argmax(seen > 1)]].tolist())
+            raise ValidationError(f"vector {twice} appears twice")
         values = np.zeros(len(index))
-        values[simplex_rank(vecs)] = [row[-1] for row in rows]
+        values[ranks] = [row[-1] for row in rows]
         meta = {k: doc[k] for k in _JSON_META_KEYS if k in doc}
-        return cls(J, cap, values, tail_mass=doc.get("tail_mass"), meta=meta)
+        return cls(J, cap, values, tail_mass=tail, meta=meta)
 
 
 def canonical_json(doc):

@@ -222,6 +222,19 @@ class TestTables:
         with pytest.raises(ValidationError, match="tail mass"):
             LatticePMF.from_json_dict(doc)
 
+    @pytest.mark.parametrize("entry, tail, message", [
+        ([1, 0, "0.125"], 0.25, "must be numbers"),
+        ([1, 0, 0.125], True, "must be numbers"),
+        ([0, 0, 0.125], 0.25, r"vector \(0, 0\) appears twice"),
+    ], ids=["string-probability", "boolean-tail", "vector-twice"])
+    def test_lattice_json_entries_are_numbers_once(self, entry, tail, message):
+        # float() would load "0.125" and true; a repeated vector kept its last entry
+        doc = LatticePMF(2, 2, np.full(6, 0.125)).to_json_dict()
+        doc["entries"][1] = entry
+        doc["tail_mass"] = tail
+        with pytest.raises(ValidationError, match=message):
+            LatticePMF.from_json_dict(doc)
+
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -477,6 +490,33 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main(["zero-prob", "--config", str(path), "--t", "1"]) == 2
         assert "up to 2^62" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, value, field", [
+        (*_service(kind="exponential", rate=10 ** 400)[:2], "nodes[0].service"),
+        (*_service(kind="erlang", shape=10 ** 400, rate=1.0)[:2], "nodes[0].service"),
+        (*_service(kind="deterministic", duration=10 ** 400)[:2], "nodes[0].service"),
+        ("nodes", [{"service": {"kind": "exponential", "rate": 1.0},
+                    "routing": [10 ** 400, 1.0]}], "nodes[0].routing"),
+        (*_family(name="poisson", mean=10 ** 400)[:2], "batch.family"),
+        (*_family(name="binomial", count=10 ** 400, prob=0.5)[:2], "batch.family"),
+        (*_family(name="zeta", exponent=10 ** 400)[:2], "batch.family"),
+        (*_family(name="finite-table", table=[[1, 10 ** 400]])[:2], "batch.family"),
+        ("batch", {"variant": "finite-table", "table": [[1, 10 ** 400]]}, "batch"),
+        ("analysis", {"rtol": 10 ** 400}, "analysis"),
+    ], ids=["rate", "erlang-shape", "duration", "routing", "poisson-mean",
+            "binomial-count", "zeta-exponent", "family-table-prob", "batch-table-prob",
+            "analysis-rtol"])
+    def test_number_past_every_float_exit_2(self, tmp_path, capsys, block, value, field):
+        # a 401-digit integer is a JSON number that float() cannot convert
+        raw = json.loads(bundled_config_path("mm_infty").read_text())
+        raw[block] = value
+        with pytest.raises(ValidationError) as err:
+            config.parse_config(raw)
+        assert [f.split(":")[0] for f in err.value.failures] == [field]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(ZERO_PROB + ["--config", str(path)]) == 2
+        assert f"{field}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("batch", [
         # NaN compares false both with 0 and with a sum tolerance

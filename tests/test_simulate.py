@@ -394,11 +394,15 @@ class TestTally:
         assert est.overflow == overflow
         assert sum(est.counts[-1].values()) + est.overflow[-1] == replications
 
-    def test_router_matches_binary_search(self):
+    def test_router_matches_binary_search(self, monkeypatch):
         rng = np.random.default_rng(33)
-        u = rng.uniform(size=20_000)
+        uniforms = rng.uniform(size=20_000)
         rows = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                [0.1] * 10, [0.3, 0.0, 0.3, 0.4 - 1e-12, 0.0]]
+                [0.1] * 10, [0.3, 0.0, 0.3, 0.4 - 1e-12, 0.0],
+                # one destination, but the top 1e-13 of [0, 1) exits
+                [0.0, 1.0 - 1e-13, 0.0],
+                # exit only, and so is the top 1e-13 past the row's sum
+                [0.0, 0.0, 0.0, 1.0 - 1e-13]]
         for J in (3, 12, 40, 300):
             for density in (0.05, 0.5, 1.0):
                 row = rng.uniform(size=J + 1) * (rng.uniform(size=J + 1) < density)
@@ -406,10 +410,20 @@ class TestTally:
                 rows.append(row / row.sum())
         for row in rows:
             J = len(row) - 1
+            cum = np.cumsum(row)
+            # both ends of [0, 1) and every cumulative value inside it
+            u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum[cum < 1.0], uniforms])
             route = _router(np.asarray(row), J, np.min_scalar_type(J))
-            want = np.minimum(np.searchsorted(np.cumsum(row), u, side="right"), J)
-            np.testing.assert_array_equal(route(u), want)
-            assert route(u).dtype == np.min_scalar_type(J)
+            want = np.minimum(np.searchsorted(cum, u, side="right"), J)
+            searches, search = [], np.searchsorted
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "searchsorted",
+                              lambda *args, **kw: searches.append(args) or search(*args, **kw))
+                got = route(u)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.min_scalar_type(J)
+            # a row with one next node for every u needs no search per uniform
+            assert not (searches and want[0] == want[1])
 
     def test_zero_time_loop_checked_once_for_entry_queues(self, monkeypatch):
         exits = ServiceNode(ServiceLaw.exponential(1.0), [0.0, 0.0, 1.0])
